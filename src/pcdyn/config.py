@@ -225,6 +225,13 @@ def parse_config(
         cfg = replace(cfg, seed=seed_override)
 
     # invariants that span several keys
+    if cfg.kappa_max >= 1 - 2 * cfg.eps_range:  # no room for an intercept
+        raise ConfigError(
+            next((no for no, t in lines if t[0] == "kappa_max"), None),
+            f"kappa_max {cfg.kappa_max} must be below 1 - 2*eps_range = "
+            f"{format_scalar(1 - 2 * cfg.eps_range)} "
+            f"(eps_range {format_scalar(cfg.eps_range)})",
+        )
     if cfg.maps and cfg.breakpoints:
         map_line = next(no for no, t in lines if t[0] == "map")
         try:

@@ -53,13 +53,13 @@ class Backend:
         return Fraction(1) if self.is_exact else 1.0
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
-        return abs(a - b) <= self.eps_cmp
+        return a == b if not self.eps_cmp else abs(a - b) <= self.eps_cmp
 
     def le(self, a: Scalar, b: Scalar) -> bool:
-        return a <= b + self.eps_cmp
+        return a <= b if not self.eps_cmp else a <= b + self.eps_cmp
 
     def lt(self, a: Scalar, b: Scalar) -> bool:
-        return a < b - self.eps_cmp
+        return a < b if not self.eps_cmp else a < b - self.eps_cmp
 
     def number(self, text: str) -> Scalar:
         """Parse a scalar literal: ``p/q``, decimal, or exponent notation.
@@ -81,11 +81,7 @@ EXACT = Backend.exact()
 def format_scalar(x: Scalar) -> str:
     """Rationals as ``p/q`` (or ``p`` when integral), floats as shortest
     round-trip decimal."""
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, int):
-        return str(x)
-    return str(x)
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 @dataclass(frozen=True, order=True)

@@ -14,11 +14,15 @@ breakpoints.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import CapExceededError, InexactPreimageError
+from .errors import (
+    CapExceededError,
+    InexactPreimageError,
+    NonDiscretePreimageError,
+)
 from .ifs import IteratedFunctionSystem
 from .maps import DEFAULT_EPS_FP, Identity, MapDescriptor, compose
 from .numerics import EXACT, Backend, Interval, Scalar
@@ -370,11 +374,54 @@ def is_generic(
     a breakpoint.
 
     A False result is definitive up to the tested depth; a True result is
-    depth-limited.  Under the float backend a near-collision within the
-    comparison tolerance counts as a collision (conservative).
+    depth-limited.  Rational input under the exact backend is searched
+    backwards, through the preimages of the breakpoints under every map,
+    pruned to [0, 1] and to new points; ``cap`` bounds one tree level.
+    Irrational preimages are dropped: no rational source reaches them.
+    Otherwise (float backend or coefficients, a plateau on a tree point)
+    all n**depth forward images are enumerated, ``cap`` bounding n**depth;
+    a near-collision within the float tolerance counts as a collision.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    targets = f.breakpoints.points
+    if not (backend.is_exact and _rational(targets) and _rational(f.ifs.maps)):
+        return _generic_forward(f, depth, backend, cap)
+    sources = {backend.zero, *targets}
+    unit = Interval(backend.zero, backend.one)
+    level = seen = set(targets)
+    for _ in range(depth):
+        nxt = set()
+        for y in level:
+            for m in f.ifs:
+                try:
+                    pre = m.preimages(y, unit, backend)
+                except NonDiscretePreimageError:
+                    return _generic_forward(f, depth, backend, cap)
+                nxt.update(p for p in pre if not isinstance(p, float))
+        if not nxt.isdisjoint(sources):
+            return False
+        nxt -= seen
+        if len(nxt) > cap:
+            raise CapExceededError(f"{len(nxt)} tree points exceed cap {cap}")
+        seen |= nxt
+        level = nxt
+    return True
+
+
+def _rational(v) -> bool:
+    """No float among the scalars of v, descriptors searched by field."""
+    if isinstance(v, MapDescriptor):
+        v = tuple(getattr(v, fl.name) for fl in fields(v))
+    if isinstance(v, tuple):
+        return all(map(_rational, v))
+    return not isinstance(v, float)
+
+
+def _generic_forward(
+    f: PiecewiseContraction, depth: int, backend: Backend, cap: int
+) -> bool:
+    """``is_generic`` by enumerating all n**depth forward images."""
     n = f.n
     if n**depth > cap:
         raise CapExceededError(f"{n}^{depth} compositions exceed cap {cap}")

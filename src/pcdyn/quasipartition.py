@@ -15,13 +15,13 @@ rounding error, and the finiteness argument is an exact one.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 from .errors import (
     BoundViolationError,
     InexactPreimageError,
-    IterationCapError,
     NonDiscretePreimageError,
     PartitionInvarianceError,
 )
@@ -132,10 +132,47 @@ class QuasiPartition:
     intervals: tuple[Interval, ...]
     transition: tuple[int, ...]
     branch: tuple[int, ...]
+    _orbits: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def m(self) -> int:
         return len(self.intervals)
+
+    @cached_property
+    def basins(self) -> tuple[tuple[int, ...], ...]:
+        """``basins[l-1]`` is the index cycle interval l ends in, rotated to
+        start at its smallest index, from one walk of l -> transition[l-1].
+
+        Two forward index orbits meet exactly when they end in one cycle.
+        """
+        cycle_of: list[Optional[tuple[int, ...]]] = [None] * (self.m + 1)
+        for start in range(1, self.m + 1):
+            path: dict[int, int] = {}  # node -> position on this walk
+            node = start
+            while cycle_of[node] is None and node not in path:
+                path[node] = len(path)
+                node = self.transition[node - 1]
+            if cycle_of[node] is None:  # the walk closed a new cycle
+                cyc = list(path)[path[node]:]
+                k = cyc.index(min(cyc))
+                cycle_of[node] = tuple(cyc[k:] + cyc[:k])
+            for v in path:
+                cycle_of[v] = cycle_of[node]
+        return tuple(cycle_of[1:])
+
+    def cycle_orbits(
+        self, f: PiecewiseContraction, eps_fp: float = DEFAULT_EPS_FP
+    ) -> dict[tuple[int, ...], PeriodicOrbit]:
+        """Each cycle's orbit in ``basins`` order, computed once per
+        ``eps_fp``; f is the map the partition was built from."""
+        if eps_fp not in self._orbits:
+            self._orbits[eps_fp] = {
+                cyc: _cycle_orbit(f, self, cyc, eps_fp)
+                for cyc in dict.fromkeys(self.basins)
+            }
+        return self._orbits[eps_fp]
 
     def locate(self, x: Scalar) -> Optional[int]:
         """1-based index of the open interval containing x, None on a cut
@@ -169,12 +206,6 @@ def build_partition(
         Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:])
     )
 
-    def locate(y: Scalar) -> Optional[int]:
-        i = bisect_left(cuts, y)
-        if i < len(cuts) and cuts[i] == y:
-            return None
-        return i + 1
-
     transition: list[int] = []
     branch: list[int] = []
     for j, iv in enumerate(intervals, start=1):
@@ -195,32 +226,27 @@ def build_partition(
                 raise PartitionInvarianceError(
                     f"image of interval {j} straddles closure point {q}"
                 )
-        target = locate(phi._eval(mid))
-        if target is None:
+        y = phi._eval(mid)
+        target = bisect_left(cuts, y)
+        if target < len(cuts) and cuts[target] == y:
             raise PartitionInvarianceError(
                 f"image midpoint of interval {j} lies on a closure point"
             )
-        transition.append(target)
+        transition.append(target + 1)
         branch.append(d)
     return QuasiPartition(
         qset, cuts, intervals, tuple(transition), tuple(branch)
     )
 
 
-def _canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
-    """Rotate an index cycle so it starts at its smallest index."""
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:]) + tuple(cycle[:k])
-
-
 def _cycle_orbit(
     f: PiecewiseContraction,
     part: QuasiPartition,
-    cycle: Sequence[int],
+    cyc: tuple[int, ...],
     eps_fp: float,
 ) -> PeriodicOrbit:
-    """Fixed point of the branch maps composed along an index cycle."""
-    cyc = _canonical_cycle(list(cycle))
+    """Fixed point of the branch maps composed along a canonical index
+    cycle."""
     word = tuple(part.branch[l - 1] for l in cyc)
     z = _word_map(f, word).fixed_point(eps_fp)
     pts = []
@@ -237,52 +263,16 @@ def _cycle_orbit(
     )
 
 
-def _transition_cycles(transition: Sequence[int]) -> list[tuple[int, ...]]:
-    """All cycles of the functional graph l -> transition[l-1]."""
-    m = len(transition)
-    color = [0] * (m + 1)  # 0 new, 1 on stack, 2 done
-    cycles = []
-    for start in range(1, m + 1):
-        if color[start]:
-            continue
-        path = []
-        node = start
-        while color[node] == 0:
-            color[node] = 1
-            path.append(node)
-            node = transition[node - 1]
-        if color[node] == 1:
-            cycles.append(_canonical_cycle(path[path.index(node):]))
-        for v in path:
-            color[v] = 2
-    return cycles
-
-
-def _same_orbit(
-    a: PeriodicOrbit, b: PeriodicOrbit, backend: Backend, eps: float
-) -> bool:
-    if backend.is_exact:
-        return a.point_set() == b.point_set()
-    if len(a.points) != len(b.points):
-        return False
-    sa, sb = sorted(a.points), sorted(b.points)
-    return all(abs(u - v) <= eps for u, v in zip(sa, sb))
-
-
 def periodic_orbits(
     f: PiecewiseContraction,
     part: QuasiPartition,
     eps_fp: float = DEFAULT_EPS_FP,
-    backend: Backend = EXACT,
-    eps_orbit: float = 1e-10,
 ) -> list[PeriodicOrbit]:
     """One periodic orbit per transition cycle, deduplicated."""
-    orbits: list[PeriodicOrbit] = []
-    for cyc in _transition_cycles(part.transition):
-        orb = _cycle_orbit(f, part, cyc, eps_fp)
-        if not any(_same_orbit(orb, o, backend, eps_orbit) for o in orbits):
-            orbits.append(orb)
-    return orbits
+    unique: dict[frozenset, PeriodicOrbit] = {}
+    for orb in part.cycle_orbits(f, eps_fp).values():
+        unique.setdefault(orb.point_set(), orb)
+    return list(unique.values())
 
 
 def omega_limit(
@@ -295,33 +285,17 @@ def omega_limit(
 
     If x sits on a closure point (or at 0) it is iterated through that
     finite set until it either enters an open interval or closes a cycle
-    inside the set; otherwise the interval dynamics is followed to its
-    cycle directly.
+    inside the set; otherwise it is the orbit of its interval's basin.
     """
-    special = {0} | set(part.cut_points)
     visited: list[Scalar] = []
-    while x in special:
-        if x in visited:
-            s = visited.index(x)
-            cyc_pts = visited[s:]
+    while (start := part.locate(x)) is None:
+        if x in visited:  # a cycle inside the finite set {0} and the cuts
+            cyc_pts = visited[visited.index(x):]
             word = tuple(f.digit(p) for p in cyc_pts)
             return PeriodicOrbit(tuple(cyc_pts), len(cyc_pts), word)
         visited.append(x)
-        if len(visited) > len(special) + 1:
-            raise IterationCapError(
-                "orbit stuck outside the partition; closure inconsistent"
-            )
         x = f(x)
-    start = part.locate(x)
-    seq = [start]
-    seen = {start: 0}
-    while True:
-        nxt = part.transition[seq[-1] - 1]
-        if nxt in seen:
-            cycle = seq[seen[nxt]:]
-            return _cycle_orbit(f, part, cycle, eps_fp)
-        seen[nxt] = len(seq)
-        seq.append(nxt)
+    return part.cycle_orbits(f, eps_fp)[part.basins[start - 1]]
 
 
 @dataclass(frozen=True)
@@ -349,14 +323,15 @@ def equivalence_classes(
     f: PiecewiseContraction,
     part: QuasiPartition,
     eps_fp: float = DEFAULT_EPS_FP,
-    backend: Backend = EXACT,
 ) -> EquivalenceClasses:
     """Group the breakpoint-adjacent intervals by shared forward orbits.
 
     Two adjacency intervals are equivalent when their forward orbits under
     the index dynamics meet; since forward images of partition intervals
     stay inside single intervals, this matches the definition through a
-    common absorbing interval.
+    common absorbing interval.  Two forward index orbits meet exactly when
+    they end in one cycle, so the classes group the adjacency intervals by
+    basin, ordered by their smallest member.
     """
     n = f.n
     cuts = part.cut_points
@@ -366,47 +341,17 @@ def equivalence_classes(
         if pos >= len(cuts) or cuts[pos] != x_i:
             raise ValueError("breakpoint missing from the closure points")
         adjacency.append((pos + 1, pos + 2))
-    members: list[int] = []
-    for fi, gi in adjacency:
-        for idx in (fi, gi):
-            if idx not in members:
-                members.append(idx)
-
-    def forward_set(start: int) -> frozenset:
-        out = set()
-        node = start
-        while node not in out:
-            out.add(node)
-            node = part.transition[node - 1]
-        return frozenset(out)
-
-    reach = {idx: forward_set(idx) for idx in members}
-    parent = {idx: idx for idx in members}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if reach[a] & reach[b]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    grouped: dict[int, list[int]] = {}
+    members = list(dict.fromkeys(idx for pair in adjacency for idx in pair))
+    grouped: dict[tuple[int, ...], list[int]] = {}
     for idx in members:
-        grouped.setdefault(find(idx), []).append(idx)
-    classes = tuple(tuple(v) for _, v in sorted(grouped.items()))
+        grouped.setdefault(part.basins[idx - 1], []).append(idx)
+    classes = tuple(tuple(v) for v in sorted(grouped.values(), key=min))
 
-    mins = [
-        (min(part.qset.by_source(i)), i)
-        for i in range(1, len(f.breakpoints) + 1)
-    ]
-    permutation = tuple(i for _, i in sorted(mins))
+    permutation = tuple(
+        sorted(range(1, n), key=lambda i: min(part.qset.by_source(i)))
+    )
 
-    orbits = periodic_orbits(f, part, eps_fp, backend)
+    orbits = periodic_orbits(f, part, eps_fp)
     if len(classes) > n:
         raise BoundViolationError(
             f"{len(classes)} equivalence classes exceed branch count {n}"

@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Counter as CounterType
 from collections import Counter
 
 from .config import RunConfig, descriptor_tokens
@@ -79,12 +78,12 @@ class SurveyReport:
             return 0.0
         return sum(1 for r in concl if r.grid_converged) / len(concl)
 
-    def orbit_histogram(self) -> CounterType[int]:
+    def orbit_histogram(self) -> Counter[int]:
         return Counter(
             r.orbit_count for r in self.records if r.conclusive
         )
 
-    def reason_counts(self) -> CounterType[str]:
+    def reason_counts(self) -> Counter[str]:
         return Counter(
             r.reason for r in self.records if not r.conclusive
         )

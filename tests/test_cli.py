@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "aggregate" in out.splitlines()
+
+    def test_survey_kappa_max_too_steep_is_config_error(self, tmp_path, capsys):
+        text = "n 3\nsamples 20\nseed 1\nkappa_max 0.99\n"
+        code = main(["survey", "--config", self.write(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 4: kappa_max 0.99 must be below" in err
+        assert "31/32" in err and "eps_range 1/64" in err
+
+    def test_survey_kappa_max_checked_after_every_key(self):
+        # eps_range comes after kappa_max and moves the bound below it
+        with pytest.raises(ConfigError, match="eps_range 1/4"):
+            parse_config("kappa_max 0.6\neps_range 1/4\n")
+        assert parse_config("kappa_max 0.6\neps_range 1/8\n").kappa_max == 0.6
+
+    def test_module_entry_point(self, tmp_path):
+        cfgp = self.write(tmp_path, "samples 3\nn 2\nseed 11\ngrid 4\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "pcdyn.cli", "survey", "--config", cfgp],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("samples\n")
+        assert "aggregate" in done.stdout.splitlines()
 
     def test_survey_jobs_identical(self, tmp_path):
         text = "samples 8\nn 3\nseed 5\ngrid 8\n"

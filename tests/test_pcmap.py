@@ -4,16 +4,23 @@ from fractions import Fraction as F
 import pytest
 
 from pcdyn import (
+    EXACT,
     Affine,
     Backend,
     Breakpoints,
+    CapExceededError,
+    Clamped,
+    Interval,
     IteratedFunctionSystem,
     PiecewiseContraction,
+    Quadratic,
     is_generic,
     orbit,
     power_map,
 )
-from pcdyn.pcmap import LEFT_OPEN, RIGHT_OPEN
+from pcdyn import pcmap
+from pcdyn.pcmap import LEFT_OPEN, RIGHT_OPEN, _generic_forward
+from pcdyn.sampling import draw_pc, rng_for_sample
 from _support import period3_pc
 
 FLOAT = Backend.floating()
@@ -190,6 +197,120 @@ class TestIsGeneric:
             Breakpoints((0.25 + 1e-14,)),
         )
         assert not is_generic(f, 1, backend=FLOAT)
+
+
+def _pc(maps, cuts) -> PiecewiseContraction:
+    return PiecewiseContraction(
+        IteratedFunctionSystem(tuple(maps)), Breakpoints(tuple(cuts))
+    )
+
+
+def _coarse_pc(rng: random.Random, n: int) -> PiecewiseContraction:
+    """Affine maps and breakpoints on a grid of 1/64, slopes in 1/8 steps
+    (constant maps included): collisions are common at every depth."""
+    cuts = sorted(rng.sample(range(1, 64), n - 1))
+    maps = []
+    for _ in range(n):
+        a = F(rng.randint(-7, 7), 8)
+        lo = max(1, int(-a * 64) + 1)
+        hi = min(63, int(64 - a * 64) - 1)
+        maps.append(Affine(a, F(rng.randint(lo, hi), 64)))
+    return _pc(maps, (F(c, 64) for c in cuts))
+
+
+def _ladder_pc(k: int) -> PiecewiseContraction:
+    """0 reaches the breakpoint 1/2 - 2^-(k+1) after exactly k steps of
+    x -> x/2 + 1/4; every other word stays away from it."""
+    return _pc(
+        (Affine(F(1, 2), F(1, 4)), Affine(F(1, 8), F(3, 4))),
+        (F(1, 2) - F(1, 2 ** (k + 1)),),
+    )
+
+
+class TestGenericBackwardSearch:
+    """The backward search against the forward enumeration it replaced."""
+
+    def test_agrees_with_forward_enumeration(self):
+        rng = random.Random(2014)
+        outcomes = []
+        for i in range(330):
+            n, depth = 2 + i % 6, 1 + (i // 6) % 5
+            f = _coarse_pc(rng, n)
+            want = _generic_forward(f, depth, EXACT, 10**6)
+            assert is_generic(f, depth) == want, (i, f)
+            outcomes.append(want)
+        # both answers are well represented, so the comparison has teeth
+        assert 100 <= sum(outcomes) <= 230
+
+    def test_agrees_on_steep_survey_draws(self):
+        for i in range(30):
+            f = draw_pc(rng_for_sample(7, i), 2 + i % 5, kappa_max=0.9)
+            assert is_generic(f, 3) == _generic_forward(f, 3, EXACT, 10**6)
+
+    def test_collision_through_a_map_outside_the_branch(self):
+        # 1/2 belongs to branch 2, but map 1 fixes it; map 2 never reaches
+        # it, and a branch-restricted backward search finds nothing
+        f = _pc((Affine(F(1, 2), F(1, 4)), Affine(F(1, 4), F(1, 16))), (F(1, 2),))
+        assert f.preimages(F(1, 2)) == []
+        assert f.ifs.maps[1].preimages(F(1, 2), Interval(F(0), F(1))) == []
+        assert not is_generic(f, 1)
+        assert not _generic_forward(f, 1, EXACT, 100)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_collision_at_exactly_depth_k(self, k):
+        f = _ladder_pc(k)
+        assert is_generic(f, k - 1)
+        assert not is_generic(f, k)
+        assert _generic_forward(f, k - 1, EXACT, 100)
+        assert not _generic_forward(f, k, EXACT, 100)
+
+    def test_constant_map_onto_a_breakpoint(self):
+        f = _pc((Affine(F(1, 2), F(1, 8)), Affine(F(0), F(1, 2))), (F(1, 2),))
+        assert not is_generic(f, 1)
+        # one step further back: the constant hits a depth-1 tree point
+        g = _pc((Affine(F(1, 4), F(5, 8)), Affine(F(0), F(1, 2))), (F(3, 4),))
+        assert is_generic(g, 1) and _generic_forward(g, 1, EXACT, 100)
+        assert not is_generic(g, 2)
+
+    def test_plateau_falls_back_to_forward_search(self, monkeypatch):
+        # the clamped map is constant 13/50, a breakpoint, on [2/5, 1]
+        clamped = Clamped(Affine(F(2, 5), F(1, 10)), F(0), F(2, 5))
+        f = _pc((Affine(F(1, 2), F(2, 5)), clamped), (F(13, 50),))
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return _generic_forward(*args)
+
+        monkeypatch.setattr(pcmap, "_generic_forward", spy)
+        assert is_generic(f, 1)
+        assert not is_generic(f, 2)  # 0 -> 2/5 -> 13/50
+        assert calls == [1, 2]
+
+    def test_float_coefficients_use_forward_search(self):
+        # 0.5 * 1/2 + 0.25 is the float 0.5, which equals the breakpoint
+        f = _pc((Affine(0.5, 0.25), Affine(0.5, 0.125)), (F(1, 2),))
+        assert not is_generic(f, 1)
+
+    def test_irrational_preimage_is_dropped(self):
+        quad = Quadratic(F(1, 4), F(1, 4), F(1, 8))
+        # x^2 + x - 3/2 = 0 has the irrational root (sqrt(7) - 1) / 2
+        (root,) = quad.preimages(F(1, 2), Interval(F(0), F(1)))
+        assert isinstance(root, float)
+        f = _pc((quad, Affine(F(1, 2), F(1, 8))), (F(1, 2),))
+        for depth in (1, 2, 3):
+            assert is_generic(f, depth) == _generic_forward(f, depth, EXACT, 100)
+
+    def test_cap_bounds_a_tree_level(self):
+        with pytest.raises(CapExceededError, match="tree points"):
+            is_generic(_ladder_pc(5), 4, cap=0)
+        assert not is_generic(_ladder_pc(1), 3, cap=0)  # found at level 1
+
+    def test_eleven_branches_fit_the_default_cap(self):
+        f = draw_pc(rng_for_sample(11, 0), 11, kappa_max=0.45)
+        assert is_generic(f, 5)
+        with pytest.raises(CapExceededError):
+            _generic_forward(f, 5, EXACT, 100_000)
 
 
 class TestPowerMap:

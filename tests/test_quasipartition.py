@@ -11,6 +11,7 @@ from pcdyn import (
     IteratedFunctionSystem,
     NonDiscretePreimageError,
     PartitionInvarianceError,
+    PeriodicOrbit,
     PiecewiseContraction,
     build_partition,
     equivalence_classes,
@@ -20,9 +21,17 @@ from pcdyn import (
     periodic_orbits,
     preimage_set,
 )
-from pcdyn.quasipartition import COMPLETE, TRUNCATED, PreimageSet, QPoint
+from pcdyn.quasipartition import (
+    COMPLETE,
+    TRUNCATED,
+    EquivalenceClasses,
+    PreimageSet,
+    QPoint,
+    QuasiPartition,
+    _cycle_orbit,
+)
 from pcdyn.sampling import draw_pc, rng_for_sample
-from _support import constant_pc, period3_pc
+from _support import constant_pc, period3_pc, rand_affine, rand_fraction
 
 PERIOD3_Q = {F(1, 10), F(1, 5), F(3, 10), F(7, 20), F(9, 20), F(13, 20)}
 
@@ -271,3 +280,172 @@ class TestRandomInstances:
                 assert f.digit(y) == part.branch[l - 1]
                 y = f(y)
                 l = part.transition[l - 1]
+
+
+# --- oracles: the separate graph walks the basin index replaced ------------
+
+def _canonical_cycle(cycle):
+    k = cycle.index(min(cycle))
+    return tuple(cycle[k:]) + tuple(cycle[:k])
+
+
+def _oracle_cycles(transition):
+    """All cycles of the functional graph l -> transition[l-1]."""
+    m = len(transition)
+    color = [0] * (m + 1)  # 0 new, 1 on stack, 2 done
+    cycles = []
+    for start in range(1, m + 1):
+        if color[start]:
+            continue
+        path = []
+        node = start
+        while color[node] == 0:
+            color[node] = 1
+            path.append(node)
+            node = transition[node - 1]
+        if color[node] == 1:
+            cycles.append(_canonical_cycle(path[path.index(node):]))
+        for v in path:
+            color[v] = 2
+    return cycles
+
+
+def _oracle_periodic_orbits(f, part):
+    orbits = []
+    for cyc in _oracle_cycles(part.transition):
+        orb = _cycle_orbit(f, part, cyc, 1e-13)
+        if not any(orb.point_set() == o.point_set() for o in orbits):
+            orbits.append(orb)
+    return orbits
+
+
+def _oracle_omega_limit(f, x, part):
+    special = {0} | set(part.cut_points)
+    visited = []
+    while x in special:
+        if x in visited:
+            cyc_pts = visited[visited.index(x):]
+            word = tuple(f.digit(p) for p in cyc_pts)
+            return PeriodicOrbit(tuple(cyc_pts), len(cyc_pts), word)
+        visited.append(x)
+        x = f(x)
+    seq = [part.locate(x)]
+    seen = {seq[0]: 0}
+    while True:
+        nxt = part.transition[seq[-1] - 1]
+        if nxt in seen:
+            return _cycle_orbit(f, part, _canonical_cycle(seq[seen[nxt]:]), 1e-13)
+        seen[nxt] = len(seq)
+        seq.append(nxt)
+
+
+def _oracle_equivalence_classes(f, part):
+    """Pairwise forward-set intersections merged by union-find."""
+    cuts = part.cut_points
+    adjacency = []
+    for x_i in f.breakpoints:
+        pos = cuts.index(x_i)
+        adjacency.append((pos + 1, pos + 2))
+    members = []
+    for pair in adjacency:
+        for idx in pair:
+            if idx not in members:
+                members.append(idx)
+
+    def forward_set(start):
+        out = set()
+        node = start
+        while node not in out:
+            out.add(node)
+            node = part.transition[node - 1]
+        return out
+
+    reach = {idx: forward_set(idx) for idx in members}
+    parent = {idx: idx for idx in members}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if reach[a] & reach[b]:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[rb] = ra
+    grouped = {}
+    for idx in members:
+        grouped.setdefault(find(idx), []).append(idx)
+    mins = [(min(part.qset.by_source(i)), i) for i in range(1, f.n)]
+    return EquivalenceClasses(
+        adjacency=tuple(adjacency),
+        first_interval=1,
+        last_interval=part.m,
+        members=tuple(members),
+        classes=tuple(tuple(v) for _, v in sorted(grouped.items())),
+        permutation=tuple(i for _, i in sorted(mins)),
+        orbit_count=len(_oracle_periodic_orbits(f, part)),
+    )
+
+
+def _random_partition(rng):
+    """A complete partition of a random system in which about a third of the
+    maps are constant, so several cycles and classes are common."""
+    n = rng.randint(2, 5)
+    maps = [
+        Affine(F(0), rand_fraction(rng, F(1, 100), F(99, 100)))
+        if rng.random() < 0.35
+        else rand_affine(rng)
+        for _ in range(n)
+    ]
+    cuts = sorted({rand_fraction(rng, F(1, 20), F(19, 20)) for _ in range(n - 1)})
+    if len(cuts) != n - 1:
+        return None
+    f = PiecewiseContraction(IteratedFunctionSystem(tuple(maps)), Breakpoints(tuple(cuts)))
+    q = preimage_set(f, size_cap=2000)
+    if not q.is_complete:
+        return None
+    return f, build_partition(f, q)
+
+
+class TestBasinIndexAgainstOracles:
+    def test_random_functional_graphs(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            m = rng.randint(1, 30)
+            transition = tuple(rng.randint(1, m) for _ in range(m))
+            part = QuasiPartition(
+                PreimageSet((), 0, COMPLETE), (), (Interval(F(0), F(1)),) * m,
+                transition, (1,) * m,
+            )
+            assert list(dict.fromkeys(part.basins)) == _oracle_cycles(transition)
+            for start in range(1, m + 1):
+                node = start
+                for _ in range(m):
+                    node = transition[node - 1]
+                # after m steps the walk is on its cycle
+                assert node in part.basins[start - 1]
+
+    def test_random_partitions(self):
+        rng = random.Random(1408)
+        grid = [F(g, 64) for g in range(64)]
+        checked = multi = 0
+        while checked < 150:
+            built = _random_partition(rng)
+            if built is None:
+                continue
+            f, part = built
+            want_orbits = _oracle_periodic_orbits(f, part)
+            got_orbits = periodic_orbits(f, part)
+            assert got_orbits == want_orbits
+            assert [o.home_cycle for o in got_orbits] == [
+                o.home_cycle for o in want_orbits
+            ]
+            for x in grid + list(part.cut_points):
+                assert omega_limit(f, x, part) == _oracle_omega_limit(f, x, part)
+            assert equivalence_classes(f, part) == _oracle_equivalence_classes(f, part)
+            checked += 1
+            multi += len(want_orbits) > 1
+        assert multi >= 30

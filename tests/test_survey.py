@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,18 @@ class TestRunSurvey:
         a = survey_csv(run_survey(small_cfg(jobs=1)))
         b = survey_csv(run_survey(small_cfg(jobs=3)))
         assert a == b
+
+    def test_criterion_6_csv_pinned_across_versions(self):
+        # the criterion-6 survey's CSV as first recorded (CPython 3.11.7);
+        # a change to any stage of the pipeline that alters a row shows here
+        cfg = RunConfig(
+            backend=Backend.exact(), seed=42, samples=200, n=3,
+            kappa_max=0.45, grid=64, jobs=1,
+        )
+        digest = hashlib.sha256(survey_csv(run_survey(cfg)).encode()).hexdigest()
+        assert digest == (
+            "ac7686442f7a4493ca57fa6048d81969d580920da0394b09fa15048b850f50f4"
+        )
 
 
 class TestQuadraticFlows:
