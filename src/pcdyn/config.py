@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .ifs import IteratedFunctionSystem
 from .maps import Affine, Clamped, Composed, MapDescriptor, Quadratic
@@ -70,6 +70,38 @@ class RunConfig:
     def pc(self) -> PiecewiseContraction:
         return PiecewiseContraction(
             self.ifs(), Breakpoints(self.breakpoints), self.closures
+        )
+
+
+def check_sampling(
+    cfg: RunConfig, lines: Sequence[tuple[int, list[str]]] = ()
+) -> None:
+    """Reject survey bounds under which the random draws cannot succeed.
+
+    ``draw_breakpoints`` fits n - 1 points eps_range apart inside
+    (eps_range, 1 - eps_range), which needs n*eps_range < 1, and
+    ``draw_affine`` needs 0 <= kappa_max < 1 - 2*eps_range to leave room
+    for an intercept.  ``lines`` (parsed config lines) locate the key.
+    """
+
+    def line(key: str) -> Optional[int]:
+        return next((no for no, t in lines if t[0] == key), None)
+
+    eps = format_scalar(cfg.eps_range)
+    if cfg.eps_range < 0 or cfg.n * cfg.eps_range >= 1:
+        raise ConfigError(
+            line("eps_range"),
+            f"eps_range {eps} must be >= 0 with n*eps_range < 1 (n {cfg.n})",
+        )
+    if cfg.kappa_max < 0:
+        raise ConfigError(
+            line("kappa_max"), f"kappa_max {cfg.kappa_max} must be >= 0"
+        )
+    if cfg.kappa_max >= 1 - 2 * cfg.eps_range:
+        raise ConfigError(
+            line("kappa_max"),
+            f"kappa_max {cfg.kappa_max} must be below 1 - 2*eps_range = "
+            f"{format_scalar(1 - 2 * cfg.eps_range)} (eps_range {eps})",
         )
 
 
@@ -225,13 +257,7 @@ def parse_config(
         cfg = replace(cfg, seed=seed_override)
 
     # invariants that span several keys
-    if cfg.kappa_max >= 1 - 2 * cfg.eps_range:  # no room for an intercept
-        raise ConfigError(
-            next((no for no, t in lines if t[0] == "kappa_max"), None),
-            f"kappa_max {cfg.kappa_max} must be below 1 - 2*eps_range = "
-            f"{format_scalar(1 - 2 * cfg.eps_range)} "
-            f"(eps_range {format_scalar(cfg.eps_range)})",
-        )
+    check_sampling(cfg, lines)
     if cfg.maps and cfg.breakpoints:
         map_line = next(no for no, t in lines if t[0] == "map")
         try:

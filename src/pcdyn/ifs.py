@@ -10,13 +10,21 @@ constant outside a delta-collar of their branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError
-from .maps import Clamped, Identity, MapDescriptor, compose
-from .numerics import EXACT, Backend, IntervalSet, Scalar
+from .maps import (
+    Affine,
+    Clamped,
+    Identity,
+    MapDescriptor,
+    _raw_fraction,
+    compose,
+)
+from .numerics import EXACT, Backend, Interval, IntervalSet, Scalar
 
 DEFAULT_COMPOSITION_CAP = 100_000
 
@@ -100,13 +108,74 @@ def attractor_sequence(
 
     Returns [A_0, ..., A_{k_max}].  Each step is exact under the rational
     backend; components merge when they touch, so the component count of
-    A_k never exceeds n^k.
+    A_k never exceeds n^k.  Under the exact backend, a system of affine
+    maps with rational coefficients runs in integers; any other input
+    applies ``ifs_image`` k_max times.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    if backend.is_exact and all(
+        type(m) is Affine and m._ints is not None for m in ifs
+    ):
+        return _rational_affine_sequence(ifs.maps, k_max)
     seq = [IntervalSet.unit(backend)]
     for _ in range(k_max):
         seq.append(ifs_image(ifs, seq[-1], backend))
+    return seq
+
+
+def _rational_affine_sequence(
+    maps: Sequence[Affine], k_max: int
+) -> list[IntervalSet]:
+    """attractor_sequence for rational affine maps, in integer arithmetic.
+
+    A_k is held as ascending (lo, hi) numerator pairs over one common
+    denominator q.  With L the lcm of every coefficient denominator, map
+    x -> a*x + b sends p/q to (aL*p + bL*q) / (L*q), where aL and bL are
+    integers.  Each map's images form an ascending run (read backwards for
+    a negative slope), so the sort merges n runs; touching components
+    merge as in ``IntervalSet.normalize``.  One gcd per step keeps q and
+    the numerators reduced.
+    """
+    ints = [m._ints for m in maps]
+    den = math.lcm(*(d for _, ad, _, bd in ints for d in (ad, bd)))
+    coeffs = [(an * (den // ad), bn * (den // bd)) for an, ad, bn, bd in ints]
+    seq = [IntervalSet.unit()]
+    runs, q = [(0, 1)], 1
+    for _ in range(k_max):
+        pieces: list[tuple[int, int]] = []
+        for a, b in coeffs:
+            shift = b * q
+            if a >= 0:
+                pieces += [(a * lo + shift, a * hi + shift) for lo, hi in runs]
+            else:
+                pieces += [
+                    (a * hi + shift, a * lo + shift) for lo, hi in reversed(runs)
+                ]
+        pieces.sort()
+        runs = []
+        cur_lo, cur_hi = pieces[0]
+        for lo, hi in pieces:
+            if lo <= cur_hi:
+                if hi > cur_hi:
+                    cur_hi = hi
+            else:
+                runs.append((cur_lo, cur_hi))
+                cur_lo, cur_hi = lo, hi
+        runs.append((cur_lo, cur_hi))
+        q *= den
+        g = math.gcd(q, *(v for run in runs for v in run))
+        if g > 1:
+            q //= g
+            runs = [(lo // g, hi // g) for lo, hi in runs]
+        seq.append(
+            IntervalSet(
+                tuple(
+                    Interval(_raw_fraction(lo, q), _raw_fraction(hi, q))
+                    for lo, hi in runs
+                )
+            )
+        )
     return seq
 
 

@@ -92,7 +92,15 @@ class Interval:
     hi: Scalar
 
     def __post_init__(self):
-        if not 0 <= self.lo <= self.hi <= 1:
+        lo, hi = self.lo, self.hi
+        if type(lo) is Fraction and type(hi) is Fraction:
+            # the same test by integer cross-multiplication (denominators
+            # are positive), skipping Fraction's generic comparisons
+            ln, hn, hd = lo._numerator, hi._numerator, hi._denominator
+            ok = 0 <= ln and ln * hd <= hn * lo._denominator and hn <= hd
+        else:
+            ok = 0 <= lo <= hi <= 1
+        if not ok:
             raise ValueError(
                 f"invalid interval [{self.lo}, {self.hi}]: "
                 "need 0 <= lo <= hi <= 1"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 from collections import Counter
 
-from .config import RunConfig, descriptor_tokens
+from .config import RunConfig, check_sampling, descriptor_tokens
 from .errors import (
     BoundViolationError,
     CapExceededError,
@@ -165,7 +165,9 @@ def run_survey(cfg: RunConfig) -> SurveyReport:
 
     The report is identical for any ``jobs`` value: samples derive their
     randomness from (seed, index) alone and results are merged by index.
+    Raises ConfigError on bounds the draws cannot meet (``check_sampling``).
     """
+    check_sampling(cfg)
     indices = range(cfg.samples)
     if cfg.jobs > 1 and cfg.samples > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -6,13 +6,16 @@ import random
 from fractions import Fraction as F
 
 from pcdyn import (
+    EXACT,
     Affine,
     Breakpoints,
     Clamped,
     Composed,
+    IntervalSet,
     IteratedFunctionSystem,
     PiecewiseContraction,
     Quadratic,
+    ifs_image,
 )
 
 
@@ -21,6 +24,15 @@ def example_ifs() -> IteratedFunctionSystem:
     return IteratedFunctionSystem(
         (Affine(F(4, 5), F(1, 10)), Affine(F(3, 5), F(1, 20)))
     )
+
+
+def generic_sequence(ifs, k_max, backend=EXACT):
+    """Attractor-set oracle: A_0 = [0, 1] and k_max applications of
+    ifs_image, the path attractor_sequence takes for non-affine input."""
+    seq = [IntervalSet.unit(backend)]
+    for _ in range(k_max):
+        seq.append(ifs_image(ifs, seq[-1], backend))
+    return seq
 
 
 def period3_pc() -> PiecewiseContraction:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import pcdyn.cli
 from pcdyn import Affine, Backend, Clamped, Composed
 from pcdyn.cli import main
 from pcdyn.config import ConfigError, descriptor_tokens, parse_config
+from _support import generic_sequence
 
 EX61 = """\
 backend exact
@@ -114,6 +117,24 @@ class TestCommands:
         out = capsys.readouterr().out.splitlines()
         assert code == 0 and out[1:] == ["0,1,0,1,1"]
 
+    def test_aks_integer_path_byte_identical(self, tmp_path, capsys, monkeypatch):
+        # a negative slope and sevenths, ninths and 21sts: the integer path's
+        # common denominator is an lcm of non-dyadic denominators
+        text = (
+            "backend exact\nmap affine -3/7 4/9\nmap affine 2/7 1/9\n"
+            "map affine 1/3 11/21\nk_max 8\n"
+        )
+        path = self.write(tmp_path, text)
+        assert main(["aks", "--config", path]) == 0
+        fast = capsys.readouterr().out
+        monkeypatch.setattr(pcdyn.cli, "attractor_sequence", generic_sequence)
+        assert main(["aks", "--config", path]) == 0
+        assert fast == capsys.readouterr().out
+        assert len(fast.splitlines()) == 506  # 282 components at k = 8
+        assert hashlib.sha256(fast.encode()).hexdigest() == (
+            "63b2a851d8fc271d455ce029debe593736c90dfe6d29285c69970a54102f9148"
+        )
+
     def test_orbit_converged(self, tmp_path, capsys):
         code = main(["orbit", "--config", self.write(tmp_path, P3)])
         out = capsys.readouterr().out.splitlines()
@@ -215,6 +236,24 @@ class TestCommands:
         assert code == 2
         assert "line 4: kappa_max 0.99 must be below" in err
         assert "31/32" in err and "eps_range 1/64" in err
+
+    def test_survey_eps_range_too_wide_is_config_error(self, tmp_path, capsys):
+        # two breakpoints 2/5 apart cannot fit inside (2/5, 3/5)
+        text = "n 3\nsamples 1\neps_range 2/5\nkappa_max 0.1\n"
+        code = main(["survey", "--config", self.write(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 3: eps_range 2/5 must be >= 0 with n*eps_range < 1" in err
+        assert "(n 3)" in err
+
+    def test_survey_eps_range_negative_is_config_error(self):
+        with pytest.raises(ConfigError, match="line 1: eps_range -1/64"):
+            parse_config("eps_range -1/64\n")
+        assert parse_config("n 2\neps_range 49/100\nkappa_max 0\n").n == 2
+
+    def test_survey_kappa_max_negative_is_config_error(self):
+        with pytest.raises(ConfigError, match="line 2: kappa_max -0.1 must be >= 0"):
+            parse_config("n 3\nkappa_max -0.1\n")
 
     def test_survey_kappa_max_checked_after_every_key(self):
         # eps_range comes after kappa_max and moves the bound below it

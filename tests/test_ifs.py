@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import pcdyn.ifs
 from pcdyn import (
     Affine,
+    Backend,
     Breakpoints,
     CapExceededError,
     Clamped,
@@ -13,6 +16,7 @@ from pcdyn import (
     IntervalSet,
     IteratedFunctionSystem,
     PiecewiseContraction,
+    Quadratic,
     attractor_sequence,
     cap_ifs,
     compositions,
@@ -20,7 +24,7 @@ from pcdyn import (
     ifs_image,
 )
 from pcdyn.sampling import draw_breakpoints, draw_ifs, rng_for_sample
-from _support import example_ifs
+from _support import example_ifs, generic_sequence
 
 
 def min_endpoint(k):
@@ -96,6 +100,109 @@ class TestAttractorSequence:
             for k in range(len(seq) - 1):
                 assert seq[k + 1].measure() <= rho * seq[k].measure()
         assert tested >= 5
+
+
+DENOMINATORS = (2, 3, 4, 5, 6, 7, 8, 9, 12, 14, 16, 21, 27, 64)
+
+
+def random_rational_affine(rng):
+    """A valid Affine with small, often non-dyadic, denominators.
+
+    One in six slopes is the integer 0 (a constant map with an int slope).
+    """
+    if rng.randrange(6) == 0:
+        a = 0
+    else:
+        d = rng.choice(DENOMINATORS)
+        a = F(rng.randrange(1 - d, d), d)
+    lo, hi = max(0, -a), min(1, 1 - a)  # a*0 + b and a*1 + b in (0, 1)
+    d = rng.choice(DENOMINATORS)
+    grid = range(math.floor(lo * d) + 1, math.ceil(hi * d))
+    return Affine(a, F(rng.choice(grid), d) if grid else (lo + hi) / 2)
+
+
+# depth per system size, so the generic oracle's n^k images stay small
+K_FOR_N = {2: 8, 3: 7, 4: 5, 5: 5}
+
+
+class TestIntegerAttractorPath:
+    """The integer path of attractor_sequence against the generic path."""
+
+    def test_matches_generic_on_seeded_systems(self, monkeypatch):
+        taken = []
+        real = pcdyn.ifs._rational_affine_sequence
+
+        def spy(maps, k_max):
+            taken.append(k_max)
+            return real(maps, k_max)
+
+        monkeypatch.setattr(pcdyn.ifs, "_rational_affine_sequence", spy)
+        rng = random.Random(20141)
+        seen = {"negative": 0, "zero": 0, "int": 0, "non-dyadic": 0, "merged": 0}
+        for idx in range(240):
+            n = 2 + idx % 4
+            ifs = IteratedFunctionSystem(
+                tuple(random_rational_affine(rng) for _ in range(n))
+            )
+            k_max = 1 + idx % K_FOR_N[n] if idx % 3 else K_FOR_N[n]
+            got = attractor_sequence(ifs, k_max)
+            assert got == generic_sequence(ifs, k_max), (idx, ifs)
+            seen["negative"] += any(m.a < 0 for m in ifs)
+            seen["zero"] += any(m.a == 0 for m in ifs)
+            seen["int"] += any(type(m.a) is int for m in ifs)
+            seen["non-dyadic"] += any(
+                F(m.b).denominator & (F(m.b).denominator - 1) for m in ifs
+            )
+            seen["merged"] += len(got[-1]) < n**k_max
+        assert len(taken) == 240
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize(
+        "maps, counts",
+        [
+            # A_1: images [1/6, 1/2] and [1/2, 5/6] share the endpoint 1/2
+            (((F(1, 3), F(1, 6)), (F(1, 3), F(1, 2))), [1, 1, 2, 4]),
+            # the same touch with a reversed (negative-slope) first image
+            (((F(-1, 3), F(1, 2)), (F(1, 3), F(1, 2))), [1, 1, 2, 4]),
+            # A_1: a constant map's point 4/7 is the other image's right end
+            (((0, F(4, 7)), (F(2, 7), F(2, 7))), [1, 1, 2, 3]),
+            # A_1: thirds, [1/9, 4/9] and [4/9, 7/9] touch at 4/9
+            (((F(1, 3), F(1, 9)), (F(1, 3), F(4, 9))), [1, 1, 2, 4]),
+            # A_2: [7/63, 15/63] and the reversed [15/63, 23/63] touch
+            (((F(1, 3), F(2, 21)), (F(-1, 3), F(8, 21))), [1, 1, 1, 2]),
+        ],
+    )
+    def test_touching_images_merge(self, maps, counts):
+        ifs = IteratedFunctionSystem(tuple(Affine(a, b) for a, b in maps))
+        got = attractor_sequence(ifs, 3)
+        assert [len(s) for s in got] == counts
+        assert got == generic_sequence(ifs, 3)
+
+    @pytest.mark.parametrize(
+        "maps, backend, endpoint_type",
+        [
+            ((Clamped(Affine(F(2, 5), F(1, 10)), 0, F(2, 5)),
+              Affine(F(2, 5), F(3, 10))), Backend.exact(), F),
+            ((Quadratic(F(1, 4), F(1, 4), F(1, 10)),
+              Affine(F(-1, 3), F(5, 7))), Backend.exact(), F),
+            ((Affine(0.4, F(1, 10)), Affine(F(2, 5), F(3, 10))),
+             Backend.exact(), float),
+            ((Affine(F(2, 5), F(1, 10)), Affine(F(-1, 3), F(5, 7))),
+             Backend.floating(), float),
+        ],
+        ids=["clamped", "quadratic", "float-coefficient", "float-backend"],
+    )
+    def test_other_input_takes_generic_path(
+        self, monkeypatch, maps, backend, endpoint_type
+    ):
+        def refuse(maps, k_max):
+            raise AssertionError("integer path taken")
+
+        monkeypatch.setattr(pcdyn.ifs, "_rational_affine_sequence", refuse)
+        ifs = IteratedFunctionSystem(maps)
+        got = attractor_sequence(ifs, 5, backend)
+        assert got == generic_sequence(ifs, 5, backend)
+        assert {type(iv.lo) for s in got[1:] for iv in s} == {endpoint_type}
 
 
 class TestHighlyContractiveBound:

@@ -156,3 +156,49 @@ def test_interval_validation():
         Interval(F(1, 2), F(1, 4))
     with pytest.raises(ValueError):
         Interval(F(-1, 4), F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (F(-1, 4), F(1, 2)),  # lo < 0
+        (F(-1, 3), F(-1, 7)),  # both below 0
+        (F(1, 2), F(1, 4)),  # lo > hi
+        (F(2, 3), F(5, 8)),  # lo > hi, across denominators
+        (F(1, 2), F(9, 8)),  # hi > 1
+        (F(1, 1), F(7, 6)),
+        (F(5, 4), F(6, 4)),  # lo > 1 too
+        (0, F(4, 3)),  # mixed int / Fraction
+        (F(-1, 2), 1),
+        (0.75, F(1, 2)),  # mixed float / Fraction
+        (F(1, 2), 1.5),
+        (-0.25, 0.5),
+    ],
+)
+def test_interval_rejects_with_the_old_message(lo, hi):
+    with pytest.raises(ValueError) as exc:
+        Interval(lo, hi)
+    assert str(exc.value) == (
+        f"invalid interval [{lo}, {hi}]: need 0 <= lo <= hi <= 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (F(0), F(1)),
+        (F(1, 3), F(1, 3)),
+        (F(2, 7), F(1, 3)),
+        (F(0), F(0)),
+        (F(1), F(1)),
+        (0, F(1, 2)),
+        (F(1, 2), 1),
+        (0.25, F(1, 2)),
+        (F(1, 4), 0.5),
+        (0, 1),
+        (0.0, 1.0),
+    ],
+)
+def test_interval_accepts_unit_subintervals(lo, hi):
+    iv = Interval(lo, hi)
+    assert (iv.lo, iv.hi) == (lo, hi)

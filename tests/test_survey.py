@@ -12,7 +12,7 @@ from pcdyn import (
     Quadratic,
     preimage_set,
 )
-from pcdyn.config import RunConfig
+from pcdyn.config import ConfigError, RunConfig, parse_config
 from pcdyn.maps import Affine
 from pcdyn.survey import run_sample, run_survey, survey_csv
 
@@ -79,6 +79,31 @@ class TestRunSurvey:
         assert digest == (
             "ac7686442f7a4493ca57fa6048d81969d580920da0394b09fa15048b850f50f4"
         )
+
+
+class TestSamplingBounds:
+    """run_survey checks a RunConfig built in code as parse_config does."""
+
+    @pytest.mark.parametrize(
+        "text, fields",
+        [
+            ("n 3\nsamples 20\nseed 1\nkappa_max 0.99\n",
+             dict(samples=20, seed=1, n=3, kappa_max=0.99)),
+            ("n 3\nsamples 1\neps_range 2/5\nkappa_max 0.1\n",
+             dict(samples=1, n=3, eps_range=F(2, 5), kappa_max=0.1)),
+            ("n 2\nsamples 1\neps_range -1/8\n",
+             dict(samples=1, n=2, eps_range=F(-1, 8))),
+            ("n 3\nsamples 1\nkappa_max -0.5\n",
+             dict(samples=1, n=3, kappa_max=-0.5)),
+        ],
+    )
+    def test_same_error_as_parse_config(self, text, fields):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(text)
+        with pytest.raises(ConfigError) as built:
+            run_survey(RunConfig(backend=Backend.exact(), **fields))
+        assert built.value.line is None
+        assert str(parsed.value) == f"line {parsed.value.line}: {built.value}"
 
 
 class TestQuadraticFlows:
