@@ -16,15 +16,15 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceededError
-from .maps import (
-    Affine,
-    Clamped,
-    Identity,
-    MapDescriptor,
+from .maps import Affine, Clamped, Identity, MapDescriptor, compose
+from .numerics import (
+    EXACT,
+    Backend,
+    Interval,
+    IntervalSet,
+    Scalar,
     _raw_fraction,
-    compose,
 )
-from .numerics import EXACT, Backend, Interval, IntervalSet, Scalar
 
 DEFAULT_COMPOSITION_CAP = 100_000
 

@@ -20,7 +20,15 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import IterationCapError, NonDiscretePreimageError
-from .numerics import EXACT, Backend, Interval, Scalar
+from .numerics import (
+    EXACT,
+    Backend,
+    Interval,
+    Scalar,
+    _ratio,
+    _raw_fraction,
+    affine_solve,
+)
 
 DEFAULT_EPS_FP = 1e-13
 DEFAULT_FP_CAP = 10**6
@@ -34,29 +42,6 @@ def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
     rd = math.isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
-    return None
-
-
-def _raw_fraction(num: int, den: int) -> Fraction:
-    """Normalized Fraction without the slow parsing constructor.
-
-    Exact-backend map evaluation is the hot loop of every sweep; on this
-    interpreter the generic Fraction() path costs several times the actual
-    arithmetic, so the evaluators build results directly.
-    """
-    g = math.gcd(num, den)
-    f = Fraction.__new__(Fraction)
-    f._numerator = num // g
-    f._denominator = den // g
-    return f
-
-
-def _ratio(x) -> Optional[tuple[int, int]]:
-    """(numerator, denominator) for exact scalars, None otherwise."""
-    if type(x) is Fraction:
-        return int(x._numerator), int(x._denominator)
-    if isinstance(x, int):
-        return int(x), 1
     return None
 
 
@@ -180,11 +165,16 @@ class Affine(MapDescriptor):
         return abs(self.a)
 
     def image(self, iv: Interval) -> Interval:
-        u = self.a * iv.lo + self.b
-        v = self.a * iv.hi + self.b
+        u = self._eval(iv.lo)
+        v = self._eval(iv.hi)
         return Interval(u, v) if u <= v else Interval(v, u)
 
     def preimages(self, y, domain, backend=EXACT):
+        ints = self._ints
+        if ints is not None and ints[0] and not backend.eps_cmp:
+            found = affine_solve(ints, y, domain.lo, domain.hi)
+            if found is not None:
+                return found
         if self.a == 0:
             if backend.eq(y, self.b):
                 if domain.lo == domain.hi:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -25,7 +26,15 @@ from .errors import (
 )
 from .ifs import IteratedFunctionSystem
 from .maps import DEFAULT_EPS_FP, Identity, MapDescriptor, compose
-from .numerics import EXACT, Backend, Interval, Scalar
+from .numerics import (
+    EXACT,
+    Backend,
+    Interval,
+    Scalar,
+    bisect_exact,
+    float_keys,
+    unit_key,
+)
 
 RIGHT_OPEN = "right-open"  # breakpoint belongs to the branch on its right
 LEFT_OPEN = "left-open"    # breakpoint belongs to the branch on its left
@@ -89,16 +98,9 @@ class PiecewiseContraction:
         for c in self.closures:
             if c not in (RIGHT_OPEN, LEFT_OPEN):
                 raise ValueError(f"unknown closure flag {c!r}")
-        ratios = []
-        for p in self.breakpoints:
-            if type(p) is Fraction:
-                ratios.append((int(p._numerator), int(p._denominator)))
-            else:
-                ratios = None
-                break
-        if ratios is not None and len(ratios) > 16:
-            ratios = None  # wide refined maps bisect instead
-        object.__setattr__(self, "_bp_ints", tuple(ratios) if ratios else None)
+        object.__setattr__(
+            self, "_bp_keys", float_keys(self.breakpoints.points)
+        )
         object.__setattr__(self, "_branch_maps", self.ifs.maps)
 
     @property
@@ -107,26 +109,13 @@ class PiecewiseContraction:
 
     def digit(self, x: Scalar) -> int:
         """The branch index i (1-based) whose domain contains x."""
-        ints = self._bp_ints
-        if ints is not None and type(x) is Fraction:
-            xn, xd = x._numerator, x._denominator
-            if xn < 0 or xn >= xd:
-                raise ValueError(f"point {x} outside [0, 1)")
-            i = 0
-            for bn, bd in ints:
-                c = xn * bd - bn * xd
-                if c < 0:
-                    break
-                if c == 0:
-                    return i + 1 if self.closures[i] == LEFT_OPEN else i + 2
-                i += 1
-            return i + 1
-        if not 0 <= x < 1:
-            raise ValueError(f"point {x} outside [0, 1)")
-        pts = self.breakpoints.points
-        i = bisect_right(pts, x)
-        if i > 0 and pts[i - 1] == x and self.closures[i - 1] == LEFT_OPEN:
-            return i
+        pts, keys = self.breakpoints.points, self._bp_keys
+        fx = unit_key(x)
+        i = bisect_right(keys, fx)
+        if i and keys[i - 1] == fx:  # a float tie: resolve it exactly
+            i = bisect_exact(pts, keys, x, right=True)
+            if i and pts[i - 1] == x and self.closures[i - 1] == LEFT_OPEN:
+                return i
         return i + 1
 
     def __call__(self, x: Scalar) -> Scalar:
@@ -149,13 +138,21 @@ class PiecewiseContraction:
         owns it.
         """
         found: set[Scalar] = set()
-        for i in range(1, self.n + 1):
-            lo, hi, lo_inc, hi_inc = self.branch_domain(i)
-            for p in self.ifs.maps[i - 1].preimages(y, Interval(lo, hi), backend):
-                if (p == lo and not lo_inc) or (p == hi and not hi_inc):
+        for m, dom, lo_inc, hi_inc in self._domains:
+            for p in m.preimages(y, dom, backend):
+                if (p == dom.lo and not lo_inc) or (p == dom.hi and not hi_inc):
                     continue
                 found.add(p)
         return sorted(found)
+
+    @cached_property
+    def _domains(self) -> tuple:
+        """(map, closed domain, lo included, hi included) for each branch."""
+        out = []
+        for i, m in enumerate(self.ifs.maps, start=1):
+            lo, hi, lo_inc, hi_inc = self.branch_domain(i)
+            out.append((m, Interval(lo, hi), lo_inc, hi_inc))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,9 @@ def orbit(
     float-shadow closeness trigger) and confirmed by solving the composed
     word map's fixed point exactly.  Float backend: closeness within
     eps_orbit plus the same three-period itinerary confirmation, then the
-    cycle is refined through the word map's fixed point.
+    cycle is refined through the word map's fixed point.  With
+    ``fail_on_breakpoint_hit`` an orbit point equal to a breakpoint (within
+    ``eps_cmp`` under the float backend) ends the run as "breakpoint-hit".
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -289,7 +288,6 @@ def orbit(
         raise ValueError(f"initial condition {x0} outside [0, 1)")
 
     eps_trigger = eps_orbit if not backend.is_exact else _SHADOW_EPS
-    bp_set = set(f.breakpoints.points)
 
     pts: list[Scalar] = [x0]
     shadow: list[float] = [float(x0)]
@@ -309,7 +307,9 @@ def orbit(
         x = pts[t]
         d = f.digit(x)
         digits.append(d)
-        if fail_on_breakpoint_hit and backend.is_exact and x in bp_set:
+        if fail_on_breakpoint_hit and any(
+            backend.eq(x, p) for p in f.breakpoints
+        ):
             failure = "breakpoint-hit"
             return finish(None, None, None)
         nxt = f.ifs.maps[d - 1]._eval(x)

@@ -14,7 +14,7 @@ rounding error, and the finiteness argument is an exact one.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -26,7 +26,15 @@ from .errors import (
     PartitionInvarianceError,
 )
 from .maps import DEFAULT_EPS_FP
-from .numerics import EXACT, Backend, Interval, Scalar
+from .numerics import (
+    EXACT,
+    Backend,
+    Interval,
+    Scalar,
+    bisect_exact,
+    float_keys,
+    unit_key,
+)
 from .pcmap import PeriodicOrbit, PiecewiseContraction, _word_map
 
 COMPLETE = "complete"
@@ -52,7 +60,8 @@ class PreimageSet:
     ``status`` is "complete" when one full backward level produced no new
     points, "truncated" when the depth or size cap was hit first.
     ``depth_reached`` counts backward levels computed, including the
-    terminal one that stabilized.
+    terminal one that stabilized.  ``entries`` hold distinct points in
+    ascending order, as :func:`preimage_set` emits them.
     """
 
     entries: tuple[QPoint, ...]
@@ -63,9 +72,9 @@ class PreimageSet:
     def is_complete(self) -> bool:
         return self.status == COMPLETE
 
-    @property
+    @cached_property
     def points(self) -> tuple[Scalar, ...]:
-        return tuple(sorted({e.point for e in self.entries}))
+        return tuple(e.point for e in self.entries)
 
     def by_source(self, i: int) -> tuple[Scalar, ...]:
         return tuple(sorted(e.point for e in self.entries if e.source == i))
@@ -174,16 +183,22 @@ class QuasiPartition:
             }
         return self._orbits[eps_fp]
 
+    @cached_property
+    def _cut_keys(self) -> tuple[float, ...]:
+        return float_keys(self.cut_points)
+
     def locate(self, x: Scalar) -> Optional[int]:
         """1-based index of the open interval containing x, None on a cut
         point or at 0."""
-        if not 0 <= x < 1:
-            raise ValueError(f"point {x} outside [0, 1)")
-        if x == 0:
+        fx = unit_key(x)
+        if fx == 0.0 and x == 0:
             return None
-        i = bisect_left(self.cut_points, x)
-        if i < len(self.cut_points) and self.cut_points[i] == x:
-            return None
+        cuts, keys = self.cut_points, self._cut_keys
+        i = bisect_left(keys, fx)
+        if i < len(keys) and keys[i] == fx:  # a float tie: resolve it exactly
+            i = bisect_exact(cuts, keys, x)
+            if i < len(cuts) and cuts[i] == x:
+                return None
         return i + 1
 
 
@@ -201,6 +216,7 @@ def build_partition(
     if not qset.is_complete:
         raise ValueError("partition requires a complete backward closure")
     cuts = tuple(p for p in qset.points if 0 < p < 1)
+    keys = float_keys(cuts)
     bounds = (backend.zero,) + cuts + (backend.one,)
     intervals = tuple(
         Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:])
@@ -213,8 +229,8 @@ def build_partition(
         d = f.digit(mid)
         phi = f.ifs.maps[d - 1]
         img = phi.image(iv)
-        lo_idx = bisect_left(cuts, img.lo)
-        hi_idx = bisect_right(cuts, img.hi)
+        lo_idx = bisect_exact(cuts, keys, img.lo)
+        hi_idx = bisect_exact(cuts, keys, img.hi, right=True)
         for q in cuts[lo_idx:hi_idx]:
             try:
                 hits = phi.preimages(q, iv, backend)
@@ -227,7 +243,7 @@ def build_partition(
                     f"image of interval {j} straddles closure point {q}"
                 )
         y = phi._eval(mid)
-        target = bisect_left(cuts, y)
+        target = bisect_exact(cuts, keys, y)
         if target < len(cuts) and cuts[target] == y:
             raise PartitionInvarianceError(
                 f"image midpoint of interval {j} lies on a closure point"

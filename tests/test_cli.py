@@ -300,6 +300,15 @@ class TestCommands:
         assert code == 1
         assert out[-1].startswith("breakpoint-hit")
 
+    def test_orbit_breakpoint_hit_guard_float_backend(self, tmp_path, capsys):
+        text = P3.replace("x0 0", "x0 1/10") + "fail_on_breakpoint_hit true\n"
+        code = main(
+            ["orbit", "--config", self.write(tmp_path, text), "--backend", "float"]
+        )
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert out[-1].startswith("breakpoint-hit")
+
     def test_orbit_float_backend(self, tmp_path, capsys):
         code = main(
             ["orbit", "--config", self.write(tmp_path, P3), "--backend", "float"]

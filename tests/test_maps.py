@@ -246,3 +246,86 @@ class TestFixedPoint:
                 x = F(rng.randrange(0, 65), 64)
                 y = F(rng.randrange(0, 65), 64)
                 assert abs(m(x) - m(y)) <= bound * abs(x - y)
+
+
+def _generic_affine_preimages(m, y, domain):
+    """The generic formula Affine.preimages keeps for non-rational input."""
+    x = (y - m.b) / m.a
+    return [x] if domain.lo <= x <= domain.hi else []
+
+
+class TestAffineIntegerSolve:
+    def test_matches_the_generic_formula(self):
+        rng = random.Random(17)
+        dens = [2**16, 3**7, 1000, 7 * 11 * 13]
+        checked = hits = 0
+        for _ in range(400):
+            den = rng.choice(dens)
+            a = F(rng.randrange(-(den - 1), den), den) * F(9, 10)
+            if a == 0:
+                continue
+            margin = F(1, 100)
+            b = margin - min(a, 0) + F(rng.randrange(den), den) * (
+                1 - 2 * margin - abs(a)
+            )
+            m = Affine(a, b)
+            ends = sorted(F(rng.randrange(den + 1), den) for _ in range(2))
+            domains = [Interval(0, 1), Interval(F(0), F(1)), Interval(*ends)]
+            for dom in domains:
+                lo, hi = F(dom.lo), F(dom.hi)
+                ys = [m(lo), m(hi), m((lo + hi) / 2)]
+                ys += [F(rng.randrange(den + 1), den) for _ in range(4)]
+                for y in ys:
+                    got = m.preimages(y, dom)
+                    assert got == _generic_affine_preimages(m, y, dom)
+                    for x in got:
+                        assert x.denominator > 0
+                        assert hash(x) == hash(F(x.numerator, x.denominator))
+                    checked += 1
+                    hits += bool(got)
+        assert checked > 4000 and hits > checked // 3
+
+    def test_domain_ends_are_included(self):
+        m = Affine(F(-1, 2), F(3, 4))
+        dom = Interval(F(1, 4), F(1, 2))
+        assert m.preimages(F(5, 8), dom) == [F(1, 4)]
+        assert m.preimages(F(1, 2), dom) == [F(1, 2)]
+        assert m.preimages(F(1, 2) - F(1, 2**80), dom) == []
+        assert m.preimages(F(3, 4), Interval(0, 1)) == [F(0)]
+        assert m.preimages(F(1, 4), Interval(0, 1)) == [F(1)]
+
+    def test_zero_slope_keeps_the_generic_path(self):
+        m = Affine(F(0), F(1, 3))
+        assert m.preimages(F(1, 3), Interval(F(1, 2), F(1, 2))) == [F(1, 2)]
+        assert m.preimages(F(1, 4), Interval(F(0), F(1))) == []
+        with pytest.raises(NonDiscretePreimageError):
+            m.preimages(F(1, 3), Interval(F(0), F(1)))
+        int_zero = Affine(0, F(1, 3))
+        with pytest.raises(NonDiscretePreimageError):
+            int_zero.preimages(F(1, 3), Interval(0, 1))
+
+    def test_other_inputs_keep_the_generic_path(self):
+        m = Affine(F(1, 2), F(1, 4))
+        dom = Interval(0, 1)
+        assert m.preimages(F(1, 2), dom) == [F(1, 2)]
+        # an int y, a float y, a float domain end and the float backend
+        assert m.preimages(1, dom) == []
+        assert m.preimages(0.5, dom) == [0.5]
+        assert m.preimages(F(1, 2), Interval(0.0, 0.5)) == [F(1, 2)]
+        near = F(1, 4) - F(1, 10**15)
+        assert m.preimages(near, dom) == []
+        assert m.preimages(near, dom, Backend.floating()) != []
+        fm = Affine(0.5, 0.25)
+        assert fm.preimages(F(1, 2), dom) == [0.5]
+
+    def test_image_matches_the_generic_formula(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            a = F(rng.randrange(-900, 901), 1000)
+            b = F(1, 100) - min(a, 0) + F(rng.randrange(1000), 1000) * (
+                F(98, 100) - abs(a)
+            )
+            m = Affine(a, b)
+            lo, hi = sorted(F(rng.randrange(2**16 + 1), 2**16) for _ in range(2))
+            u, v = sorted((a * lo + b, a * hi + b))
+            assert m.image(Interval(lo, hi)) == Interval(u, v)

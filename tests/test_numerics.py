@@ -1,10 +1,12 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pcdyn import Backend, Interval, IntervalSet
+from pcdyn.numerics import _raw_fraction, bisect_exact, float_keys, unit_key
 
 
 def iset(*pairs):
@@ -202,3 +204,121 @@ def test_interval_rejects_with_the_old_message(lo, hi):
 def test_interval_accepts_unit_subintervals(lo, hi):
     iv = Interval(lo, hi)
     assert (iv.lo, iv.hi) == (lo, hi)
+
+
+# --- exact kernels against the plain Fraction operations they replace -------
+
+TINY = F(1, 2**1100)  # below 2**-1075: rounds to 0.0
+
+
+def _tied_points(rng):
+    """Sorted distinct Fractions in clusters 2**-70 apart, so many share one
+    float key; some clusters sit at 0 and below 2**-1075."""
+    pts = set()
+    for _ in range(rng.randint(1, 8)):
+        base = rng.choice([F(0), TINY, F(rng.randrange(1, 2**20), 2**20)])
+        for k in range(rng.randint(2, 4)):
+            pts.add(base + k * F(1, 2**70))
+    pts.update(k * TINY for k in range(rng.randint(0, 3)))
+    return sorted(pts)
+
+
+def _probes(rng, pts):
+    """Every point, its 2**-71 neighbours, and int, float and tiny values."""
+    xs = [0, 1, -1, 0.0, 0.5, -0.0, 2.0, F(0), F(1), -TINY, TINY / 2]
+    for p in pts:
+        xs += [p, p - F(1, 2**71), p + F(1, 2**71), float(p)]
+    xs += [F(rng.randrange(2**20 + 1), 2**20) for _ in range(10)]
+    return xs
+
+
+def test_bisect_exact_matches_bisect_on_tied_fractions():
+    rng = random.Random(5)
+    tied = 0
+    for _ in range(300):
+        pts = _tied_points(rng)
+        keys = float_keys(pts)
+        tied += any(a == b for a, b in zip(keys, keys[1:]))
+        for x in _probes(rng, pts):
+            assert bisect_exact(pts, keys, x) == bisect_left(pts, x), x
+            assert bisect_exact(pts, keys, x, right=True) == bisect_right(
+                pts, x
+            ), x
+    assert tied >= 250
+
+
+def test_bisect_exact_beyond_the_float_range():
+    pts = [F(1, 3), F(1, 2)]
+    for x in (F(10**400), -(10**400), F(1, 10**400)):
+        assert bisect_exact(pts, float_keys(pts), x) == bisect_left(pts, x)
+
+
+def test_bisect_exact_on_float_points():
+    rng = random.Random(8)
+    pts = sorted(rng.random() for _ in range(50))
+    for x in pts + [F(1, 3), 0, 1, 0.5]:
+        assert bisect_exact(pts, float_keys(pts), x) == bisect_left(pts, x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [F(0), 0, 0.0, TINY, F(1) - F(1, 2**60), F(1, 2), 0.999, 1 - 2**-53],
+)
+def test_unit_key_accepts_the_half_open_unit_interval(x):
+    assert unit_key(x) == float(x)
+
+
+@pytest.mark.parametrize(
+    "x", [F(1), 1, 1.0, -TINY, -1, F(-1, 3), F(10**400), 10**400, F(3, 2)]
+)
+def test_unit_key_rejects_points_outside(x):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        unit_key(x)
+
+
+def test_raw_fraction_matches_the_constructor():
+    rng = random.Random(2)
+    for _ in range(500):
+        num = rng.randrange(-(2**80), 2**80)
+        den = rng.randrange(1, 2**80)
+        got = _raw_fraction(num, den)
+        want = F(num, den)
+        assert (got.numerator, got.denominator) == (
+            want.numerator,
+            want.denominator,
+        )
+        assert hash(got) == hash(want)
+
+
+def test_midpoint_matches_the_generic_formula():
+    rng = random.Random(4)
+    for _ in range(300):
+        lo, hi = sorted(F(rng.randrange(2**30 + 1), 2**30) for _ in range(2))
+        assert Interval(lo, hi).midpoint() == (lo + hi) / 2
+    assert Interval(0, F(1, 2)).midpoint() == F(1, 4)
+    assert Interval(0.25, 0.5).midpoint() == 0.375
+
+
+def _oracle_contains(s, x):
+    return any(iv.lo <= x <= iv.hi for iv in s)
+
+
+def test_contains_matches_a_linear_scan_on_tied_endpoints():
+    rng = random.Random(6)
+    for _ in range(200):
+        pts = _tied_points(rng)
+        pts = [p for p in pts if p <= 1]
+        if len(pts) < 2:
+            continue
+        # consecutive pairs of tied points as components, every other gap
+        raw = [Interval(a, b) for a, b in zip(pts[::2], pts[1::2])]
+        s = IntervalSet.normalize(raw)
+        for x in _probes(rng, pts):
+            assert s.contains(x) == _oracle_contains(s, x), x
+        for iv in raw:
+            assert s.contains_set(IntervalSet((iv,)))
+        for a, b in zip(pts, pts[1:]):
+            inner = IntervalSet((Interval(a, b),))
+            assert s.contains_set(inner) == any(
+                c.lo <= a and b <= c.hi for c in s
+            )

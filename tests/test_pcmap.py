@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -391,3 +392,54 @@ class TestPowerMap:
             level = nxt
         g = power_map(f, k)
         assert set(g.breakpoints.points) == want
+
+
+def _oracle_digit(f, x):
+    """The generic digit: an exact bisect over the breakpoints."""
+    if not 0 <= x < 1:
+        raise ValueError(f"point {x} outside [0, 1)")
+    pts = f.breakpoints.points
+    i = bisect_right(pts, x)
+    if i > 0 and pts[i - 1] == x and f.closures[i - 1] == LEFT_OPEN:
+        return i
+    return i + 1
+
+
+class TestDigitAgainstExactBisect:
+    def test_wide_tied_breakpoints_and_closures(self):
+        rng = random.Random(12)
+        tiny = F(1, 2**70)
+        for _ in range(60):
+            pts = set()
+            while len(pts) < rng.randint(2, 40):
+                base = F(rng.randrange(1, 2**20), 2**20)
+                pts.update(base + k * tiny for k in range(rng.randint(1, 3)))
+            pts = tuple(sorted(pts))
+            closures = tuple(rng.choice((LEFT_OPEN, RIGHT_OPEN)) for _ in pts)
+            f = PiecewiseContraction(
+                IteratedFunctionSystem(
+                    (Affine(F(1, 2), F(1, 4)),) * (len(pts) + 1)
+                ),
+                Breakpoints(pts),
+                closures,
+            )
+            xs = [F(0), 0, 0.0, F(1, 2**1100), F(1) - F(1, 2**60), 1, F(1)]
+            xs += [-F(1, 2**1100), F(7, 5), 0.25]
+            for p in pts:
+                xs += [p, p - tiny / 2, p + tiny / 2, float(p)]
+            for x in xs:
+                try:
+                    want = _oracle_digit(f, x)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        f.digit(x)
+                    continue
+                assert f.digit(x) == want, x
+
+    def test_refined_power_map_beyond_sixteen_breakpoints(self):
+        f = draw_pc(rng_for_sample(5, 0), 5, kappa_max=0.9)
+        g = power_map(f, 6)
+        assert len(g.breakpoints) > 16
+        assert LEFT_OPEN in g.closures
+        for x in list(g.breakpoints) + [F(j, 97) for j in range(97)]:
+            assert g.digit(x) == _oracle_digit(g, x)

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -449,3 +450,67 @@ class TestBasinIndexAgainstOracles:
             checked += 1
             multi += len(want_orbits) > 1
         assert multi >= 30
+
+
+def _oracle_locate(part, x):
+    """The generic locate: an exact bisect over the cut points."""
+    if not 0 <= x < 1:
+        raise ValueError(f"point {x} outside [0, 1)")
+    if x == 0:
+        return None
+    cuts = part.cut_points
+    i = bisect_left(cuts, x)
+    if i < len(cuts) and cuts[i] == x:
+        return None
+    return i + 1
+
+
+class TestLookupsAgainstExactBisect:
+    def test_locate_on_tied_cut_points(self):
+        rng = random.Random(77)
+        tiny = F(1, 2**70)
+        for _ in range(100):
+            cuts = set()
+            for _ in range(rng.randint(1, 6)):
+                base = F(rng.randrange(1, 2**20), 2**20)
+                cuts.update(base + k * tiny for k in range(rng.randint(1, 4)))
+            cuts = tuple(sorted(cuts))
+            m = len(cuts) + 1
+            part = QuasiPartition(
+                PreimageSet((), 0, COMPLETE), cuts,
+                (Interval(F(0), F(1)),) * m, (1,) * m, (1,) * m,
+            )
+            xs = [F(0), 0, 0.0, F(1, 2**1100), F(1) - F(1, 2**60), F(1), 1]
+            xs += [-F(1, 2**1100), 0.5]
+            for c in cuts:
+                xs += [c, c - tiny / 2, c + tiny / 2, float(c)]
+            for x in xs:
+                try:
+                    want = _oracle_locate(part, x)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        part.locate(x)
+                    continue
+                assert part.locate(x) == want, x
+
+    def test_partition_lookups_match_exact_bisects(self):
+        rng = random.Random(4242)
+        checked = 0
+        while checked < 100:
+            built = _random_partition(rng)
+            if built is None:
+                continue
+            f, part = built
+            q = part.qset
+            assert list(q.points) == sorted({e.point for e in q.entries})
+            cuts = part.cut_points
+            assert cuts == tuple(p for p in q.points if 0 < p < 1)
+            for j, iv in enumerate(part.intervals):
+                mid = (iv.lo + iv.hi) / 2
+                d = bisect_right(f.breakpoints.points, mid) + 1
+                y = f.ifs.maps[d - 1](mid)
+                assert part.branch[j] == d
+                assert part.transition[j] == bisect_left(cuts, y) + 1
+            for x in cuts + tuple(F(g, 64) for g in range(64)):
+                assert part.locate(x) == _oracle_locate(part, x)
+            checked += 1
