@@ -1,7 +1,7 @@
 """Dynamics of n-interval piecewise contractions of [0, 1).
 
 A workbench for iterated function systems of interval contractions: nested
-attractor sets, composition families, collar capping, orbit iteration with
+attractor sets, collar capping, orbit iteration with
 cycle detection, backward closures of the breakpoints, invariant
 quasi-partitions, periodic-orbit enumeration, and the at-most-n orbit
 bound, with an exact-rational backend for affine families and a
@@ -18,11 +18,9 @@ from .errors import (
 )
 from .ifs import (
     CappingPlan,
-    CompositionFamily,
     IteratedFunctionSystem,
     attractor_sequence,
     cap_ifs,
-    compositions,
     highly_contractive_bound,
     ifs_image,
 )
@@ -30,7 +28,6 @@ from .maps import (
     Affine,
     Clamped,
     Composed,
-    Identity,
     MapDescriptor,
     Quadratic,
     compose,
@@ -74,10 +71,8 @@ __all__ = [
     "CappingPlan",
     "Clamped",
     "Composed",
-    "CompositionFamily",
     "EXACT",
     "EquivalenceClasses",
-    "Identity",
     "InexactPreimageError",
     "Interval",
     "IntervalSet",
@@ -99,7 +94,6 @@ __all__ = [
     "build_partition",
     "cap_ifs",
     "compose",
-    "compositions",
     "equivalence_classes",
     "format_scalar",
     "highly_contractive_bound",

@@ -4,7 +4,8 @@ Subcommands: ``aks`` (attractor sets), ``orbit``, ``partition``, ``power``,
 ``cap``, ``survey``.  Each reads a plain-text config (see config.py for the
 schema), writes CSV to --out (default stdout), and exits 0 on success, 1 on
 an inconclusive outcome (with a reason row in the output), 2 on a config
-error.
+error.  ``partition``, ``power`` and ``survey`` accept only the exact
+backend.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import (
 )
 from .ifs import attractor_sequence, cap_ifs, highly_contractive_bound
 from .numerics import format_scalar
+from .pcmap import _digit_word, power_map
 from .pcmap import orbit as run_orbit
-from .pcmap import power_map
 from .quasipartition import (
     build_partition,
     equivalence_classes,
@@ -34,6 +35,9 @@ from .quasipartition import (
 from .survey import run_survey, survey_csv
 
 OK, INCONCLUSIVE, CONFIG_ERROR = 0, 1, 2
+
+# backward closures and power-map refinements are exact constructions
+_EXACT_ONLY = ("partition", "power", "survey")
 
 
 def emit_aks(cfg: RunConfig) -> tuple[str, int]:
@@ -80,7 +84,7 @@ def emit_partition(cfg: RunConfig) -> tuple[str, int]:
     f = cfg.pc()
     rows: list[str] = []
     try:
-        q = preimage_set(f, cfg.q_depth_cap, cfg.q_size_cap, cfg.backend)
+        q = preimage_set(f, cfg.q_depth_cap, cfg.q_size_cap)
         rows.append("q_points")
         rows.append("point,source,depth")
         for e in q.entries:
@@ -88,7 +92,7 @@ def emit_partition(cfg: RunConfig) -> tuple[str, int]:
         if not q.is_complete:
             rows.append("reason,q-truncated")
             return "\n".join(rows) + "\n", INCONCLUSIVE
-        part = build_partition(f, q, cfg.backend)
+        part = build_partition(f, q)
         rows.append("intervals")
         rows.append("index,lo,hi,tau,eta")
         for j, iv in enumerate(part.intervals, start=1):
@@ -121,7 +125,7 @@ def emit_partition(cfg: RunConfig) -> tuple[str, int]:
 def emit_power(cfg: RunConfig) -> tuple[str, int]:
     f = cfg.pc()
     try:
-        g = power_map(f, cfg.k, cfg.power_cap, cfg.backend)
+        g = power_map(f, cfg.k, cfg.power_cap)
     except (NonDiscretePreimageError, InexactPreimageError, CapExceededError) as exc:
         return f"reason,{type(exc).__name__}: {exc}\n", INCONCLUSIVE
     rows = ["breakpoints", "index,y"]
@@ -131,15 +135,8 @@ def emit_power(cfg: RunConfig) -> tuple[str, int]:
     rows.append("index,lo,hi,word")
     bounds = (cfg.backend.zero,) + g.breakpoints.points + (cfg.backend.one,)
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
-        x = (lo + hi) / 2
-        word = []
-        for _ in range(cfg.k):
-            d = f.digit(x)
-            word.append(str(d))
-            x = f.ifs.maps[d - 1]._eval(x)
-        rows.append(
-            f"{j},{format_scalar(lo)},{format_scalar(hi)},{';'.join(word)}"
-        )
+        word = ";".join(map(str, _digit_word(f, (lo + hi) / 2, cfg.k)))
+        rows.append(f"{j},{format_scalar(lo)},{format_scalar(hi)},{word}")
     return "\n".join(rows) + "\n", OK
 
 
@@ -201,6 +198,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = parse_config(text, args.backend, args.seed)
         if args.jobs is not None:
             cfg = replace(cfg, jobs=args.jobs)
+        if args.command in _EXACT_ONLY and not cfg.backend.is_exact:
+            raise ConfigError(None, f"{args.command} requires the exact backend")
         output, code = _COMMANDS[args.command](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

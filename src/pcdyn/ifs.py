@@ -3,9 +3,9 @@
 An IFS here is an ordered list of contractions of [0, 1] into (0, 1); the
 order matters because branch i of a piecewise contraction uses map i.  This
 module computes the nested attractor sets (images of the closed unit
-interval under all length-k compositions), enumerates composition families,
-certifies joint slope bounds, and builds the capped IFS whose maps are
-constant outside a delta-collar of their branch.
+interval under all length-k compositions), certifies joint slope bounds,
+and builds the capped IFS whose maps are constant outside a delta-collar of
+their branch.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import CapExceededError
-from .maps import Affine, Clamped, Identity, MapDescriptor, compose
+from .maps import Affine, Clamped, MapDescriptor
 from .numerics import (
     EXACT,
     Backend,
@@ -25,8 +24,6 @@ from .numerics import (
     Scalar,
     _raw_fraction,
 )
-
-DEFAULT_COMPOSITION_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -47,29 +44,6 @@ class IteratedFunctionSystem:
 
     def __getitem__(self, i: int) -> MapDescriptor:
         return self.maps[i]
-
-
-@dataclass(frozen=True)
-class CompositionFamily:
-    """All length-k compositions, indexable by digit word.
-
-    Words list the first-applied map first: word (i_1, ..., i_k) denotes
-    map_{i_k} o ... o map_{i_1}.  Members are ordered lexicographically by
-    word, so enumeration order is deterministic.
-    """
-
-    depth: int
-    words: tuple[tuple[int, ...], ...]
-    members: tuple[MapDescriptor, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], MapDescriptor]]:
-        return iter(zip(self.words, self.members))
-
-    def by_word(self, word: Sequence[int]) -> MapDescriptor:
-        return self.members[self.words.index(tuple(word))]
 
 
 @dataclass(frozen=True)
@@ -198,32 +172,6 @@ def highly_contractive_bound(ifs: IteratedFunctionSystem) -> Optional[Scalar]:
             total += m._slope_bound_on(lo, hi)
         rho = max(rho, total)
     return rho if rho < 1 else None
-
-
-def compositions(
-    ifs: IteratedFunctionSystem, k: int, cap: int = DEFAULT_COMPOSITION_CAP
-) -> CompositionFamily:
-    """Breadth-first enumeration of all length-k compositions.
-
-    Depth 0 is the singleton identity seed.  Raises CapExceededError before
-    enumerating if n^k would exceed ``cap``.
-    """
-    if k < 0:
-        raise ValueError("composition depth must be >= 0")
-    n = len(ifs)
-    if n**k > cap:
-        raise CapExceededError(f"{n}^{k} compositions exceed cap {cap}")
-    level: list[tuple[tuple[int, ...], MapDescriptor]] = [((), Identity())]
-    for _ in range(k):
-        level = [
-            (word + (i,), compose(m, h))
-            for word, h in level
-            for i, m in enumerate(ifs, start=1)
-        ]
-    level.sort(key=lambda item: item[0])
-    words = tuple(word for word, _ in level)
-    members = tuple(m for _, m in level)
-    return CompositionFamily(k, words, members)
 
 
 def cap_ifs(

@@ -108,31 +108,6 @@ class MapDescriptor:
 
 
 @dataclass(frozen=True)
-class Identity(MapDescriptor):
-    """Composition seed only: not a contraction, bypasses validation."""
-
-    def _eval(self, x: Scalar) -> Scalar:
-        return x
-
-    def lipschitz_bound(self) -> Scalar:
-        return 1
-
-    def image(self, iv: Interval) -> Interval:
-        return iv
-
-    def preimages(self, y, domain, backend=EXACT):
-        if domain.contains(y, backend):
-            return [y]
-        return []
-
-    def fixed_point(self, eps_fp=DEFAULT_EPS_FP, cap=DEFAULT_FP_CAP):
-        raise ValueError("identity has no unique fixed point")
-
-    def _slope_bound_on(self, lo, hi):
-        return 1
-
-
-@dataclass(frozen=True)
 class Affine(MapDescriptor):
     """x -> a*x + b with |a| < 1 and both endpoint values in (0, 1)."""
 
@@ -420,13 +395,8 @@ class Composed(MapDescriptor):
 def compose(outer: MapDescriptor, inner: MapDescriptor) -> MapDescriptor:
     """The map x -> outer(inner(x)).
 
-    Affine pairs simplify symbolically; chains flatten.  An Identity on
-    either side is absorbed.
+    Affine pairs simplify symbolically; chains flatten.
     """
-    if isinstance(outer, Identity):
-        return inner
-    if isinstance(inner, Identity):
-        return outer
     parts: list[MapDescriptor] = []
     for m in (inner, outer):
         parts.extend(m.chain if isinstance(m, Composed) else (m,))

@@ -64,9 +64,6 @@ class Backend:
     def le(self, a: Scalar, b: Scalar) -> bool:
         return a <= b if not self.eps_cmp else a <= b + self.eps_cmp
 
-    def lt(self, a: Scalar, b: Scalar) -> bool:
-        return a < b if not self.eps_cmp else a < b - self.eps_cmp
-
     def number(self, text: str) -> Scalar:
         """Parse a scalar literal: ``p/q``, decimal, or exponent notation.
 

@@ -25,7 +25,7 @@ from .errors import (
     NonDiscretePreimageError,
 )
 from .ifs import IteratedFunctionSystem
-from .maps import DEFAULT_EPS_FP, Identity, MapDescriptor, compose
+from .maps import DEFAULT_EPS_FP, MapDescriptor, compose
 from .numerics import (
     EXACT,
     Backend,
@@ -213,10 +213,21 @@ class OrbitRecord:
 
 
 def _word_map(f: PiecewiseContraction, word: Sequence[int]) -> MapDescriptor:
-    m: MapDescriptor = Identity()
-    for d in word:
-        m = compose(f.ifs.maps[d - 1], m)
+    maps = f.ifs.maps
+    m = maps[word[0] - 1]
+    for d in word[1:]:
+        m = compose(maps[d - 1], m)
     return m
+
+
+def _digit_word(f: PiecewiseContraction, x: Scalar, k: int) -> tuple[int, ...]:
+    """The branch digits of x, f(x), ..., f^{k-1}(x)."""
+    word = []
+    for _ in range(k):
+        d = f.digit(x)
+        word.append(d)
+        x = f.ifs.maps[d - 1]._eval(x)
+    return tuple(word)
 
 
 def _refine_candidate(
@@ -444,25 +455,22 @@ def power_map(
     f: PiecewiseContraction,
     k: int,
     cap: int = DEFAULT_POWER_CAP,
-    backend: Backend = EXACT,
 ) -> PiecewiseContraction:
     """The k-th iterate of f as a piecewise contraction.
 
     Breakpoints are the union of the backward iterates of the original
     breakpoints up to depth k-1; each refined branch follows a single digit
-    word, and its map is the corresponding length-k composition.  Requires
-    the exact backend: the refinement must be computed exactly.
+    word, and its map is the corresponding length-k composition.  The
+    refinement is computed under the exact backend only.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
-    if not backend.is_exact:
-        raise ValueError("power-map refinement requires the exact backend")
     cuts: set[Scalar] = set(f.breakpoints.points)
     level: set[Scalar] = set(f.breakpoints.points)
     for _ in range(k - 1):
         nxt: set[Scalar] = set()
         for q in level:
-            for p in f.preimages(q, backend):
+            for p in f.preimages(q):
                 if isinstance(p, float):
                     raise InexactPreimageError(
                         f"irrational preimage of {q} cannot refine exactly"
@@ -474,24 +482,15 @@ def power_map(
         if len(cuts) + 1 > cap:
             raise CapExceededError(f"refined branch count exceeds cap {cap}")
     ys = sorted(cuts)
-
-    def word_of(x: Scalar) -> tuple[int, ...]:
-        word = []
-        for _ in range(k):
-            d = f.digit(x)
-            word.append(d)
-            x = f.ifs.maps[d - 1]._eval(x)
-        return tuple(word)
-
-    bounds = [backend.zero] + ys + [backend.one]
+    bounds = [EXACT.zero] + ys + [EXACT.one]
     branch_words = [
-        word_of((lo + hi) / 2) for lo, hi in zip(bounds, bounds[1:])
+        _digit_word(f, (lo + hi) / 2, k) for lo, hi in zip(bounds, bounds[1:])
     ]
     maps = tuple(_word_map(f, w) for w in branch_words)
     # a refined breakpoint belongs to whichever adjacent branch its own
     # k-step digit word follows (orientation of the hitting composition)
     closures = tuple(
-        LEFT_OPEN if word_of(y) == branch_words[j] else RIGHT_OPEN
+        LEFT_OPEN if _digit_word(f, y, k) == branch_words[j] else RIGHT_OPEN
         for j, y in enumerate(ys)
     )
     return PiecewiseContraction(

@@ -28,14 +28,18 @@ from .errors import (
 from .maps import DEFAULT_EPS_FP
 from .numerics import (
     EXACT,
-    Backend,
     Interval,
     Scalar,
     bisect_exact,
     float_keys,
     unit_key,
 )
-from .pcmap import PeriodicOrbit, PiecewiseContraction, _word_map
+from .pcmap import (
+    PeriodicOrbit,
+    PiecewiseContraction,
+    _word_map,
+    rotate_to_min,
+)
 
 COMPLETE = "complete"
 TRUNCATED = "truncated"
@@ -76,15 +80,11 @@ class PreimageSet:
     def points(self) -> tuple[Scalar, ...]:
         return tuple(e.point for e in self.entries)
 
-    def by_source(self, i: int) -> tuple[Scalar, ...]:
-        return tuple(sorted(e.point for e in self.entries if e.source == i))
-
 
 def preimage_set(
     f: PiecewiseContraction,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     size_cap: int = DEFAULT_SIZE_CAP,
-    backend: Backend = EXACT,
 ) -> PreimageSet:
     """Backward breadth-first closure of the breakpoints.
 
@@ -93,8 +93,6 @@ def preimage_set(
     breakpoints keep their first provenance (the trees are disjoint for
     generic parameters).
     """
-    if not backend.is_exact:
-        raise ValueError("backward closure requires the exact backend")
     entries: list[QPoint] = [
         QPoint(p, i, 0) for i, p in enumerate(f.breakpoints, start=1)
     ]
@@ -110,7 +108,7 @@ def preimage_set(
             break
         level: list[QPoint] = []
         for e in frontier:
-            for p in f.preimages(e.point, backend):
+            for p in f.preimages(e.point):
                 if isinstance(p, float):
                     raise InexactPreimageError(
                         f"irrational preimage of {e.point}"
@@ -202,9 +200,7 @@ class QuasiPartition:
         return i + 1
 
 
-def build_partition(
-    f: PiecewiseContraction, qset: PreimageSet, backend: Backend = EXACT
-) -> QuasiPartition:
+def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartition:
     """Build the invariant partition and verify it is respected exactly.
 
     For each open interval the containing branch is constant (breakpoints
@@ -217,7 +213,7 @@ def build_partition(
         raise ValueError("partition requires a complete backward closure")
     cuts = tuple(p for p in qset.points if 0 < p < 1)
     keys = float_keys(cuts)
-    bounds = (backend.zero,) + cuts + (backend.one,)
+    bounds = (EXACT.zero,) + cuts + (EXACT.one,)
     intervals = tuple(
         Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:])
     )
@@ -233,7 +229,7 @@ def build_partition(
         hi_idx = bisect_exact(cuts, keys, img.hi, right=True)
         for q in cuts[lo_idx:hi_idx]:
             try:
-                hits = phi.preimages(q, iv, backend)
+                hits = phi.preimages(q, iv)
             except NonDiscretePreimageError as exc:
                 raise PartitionInvarianceError(
                     f"interval {j} has a plateau on closure point {q}"
@@ -307,8 +303,8 @@ def omega_limit(
     while (start := part.locate(x)) is None:
         if x in visited:  # a cycle inside the finite set {0} and the cuts
             cyc_pts = visited[visited.index(x):]
-            word = tuple(f.digit(p) for p in cyc_pts)
-            return PeriodicOrbit(tuple(cyc_pts), len(cyc_pts), word)
+            pts, word = rotate_to_min(cyc_pts, [f.digit(p) for p in cyc_pts])
+            return PeriodicOrbit(pts, len(pts), word)
         visited.append(x)
         x = f(x)
     return part.cycle_orbits(f, eps_fp)[part.basins[start - 1]]
@@ -327,11 +323,8 @@ class EquivalenceClasses:
     """
 
     adjacency: tuple[tuple[int, int], ...]
-    first_interval: int
-    last_interval: int
     members: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    permutation: tuple[int, ...]
     orbit_count: int
 
 
@@ -363,10 +356,6 @@ def equivalence_classes(
         grouped.setdefault(part.basins[idx - 1], []).append(idx)
     classes = tuple(tuple(v) for v in sorted(grouped.values(), key=min))
 
-    permutation = tuple(
-        sorted(range(1, n), key=lambda i: min(part.qset.by_source(i)))
-    )
-
     orbits = periodic_orbits(f, part, eps_fp)
     if len(classes) > n:
         raise BoundViolationError(
@@ -378,10 +367,7 @@ def equivalence_classes(
         )
     return EquivalenceClasses(
         adjacency=tuple(adjacency),
-        first_interval=1,
-        last_interval=part.m,
         members=tuple(members),
         classes=classes,
-        permutation=permutation,
         orbit_count=len(orbits),
     )

@@ -329,3 +329,21 @@ class TestCommands:
             ]
         )
         assert code == 2
+        assert "partition requires the exact backend" in capsys.readouterr().err
+
+    def test_float_backend_power_is_config_error(self, tmp_path, capsys):
+        code = main(
+            ["power", "--config", self.write(tmp_path, P3), "--backend", "float"]
+        )
+        assert code == 2
+        assert "power requires the exact backend" in capsys.readouterr().err
+
+    def test_float_backend_survey_is_config_error(self, tmp_path, capsys):
+        text = "samples 2\nn 2\nseed 11\ngrid 4\n"
+        code = main(
+            ["survey", "--config", self.write(tmp_path, text), "--backend", "float"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "survey requires the exact backend" in captured.err

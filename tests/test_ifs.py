@@ -9,9 +9,7 @@ from pcdyn import (
     Affine,
     Backend,
     Breakpoints,
-    CapExceededError,
     Clamped,
-    Identity,
     Interval,
     IntervalSet,
     IteratedFunctionSystem,
@@ -19,7 +17,6 @@ from pcdyn import (
     Quadratic,
     attractor_sequence,
     cap_ifs,
-    compositions,
     highly_contractive_bound,
     ifs_image,
 )
@@ -223,41 +220,6 @@ class TestHighlyContractiveBound:
         rho = highly_contractive_bound(plan.capped)
         assert rho is not None
         assert rho <= F(4, 5)
-
-
-class TestCompositions:
-    def test_depth_zero_is_identity_seed(self):
-        fam = compositions(example_ifs(), 0)
-        assert len(fam) == 1
-        assert fam.words == ((),)
-        assert isinstance(fam.members[0], Identity)
-
-    def test_example_depth_two_slopes(self):
-        fam = compositions(example_ifs(), 2)
-        assert len(fam) == 4
-        slopes = sorted(m.a for m in fam.members)
-        assert slopes == [F(9, 25), F(12, 25), F(12, 25), F(16, 25)]
-
-    def test_bound_not_above_max_power(self):
-        fam = compositions(example_ifs(), 3)
-        for _, m in fam:
-            assert m.lipschitz_bound() <= F(4, 5) ** 3
-
-    def test_members_match_nested_eval(self):
-        rng = random.Random(3)
-        ifs = example_ifs()
-        fam = compositions(ifs, 3)
-        for _ in range(20):
-            x = F(rng.randrange(0, 65), 64)
-            word = fam.words[rng.randrange(len(fam))]
-            y = x
-            for d in word:
-                y = ifs.maps[d - 1](y)
-            assert fam.by_word(word)(x) == y
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            compositions(example_ifs(), 10, cap=100)
 
 
 class TestCapIfs:

@@ -9,7 +9,6 @@ from pcdyn import (
     Backend,
     Clamped,
     Composed,
-    Identity,
     Interval,
     NonDiscretePreimageError,
     Quadratic,
@@ -97,11 +96,6 @@ class TestCompose:
         sq = compose(phi1, phi1)
         assert sq == Affine(F(16, 25), F(9, 50))
         assert sq(F(1)) == F(41, 50)
-
-    def test_identity_absorbed(self):
-        m = Affine(F(1, 2), F(1, 4))
-        assert compose(m, Identity()) == m
-        assert compose(Identity(), m) == m
 
     def test_matches_nested_eval(self):
         rng = random.Random(11)

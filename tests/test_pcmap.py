@@ -369,10 +369,6 @@ class TestPowerMap:
             right = g.ifs.maps[j + 1](y)
             assert v in (left, right)
 
-    def test_requires_exact_backend(self):
-        with pytest.raises(ValueError, match="exact"):
-            power_map(period3_pc(), 2, backend=FLOAT)
-
     def test_refined_set_matches_manual_preimages(self):
         # brute-force oracle: solve a*x + b = q on each branch directly
         f = period3_pc()

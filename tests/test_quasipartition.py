@@ -46,7 +46,7 @@ class TestPreimageSet:
 
     def test_sources_and_depths(self):
         q = preimage_set(period3_pc())
-        assert q.by_source(1) == tuple(sorted(PERIOD3_Q))
+        assert {e.point for e in q.entries if e.source == 1} == PERIOD3_Q
         depth = {e.point: e.depth for e in q.entries}
         assert depth[F(3, 10)] == 0
         assert depth[F(1, 10)] == 1 and depth[F(7, 20)] == 1
@@ -76,12 +76,6 @@ class TestPreimageSet:
         q = preimage_set(period3_pc(), depth_cap=2)
         assert q.status == TRUNCATED
         assert q.depth_reached == 2
-
-    def test_requires_exact_backend(self):
-        from pcdyn import Backend
-
-        with pytest.raises(ValueError, match="exact"):
-            preimage_set(period3_pc(), backend=Backend.floating())
 
 
 class TestBuildPartition:
@@ -187,6 +181,20 @@ class TestOmegaLimit:
             orb = omega_limit(f, F(g, 64), part)
             assert orb.point_set() == target
 
+    def test_cycle_on_cut_points_is_rotated(self):
+        # 1/4 -> 1/2 -> 1/4: the breakpoint and its preimage form the cycle
+        f = PiecewiseContraction(
+            IteratedFunctionSystem(
+                (Affine(F(1, 2), F(3, 8)), Affine(F(1, 4), F(1, 8)))
+            ),
+            Breakpoints((F(1, 2),)),
+        )
+        part = build_partition(f, preimage_set(f))
+        (want,) = periodic_orbits(f, part)
+        assert want.points == (F(1, 4), F(1, 2)) and want.word == (1, 2)
+        assert omega_limit(f, F(1, 2), part) == want
+        assert omega_limit(f, F(1, 4), part) == want
+
     def test_cross_validates_with_forward_orbit(self):
         f = period3_pc()
         part = build_partition(f, preimage_set(f))
@@ -208,8 +216,6 @@ class TestEquivalenceClasses:
         assert ec.members == (3, 4)
         assert len(ec.classes) == 1
         assert ec.orbit_count == 1
-        assert ec.first_interval == 1 and ec.last_interval == 7
-        assert ec.permutation == (1,)
 
     def test_constant_maps_two_classes(self):
         f = constant_pc()
@@ -326,8 +332,9 @@ def _oracle_omega_limit(f, x, part):
     while x in special:
         if x in visited:
             cyc_pts = visited[visited.index(x):]
-            word = tuple(f.digit(p) for p in cyc_pts)
-            return PeriodicOrbit(tuple(cyc_pts), len(cyc_pts), word)
+            k = cyc_pts.index(min(cyc_pts))
+            pts = tuple(cyc_pts[k:] + cyc_pts[:k])
+            return PeriodicOrbit(pts, len(pts), tuple(f.digit(p) for p in pts))
         visited.append(x)
         x = f(x)
     seq = [part.locate(x)]
@@ -379,14 +386,10 @@ def _oracle_equivalence_classes(f, part):
     grouped = {}
     for idx in members:
         grouped.setdefault(find(idx), []).append(idx)
-    mins = [(min(part.qset.by_source(i)), i) for i in range(1, f.n)]
     return EquivalenceClasses(
         adjacency=tuple(adjacency),
-        first_interval=1,
-        last_interval=part.m,
         members=tuple(members),
         classes=tuple(tuple(v) for _, v in sorted(grouped.items())),
-        permutation=tuple(i for _, i in sorted(mins)),
         orbit_count=len(_oracle_periodic_orbits(f, part)),
     )
 
