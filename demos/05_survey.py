@@ -3,8 +3,8 @@
 
 Draws random three-branch piecewise contractions on a rational grid, runs
 the whole pipeline on each (genericity test, backward closure, partition,
-periodic orbits, equivalence classes, a grid of forward limits) and
-tabulates the outcomes.  The expectation: every conclusive generic sample
+periodic orbits, equivalence classes, a certificate of every forward
+limit) and tabulates the outcomes.  The expectation: every conclusive generic sample
 is asymptotically periodic with between 1 and 3 periodic orbits.
 """
 
@@ -18,7 +18,6 @@ cfg = RunConfig(
     samples=40,
     n=3,
     kappa_max=0.45,
-    grid=32,
 )
 report = run_survey(cfg)
 

@@ -58,7 +58,7 @@ class RunConfig:
     n: int = 3
     kappa_max: float = 0.45
     eps_range: Fraction = Fraction(1, 64)
-    grid: int = 64
+    grid: int = 64  # accepted and ignored: the survey certifies limits
     jobs: int = 1
     fail_on_breakpoint_hit: bool = False
 

@@ -115,6 +115,16 @@ class Affine(MapDescriptor):
     b: Scalar
 
     def __post_init__(self):
+        ra, rb = _ratio(self.a), _ratio(self.b)
+        ints = (ra + rb) if ra and rb else None
+        object.__setattr__(self, "_ints", ints)
+        if ints is not None:
+            # |a| < 1, 0 < b < 1 and 0 < a + b < 1, cross-multiplied over
+            # the positive denominators; a failure raises below
+            an, ad, bn, bd = ints
+            s = an * bd + bn * ad  # (a + b) * ad * bd
+            if -ad < an < ad and 0 < bn < bd and 0 < s < ad * bd:
+                return
         if not abs(self.a) < 1:
             raise ValueError(f"Lipschitz bound >= 1: |a| = {abs(self.a)}")
         for v in (self.b, self.a + self.b):
@@ -122,10 +132,6 @@ class Affine(MapDescriptor):
                 raise ValueError(
                     f"image of [0, 1] leaves (0, 1): endpoint value {v}"
                 )
-        ra, rb = _ratio(self.a), _ratio(self.b)
-        object.__setattr__(
-            self, "_ints", (ra + rb) if ra and rb else None
-        )
 
     def _eval(self, x: Scalar) -> Scalar:
         ints = self._ints

@@ -193,6 +193,37 @@ def bisect_exact(
     return (bisect_right if right else bisect_left)(points, x, lo, hi)
 
 
+def resolve_tie(
+    points: Sequence[Scalar], lo: int, hi: int, x: Scalar
+) -> tuple[int, bool]:
+    """``(bisect_left(points, x, lo, hi), x in points[lo:hi])`` for strictly
+    increasing ``points`` whose floats in [lo, hi) all equal float(x).
+
+    Rational x and points are compared by integer cross-multiplication
+    (denominators are positive); anything else by the generic operators.
+    """
+    end = hi
+    rx = _ratio(x)
+    if rx is not None:
+        xn, xd = rx
+        while lo < hi:
+            mid = (lo + hi) // 2
+            p = points[mid]
+            if type(p) is not Fraction:
+                break
+            d = p._numerator * xd - xn * p._denominator
+            if d < 0:
+                lo = mid + 1
+            elif d > 0:
+                hi = mid
+            else:
+                return mid, True
+        else:
+            return lo, False
+    i = bisect_left(points, x, lo, hi)
+    return i, i < end and points[i] == x
+
+
 def format_scalar(x: Scalar) -> str:
     """Rationals as ``p/q`` (or ``p`` when integral), floats as shortest
     round-trip decimal."""
@@ -286,11 +317,21 @@ class IntervalSet:
         return not self.components
 
     def measure(self) -> Scalar:
-        """Lebesgue measure of the union."""
-        total: Scalar = 0
-        for iv in self.components:
-            total += iv.length
-        return total
+        """Lebesgue measure of the union.
+
+        With rational endpoints the lengths are summed in integers over the
+        least common denominator of the endpoints.
+        """
+        ends = [e for iv in self.components for e in (iv.lo, iv.hi)]
+        if not ends or any(type(e) is not Fraction for e in ends):
+            return sum(iv.length for iv in self.components)
+        den = math.lcm(*(e._denominator for e in ends))
+        num = sum(
+            iv.hi._numerator * (den // iv.hi._denominator)
+            - iv.lo._numerator * (den // iv.lo._denominator)
+            for iv in self.components
+        )
+        return _raw_fraction(num, den)
 
     @cached_property
     def _los(self) -> tuple[Scalar, ...]:

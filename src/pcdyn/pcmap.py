@@ -13,7 +13,7 @@ breakpoints.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
@@ -31,8 +31,8 @@ from .numerics import (
     Backend,
     Interval,
     Scalar,
-    bisect_exact,
     float_keys,
+    resolve_tie,
     unit_key,
 )
 
@@ -109,13 +109,15 @@ class PiecewiseContraction:
 
     def digit(self, x: Scalar) -> int:
         """The branch index i (1-based) whose domain contains x."""
-        pts, keys = self.breakpoints.points, self._bp_keys
+        keys = self._bp_keys
         fx = unit_key(x)
         i = bisect_right(keys, fx)
         if i and keys[i - 1] == fx:  # a float tie: resolve it exactly
-            i = bisect_exact(pts, keys, x, right=True)
-            if i and pts[i - 1] == x and self.closures[i - 1] == LEFT_OPEN:
-                return i
+            i, hit = resolve_tie(
+                self.breakpoints.points, bisect_left(keys, fx, 0, i), i, x
+            )
+            if hit and self.closures[i] == RIGHT_OPEN:
+                i += 1
         return i + 1
 
     def __call__(self, x: Scalar) -> Scalar:
@@ -184,13 +186,23 @@ class PeriodicOrbit:
 
 
 def rotate_to_min(
-    points: Sequence[Scalar], word: Sequence[int]
-) -> tuple[tuple[Scalar, ...], tuple[int, ...]]:
-    """Rotate a cycle so it starts at its smallest point."""
+    points: Sequence[Scalar],
+    word: Sequence[int],
+    home_cycle: Optional[Sequence[int]] = None,
+) -> PeriodicOrbit:
+    """The orbit of a cycle, rotated to start at its smallest point; the
+    word and the home cycle, if any, rotate by the same shift."""
     k = min(range(len(points)), key=lambda i: points[i])
-    pts = tuple(points[k:]) + tuple(points[:k])
-    w = tuple(word[k:]) + tuple(word[:k])
-    return pts, w
+
+    def rot(seq):
+        return tuple(seq[k:]) + tuple(seq[:k])
+
+    return PeriodicOrbit(
+        rot(points),
+        len(points),
+        rot(word),
+        home_cycle=None if home_cycle is None else rot(home_cycle),
+    )
 
 
 @dataclass(frozen=True)
@@ -268,8 +280,7 @@ def _refine_candidate(
             return None
     elif abs(cur - z) > max(eps_orbit, 10 * eps_fp):
         return None
-    rpts, rword = rotate_to_min(pts, digits)
-    return PeriodicOrbit(rpts, p, rword)
+    return rotate_to_min(pts, digits)
 
 
 def orbit(
@@ -331,9 +342,7 @@ def orbit(
             s = seen.get(nxt)
             if s is not None:
                 p = t1 - s
-                rpts, rword = rotate_to_min(pts[s:t1], digits[s:t1])
-                orb = PeriodicOrbit(rpts, p, rword)
-                return finish(orb, s, p)
+                return finish(rotate_to_min(pts[s:t1], digits[s:t1]), s, p)
             seen[nxt] = t1
 
         fx = float(nxt)

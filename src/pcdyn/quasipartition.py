@@ -14,7 +14,7 @@ rounding error, and the finiteness argument is an exact one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -32,6 +32,7 @@ from .numerics import (
     Scalar,
     bisect_exact,
     float_keys,
+    resolve_tie,
     unit_key,
 )
 from .pcmap import (
@@ -191,11 +192,13 @@ class QuasiPartition:
         fx = unit_key(x)
         if fx == 0.0 and x == 0:
             return None
-        cuts, keys = self.cut_points, self._cut_keys
+        keys = self._cut_keys
         i = bisect_left(keys, fx)
         if i < len(keys) and keys[i] == fx:  # a float tie: resolve it exactly
-            i = bisect_exact(cuts, keys, x)
-            if i < len(cuts) and cuts[i] == x:
+            i, hit = resolve_tie(
+                self.cut_points, i, bisect_right(keys, fx, i), x
+            )
+            if hit:
                 return None
         return i + 1
 
@@ -266,13 +269,7 @@ def _cycle_orbit(
     for d in word:
         pts.append(cur)
         cur = f.ifs.maps[d - 1]._eval(cur)
-    k = min(range(len(pts)), key=lambda i: pts[i])
-    return PeriodicOrbit(
-        tuple(pts[k:] + pts[:k]),
-        len(cyc),
-        word[k:] + word[:k],
-        home_cycle=cyc[k:] + cyc[:k],
-    )
+    return rotate_to_min(pts, word, cyc)
 
 
 def periodic_orbits(
@@ -303,8 +300,7 @@ def omega_limit(
     while (start := part.locate(x)) is None:
         if x in visited:  # a cycle inside the finite set {0} and the cuts
             cyc_pts = visited[visited.index(x):]
-            pts, word = rotate_to_min(cyc_pts, [f.digit(p) for p in cyc_pts])
-            return PeriodicOrbit(pts, len(pts), word)
+            return rotate_to_min(cyc_pts, [f.digit(p) for p in cyc_pts])
         visited.append(x)
         x = f(x)
     return part.cycle_orbits(f, eps_fp)[part.basins[start - 1]]

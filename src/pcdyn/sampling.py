@@ -16,7 +16,7 @@ import numpy as np
 
 from .ifs import IteratedFunctionSystem
 from .maps import Affine
-from .numerics import Scalar
+from .numerics import _raw_fraction
 from .pcmap import Breakpoints, PiecewiseContraction
 
 RATIONAL_BITS = 32
@@ -26,7 +26,7 @@ DEFAULT_MARGIN = Fraction(1, 64)
 def rationalize(x: float, bits: int = RATIONAL_BITS) -> Fraction:
     """Round to the nearest fraction with denominator 2**bits."""
     scale = 1 << bits
-    return Fraction(int(round(float(x) * scale)), scale)
+    return _raw_fraction(round(float(x) * scale), scale)
 
 
 def rng_for_sample(seed: int, index: int) -> np.random.Generator:
@@ -37,7 +37,7 @@ def rng_for_sample(seed: int, index: int) -> np.random.Generator:
 
 
 def draw_breakpoints(
-    rng: np.random.Generator, n: int, margin: Scalar = DEFAULT_MARGIN
+    rng: np.random.Generator, n: int, margin: Fraction = DEFAULT_MARGIN
 ) -> tuple[Fraction, ...]:
     """Sorted uniforms on (margin, 1 - margin), rejected on small gaps.
 
@@ -49,14 +49,37 @@ def draw_breakpoints(
         pts = tuple(
             sorted(rationalize(v) for v in rng.uniform(lo, hi, size=n - 1))
         )
-        if all(b - a >= margin for a, b in zip(pts, pts[1:])):
+        if _gaps_at_least(pts, margin):
             return pts
+
+
+def _gaps_at_least(pts: tuple[Fraction, ...], margin: Fraction) -> bool:
+    """Whether b - a >= margin for consecutive a, b of ``pts``,
+    cross-multiplied over the positive denominators."""
+    mn, md = margin.numerator, margin.denominator
+    return all(
+        (b._numerator * a._denominator - a._numerator * b._denominator) * md
+        >= mn * a._denominator * b._denominator
+        for a, b in zip(pts, pts[1:])
+    )
+
+
+def _intercept_range(a: Fraction, margin: Fraction) -> tuple[float, float]:
+    """float(margin - min(a, 0)) and float(1 - margin - max(a, 0)), each
+    from one integer true division, which rounds correctly, as
+    float(Fraction) does."""
+    mn, md = margin.numerator, margin.denominator
+    an, ad = a._numerator, a._denominator
+    den = md * ad
+    lo = (mn * ad - min(an, 0) * md) / den
+    hi = ((md - mn) * ad - max(an, 0) * md) / den
+    return lo, hi
 
 
 def draw_affine(
     rng: np.random.Generator,
     kappa_max: float,
-    margin: Scalar = DEFAULT_MARGIN,
+    margin: Fraction = DEFAULT_MARGIN,
     slope_band: tuple[float, float] | None = None,
 ) -> Affine:
     """Slope uniform on [-kappa_max, kappa_max]; intercept constrained so
@@ -70,9 +93,7 @@ def draw_affine(
         a = rationalize(rng.uniform(-kappa_max, kappa_max))
     else:
         a = rationalize(rng.uniform(*slope_band))
-    lo = float(margin - min(a, 0))
-    hi = float(1 - margin - max(a, 0))
-    b = rationalize(rng.uniform(lo, hi))
+    b = rationalize(rng.uniform(*_intercept_range(a, margin)))
     return Affine(a, b)
 
 
@@ -80,7 +101,7 @@ def draw_ifs(
     rng: np.random.Generator,
     n: int,
     kappa_max: float,
-    margin: Scalar = DEFAULT_MARGIN,
+    margin: Fraction = DEFAULT_MARGIN,
     slope_band: tuple[float, float] | None = None,
 ) -> IteratedFunctionSystem:
     return IteratedFunctionSystem(
@@ -94,7 +115,7 @@ def draw_pc(
     rng: np.random.Generator,
     n: int,
     kappa_max: float,
-    margin: Scalar = DEFAULT_MARGIN,
+    margin: Fraction = DEFAULT_MARGIN,
 ) -> PiecewiseContraction:
     """Breakpoints first, then the maps, from one stream."""
     bps = draw_breakpoints(rng, n, margin)

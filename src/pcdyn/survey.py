@@ -2,18 +2,18 @@
 
 Each sample draws breakpoints and affine maps on the rational grid, runs
 the full pipeline (genericity test, backward closure, partition, periodic
-orbits, equivalence classes, grid of forward limits) and records one row.
-Samples are independent, keyed by (master seed, index), so a worker pool
-produces byte-identical reports for any worker count.
+orbits, equivalence classes, a certificate of every forward limit) and
+records one row.  Samples are independent, keyed by (master seed, index),
+so a worker pool produces byte-identical reports for any worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from collections import Counter
+from typing import Optional
 
 from .config import RunConfig, check_sampling, descriptor_tokens
 from .errors import (
@@ -25,8 +25,14 @@ from .errors import (
     PartitionInvarianceError,
 )
 from .numerics import format_scalar
-from .pcmap import Breakpoints, PiecewiseContraction, is_generic
+from .pcmap import (
+    Breakpoints,
+    PeriodicOrbit,
+    PiecewiseContraction,
+    is_generic,
+)
 from .quasipartition import (
+    QuasiPartition,
     build_partition,
     equivalence_classes,
     omega_limit,
@@ -49,7 +55,7 @@ class SampleRecord:
     m: int
     orbit_count: int
     class_count: int
-    grid_converged: bool
+    grid_converged: bool  # every forward limit certified (see cut_cycle)
     reason: str  # empty when the pipeline ran to completion
     violation: bool  # a certified bound failed (never expected)
 
@@ -100,6 +106,26 @@ class SurveyReport:
         return False
 
 
+def cut_cycle(
+    f: PiecewiseContraction,
+    part: QuasiPartition,
+    orbits: list[PeriodicOrbit],
+    eps_fp: float,
+) -> Optional[PeriodicOrbit]:
+    """The first ω-limit of 0 or a cut point that is a cycle inside that
+    finite set and missing from ``orbits``; None when there is none.
+
+    Each open interval of the partition is in the basin of one of
+    ``orbits``, and every other x in [0, 1) is 0 or a cut point, so None
+    certifies that the ω-limit of every x is one of ``orbits``.
+    """
+    for x in (0,) + part.cut_points:
+        lim = omega_limit(f, x, part, eps_fp)
+        if lim.home_cycle is None and lim not in orbits:
+            return lim
+    return None
+
+
 def run_sample(cfg: RunConfig, index: int) -> SampleRecord:
     rng = rng_for_sample(cfg.seed, index)
     bps = draw_breakpoints(rng, cfg.n, cfg.eps_range)
@@ -125,15 +151,17 @@ def run_sample(cfg: RunConfig, index: int) -> SampleRecord:
         else:
             part = build_partition(f, q)
             m = part.m
-            orbit_count = len(periodic_orbits(f, part, cfg.eps_fp))
+            orbits = periodic_orbits(f, part, cfg.eps_fp)
+            orbit_count = len(orbits)
             try:
                 ec = equivalence_classes(f, part, cfg.eps_fp)
                 class_count = len(ec.classes)
             except BoundViolationError:
                 violation = True
-            for g in range(cfg.grid):
-                omega_limit(f, Fraction(g, cfg.grid), part, cfg.eps_fp)
-            grid_converged = True
+            if cut_cycle(f, part, orbits, cfg.eps_fp) is None:
+                grid_converged = True
+            else:
+                reason = "cut-cycle"
     except NonDiscretePreimageError:
         reason = "non-discrete-preimage"
     except InexactPreimageError:

@@ -97,3 +97,41 @@ def rand_descriptor(rng: random.Random, depth: int = 1):
     return Composed(
         tuple(rand_descriptor(rng, depth - 1) for _ in range(rng.randint(2, 3)))
     )
+
+
+# --- Fraction oracles for the integer kernels ---------------------------------
+
+
+def fraction_measure(s: IntervalSet):
+    """IntervalSet.measure as a running sum of interval lengths."""
+    total = 0
+    for iv in s.components:
+        total += iv.length
+    return total
+
+
+def fraction_rationalize(x: float, bits: int) -> F:
+    """sampling.rationalize through the Fraction constructor."""
+    scale = 1 << bits
+    return F(int(round(float(x) * scale)), scale)
+
+
+def fraction_intercept_range(a: F, margin) -> tuple[float, float]:
+    """draw_affine's intercept bounds through Fraction arithmetic."""
+    return float(margin - min(a, 0)), float(1 - margin - max(a, 0))
+
+
+def fraction_gaps_at_least(pts, margin) -> bool:
+    """draw_breakpoints' gap test through Fraction arithmetic."""
+    return all(b - a >= margin for a, b in zip(pts, pts[1:]))
+
+
+def affine_check_error(a, b):
+    """The ValueError message Affine(a, b) must raise, None when it is
+    valid: the generic check through the scalars' own operators."""
+    if not abs(a) < 1:
+        return f"Lipschitz bound >= 1: |a| = {abs(a)}"
+    for v in (b, a + b):
+        if not 0 < v < 1:
+            return f"image of [0, 1] leaves (0, 1): endpoint value {v}"
+    return None

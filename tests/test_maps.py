@@ -14,7 +14,7 @@ from pcdyn import (
     Quadratic,
     compose,
 )
-from _support import rand_descriptor
+from _support import affine_check_error, rand_descriptor
 
 EXACT = Backend.exact()
 
@@ -59,6 +59,41 @@ class TestConstruction:
     def test_clamp_window_validated(self):
         with pytest.raises(ValueError, match="clamp"):
             Clamped(Affine(F(1, 2), F(1, 4)), F(1, 2), F(1, 2))
+
+
+class TestAffineIntegerCheck:
+    """Affine validates rationals in integers; the outcome and the message
+    must be the generic check's."""
+
+    @staticmethod
+    def outcome(a, b):
+        try:
+            Affine(a, b)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def test_boundary_values(self):
+        vals = [F(0), 0, 1, -1, F(1), F(-1), F(1, 2), F(-1, 2), F(1, 4),
+                F(3, 4), F(2, 3), F(1, 3), F(-1, 3), F(5, 4), F(-5, 4),
+                F(1) - F(1, 2**64), F(1, 2**64), 0.5, 0.25, -0.25, 1.0, True,
+                False]
+        for a in vals:
+            for b in vals:
+                assert self.outcome(a, b) == affine_check_error(a, b), (a, b)
+
+    def test_random_rationals(self):
+        rng = random.Random(64)
+        for _ in range(4000):
+            den = rng.choice([2**32, 7, 10**9, rng.randrange(1, 1000)])
+            a = F(rng.randint(-2 * den, 2 * den), den)
+            b = F(rng.randint(-den, 2 * den), rng.choice([den, 2**32, 3]))
+            assert self.outcome(a, b) == affine_check_error(a, b), (a, b)
+
+    def test_ints_match_the_coefficients(self):
+        m = Affine(F(-3, 8), F(5, 6))
+        assert m._ints == (-3, 8, 5, 6)
+        assert Affine(0.5, F(1, 4))._ints is None
 
 
 class TestLipschitzBound:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcdyn import Backend, Interval, IntervalSet
-from pcdyn.numerics import _raw_fraction, bisect_exact, float_keys, unit_key
+from pcdyn.numerics import (
+    _raw_fraction,
+    bisect_exact,
+    float_keys,
+    resolve_tie,
+    unit_key,
+)
+from _support import fraction_measure
 
 
 def iset(*pairs):
@@ -322,3 +329,48 @@ def test_contains_matches_a_linear_scan_on_tied_endpoints():
             assert s.contains_set(inner) == any(
                 c.lo <= a and b <= c.hi for c in s
             )
+
+
+def test_resolve_tie_matches_bisect_and_membership():
+    rng = random.Random(12)
+    for _ in range(300):
+        pts = _tied_points(rng)
+        keys = float_keys(pts)
+        for x in _probes(rng, pts):
+            try:
+                fx = float(x)
+            except OverflowError:
+                continue
+            lo, hi = bisect_left(keys, fx), bisect_right(keys, fx)
+            want = bisect_left(pts, x, lo, hi)
+            assert resolve_tie(pts, lo, hi, x) == (want, x in pts[lo:hi]), x
+
+
+def test_resolve_tie_on_float_points():
+    pts = [0.25, 0.5, 0.75]
+    assert resolve_tie(pts, 1, 2, 0.5) == (1, True)
+    assert resolve_tie(pts, 1, 2, F(1, 2)) == (1, True)
+    assert resolve_tie(pts, 1, 2, F(1, 2) + F(1, 2**70)) == (2, False)
+
+
+def test_measure_matches_the_fraction_sum():
+    rng = random.Random(21)
+    for _ in range(300):
+        den = rng.choice([2**32, 3**5 * 7, 10**6, rng.randrange(1, 10**4)])
+        ends = sorted(F(rng.randrange(den + 1), den * rng.randint(1, 3))
+                      for _ in range(2 * rng.randint(1, 8)))
+        s = IntervalSet.normalize(
+            Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])
+        )
+        got = s.measure()
+        assert got == fraction_measure(s) and type(got) is F
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [(), ((0, F(3, 10)), (F(1, 2), 1)), ((0.25, 0.5), (0.625, 0.75))],
+)
+def test_measure_on_int_and_float_endpoints(pairs):
+    s = iset(*pairs)
+    got, want = s.measure(), fraction_measure(s)
+    assert got == want and type(got) is type(want)

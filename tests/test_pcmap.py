@@ -67,6 +67,52 @@ class TestDigit:
         assert g(F(2, 5)) == f(F(2, 5))
 
 
+def _oracle_digit(f, x):
+    """The generic digit: a plain exact bisect over the breakpoints."""
+    if not 0 <= x < 1:
+        raise ValueError(f"point {x} outside [0, 1)")
+    pts = f.breakpoints.points
+    i = bisect_right(pts, x)
+    if i and pts[i - 1] == x and f.closures[i - 1] == LEFT_OPEN:
+        return i
+    return i + 1
+
+
+class TestDigitAgainstExactBisect:
+    def test_tied_breakpoints_and_closures(self):
+        rng = random.Random(303)
+        tiny = F(1, 2**70)
+        ties = 0
+        for _ in range(150):
+            pts = set()
+            for _ in range(rng.randint(1, 4)):
+                base = F(rng.randrange(1, 2**20), 2**20)
+                pts.update(base + k * tiny for k in range(rng.randint(1, 4)))
+            pts = tuple(sorted(pts))
+            keys = [float(p) for p in pts]
+            ties += len(set(keys)) < len(keys)
+            n = len(pts) + 1
+            maps = tuple(Affine(F(1, 2), F(1, 4)) for _ in range(n))
+            closures = tuple(
+                rng.choice((LEFT_OPEN, RIGHT_OPEN)) for _ in pts
+            )
+            f = PiecewiseContraction(
+                IteratedFunctionSystem(maps), Breakpoints(pts), closures
+            )
+            xs = [F(0), 0, 0.0, F(1) - F(1, 2**60), F(1), 1, 0.5, -tiny]
+            for p in pts:
+                xs += [p, p - tiny / 2, p + tiny / 2, float(p)]
+            for x in xs:
+                try:
+                    want = _oracle_digit(f, x)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        f.digit(x)
+                    continue
+                assert f.digit(x) == want, x
+        assert ties >= 100
+
+
 class TestEval:
     def test_branch_one(self):
         assert period3_pc()(F(0)) == F(1, 4)

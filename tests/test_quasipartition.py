@@ -32,6 +32,7 @@ from pcdyn.quasipartition import (
     _cycle_orbit,
 )
 from pcdyn.sampling import draw_pc, rng_for_sample
+from pcdyn.survey import cut_cycle
 from _support import constant_pc, period3_pc, rand_affine, rand_fraction
 
 PERIOD3_Q = {F(1, 10), F(1, 5), F(3, 10), F(7, 20), F(9, 20), F(13, 20)}
@@ -453,6 +454,49 @@ class TestBasinIndexAgainstOracles:
             checked += 1
             multi += len(want_orbits) > 1
         assert multi >= 30
+
+
+class TestCutPointCertificate:
+    """``cut_cycle`` certifies every forward limit from 0 and the cut
+    points; the open intervals are checked against their basins here."""
+
+    def test_random_partitions(self):
+        rng = random.Random(2718)
+        checked = 0
+        while checked < 120:
+            built = _random_partition(rng)
+            if built is None:
+                continue
+            f, part = built
+            special = (F(0),) + part.cut_points
+            limits = [omega_limit(f, x, part) for x in special]
+            assert limits == [_oracle_omega_limit(f, x, part) for x in special]
+            orbits = periodic_orbits(f, part)
+            missed = next((o for o in limits if o not in orbits), None)
+            assert cut_cycle(f, part, orbits, 1e-13) == missed
+            bounds = special + (F(1),)
+            for l, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+                want = part.cycle_orbits(f)[part.basins[l - 1]]
+                assert want in orbits
+                for _ in range(3):
+                    x = lo + (hi - lo) * F(rng.randrange(1, 2**16), 2**16)
+                    assert omega_limit(f, x, part) == want
+                    assert _oracle_omega_limit(f, x, part) == want
+            checked += 1
+
+    def test_cycle_on_cut_points_found_by_the_partition(self):
+        # 1/4 -> 1/2 -> 1/4 runs through cut points, but it is also the
+        # orbit of the partition's only cycle, so nothing is missed
+        f = PiecewiseContraction(
+            IteratedFunctionSystem(
+                (Affine(F(1, 2), F(3, 8)), Affine(F(1, 4), F(1, 8)))
+            ),
+            Breakpoints((F(1, 2),)),
+        )
+        part = build_partition(f, preimage_set(f))
+        orbits = periodic_orbits(f, part)
+        assert omega_limit(f, F(1, 2), part).home_cycle is None
+        assert cut_cycle(f, part, orbits, 1e-13) is None
 
 
 def _oracle_locate(part, x):

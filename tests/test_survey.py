@@ -8,13 +8,23 @@ from pcdyn import (
     Breakpoints,
     InexactPreimageError,
     IteratedFunctionSystem,
+    PeriodicOrbit,
     PiecewiseContraction,
     Quadratic,
+    build_partition,
+    periodic_orbits,
     preimage_set,
 )
+from pcdyn import survey
 from pcdyn.config import ConfigError, RunConfig, parse_config
 from pcdyn.maps import Affine
-from pcdyn.survey import run_sample, run_survey, survey_csv
+from pcdyn.survey import (
+    SurveyReport,
+    cut_cycle,
+    run_sample,
+    run_survey,
+    survey_csv,
+)
 
 
 def small_cfg(**kw):
@@ -40,6 +50,44 @@ class TestRunSample:
         a = [run_sample(small_cfg(), i) for i in range(5)]
         b = [run_sample(small_cfg(), i) for i in reversed(range(5))]
         assert a == list(reversed(b))
+
+
+def fixed_breakpoint_pc():
+    """x/4 + 1/8 and -x/2 + 3/4 split at 1/2.  Both intervals of the
+    partition end at the fixed point 1/6, but f(1/2) = 1/2 is a second
+    periodic orbit, sitting on the breakpoint."""
+    return PiecewiseContraction(
+        IteratedFunctionSystem(
+            (Affine(F(1, 4), F(1, 8)), Affine(F(-1, 2), F(3, 4)))
+        ),
+        Breakpoints((F(1, 2),)),
+    )
+
+
+class TestCutCycle:
+    def test_orbit_missed_by_the_partition(self):
+        f = fixed_breakpoint_pc()
+        part = build_partition(f, preimage_set(f))
+        orbits = periodic_orbits(f, part)
+        assert [o.points for o in orbits] == [(F(1, 6),)]
+        missed = cut_cycle(f, part, orbits, 1e-13)
+        assert missed == PeriodicOrbit((F(1, 2),), 1, (2,))
+
+    def test_is_a_counted_reason(self, monkeypatch):
+        f = fixed_breakpoint_pc()
+        monkeypatch.setattr(
+            survey, "draw_breakpoints", lambda rng, n, margin: f.breakpoints.points
+        )
+        monkeypatch.setattr(
+            survey, "draw_ifs", lambda rng, n, kappa_max, margin: f.ifs
+        )
+        rec = run_sample(small_cfg(), 0)
+        assert rec.reason == "cut-cycle"
+        assert not rec.grid_converged and not rec.conclusive
+        assert (rec.q_status, rec.m, rec.orbit_count) == ("complete", 2, 1)
+        report = SurveyReport(2, (rec,))
+        assert report.reason_counts() == {"cut-cycle": 1}
+        assert "\nreason,count\ncut-cycle,1\n" in survey_csv(report)
 
 
 class TestRunSurvey:
