@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ifs import attractor_sequence, cap_ifs, highly_contractive_bound
 from .numerics import format_scalar
-from .pcmap import _digit_word, power_map
+from .pcmap import power_map
 from .pcmap import orbit as run_orbit
 from .quasipartition import (
     build_partition,
@@ -107,7 +107,7 @@ def emit_partition(cfg: RunConfig) -> tuple[str, int]:
             pts = ";".join(format_scalar(p) for p in o.points)
             word = ";".join(str(d) for d in o.word)
             rows.append(f"{i},{o.period},{pts},{word}")
-        ec = equivalence_classes(f, part, cfg.eps_fp)
+        ec = equivalence_classes(f, part, cfg.eps_fp, orbs)
         rows.append("classes")
         rows.append("id,members")
         for i, cls in enumerate(ec.classes, start=1):
@@ -134,8 +134,8 @@ def emit_power(cfg: RunConfig) -> tuple[str, int]:
     rows.append("branches")
     rows.append("index,lo,hi,word")
     bounds = (cfg.backend.zero,) + g.breakpoints.points + (cfg.backend.one,)
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
-        word = ";".join(map(str, _digit_word(f, (lo + hi) / 2, cfg.k)))
+    for j, (lo, hi, w) in enumerate(zip(bounds, bounds[1:], g.words), 1):
+        word = ";".join(map(str, w))
         rows.append(f"{j},{format_scalar(lo)},{format_scalar(hi)},{word}")
     return "\n".join(rows) + "\n", OK
 

@@ -19,10 +19,8 @@ from .maps import Affine, Clamped, MapDescriptor
 from .numerics import (
     EXACT,
     Backend,
-    Interval,
     IntervalSet,
     Scalar,
-    _raw_fraction,
 )
 
 
@@ -109,13 +107,14 @@ def _rational_affine_sequence(
     integers.  Each map's images form an ascending run (read backwards for
     a negative slope), so the sort merges n runs; touching components
     merge as in ``IntervalSet.normalize``.  One gcd per step keeps q and
-    the numerators reduced.
+    the numerators reduced; each A_k keeps its pairs and q, and builds its
+    endpoint Fractions only when they are read.
     """
     ints = [m._ints for m in maps]
     den = math.lcm(*(d for _, ad, _, bd in ints for d in (ad, bd)))
     coeffs = [(an * (den // ad), bn * (den // bd)) for an, ad, bn, bd in ints]
-    seq = [IntervalSet.unit()]
     runs, q = [(0, 1)], 1
+    seq = [IntervalSet._from_runs(runs, q)]
     for _ in range(k_max):
         pieces: list[tuple[int, int]] = []
         for a, b in coeffs:
@@ -142,14 +141,7 @@ def _rational_affine_sequence(
         if g > 1:
             q //= g
             runs = [(lo // g, hi // g) for lo, hi in runs]
-        seq.append(
-            IntervalSet(
-                tuple(
-                    Interval(_raw_fraction(lo, q), _raw_fraction(hi, q))
-                    for lo, hi in runs
-                )
-            )
-        )
+        seq.append(IntervalSet._from_runs(runs, q))
     return seq
 
 

@@ -174,13 +174,13 @@ def bisect_exact(
     x: Scalar,
     right: bool = False,
 ) -> int:
-    """``bisect_left`` (``bisect_right`` if ``right``) of x in the sorted
-    ``points``, searched on ``keys = float_keys(points)``.
+    """``bisect_left`` (``bisect_right`` if ``right``) of x in the strictly
+    increasing ``points``, searched on ``keys = float_keys(points)``.
 
     Rounding to float is monotone, so a point whose key is below float(x)
     lies below x and one whose key is above lies above; only the points
-    whose key equals float(x) are compared exactly.  The result equals the
-    plain bisect's for every x.
+    whose key equals float(x) are compared exactly, by :func:`resolve_tie`.
+    The result equals the plain bisect's for every x.
     """
     try:
         fx = _key(x)
@@ -190,7 +190,8 @@ def bisect_exact(
     hi = bisect_right(keys, fx, lo)
     if lo == hi:
         return lo
-    return (bisect_right if right else bisect_left)(points, x, lo, hi)
+    i, hit = resolve_tie(points, lo, hi, x)
+    return i + 1 if right and hit else i
 
 
 def resolve_tie(
@@ -269,14 +270,46 @@ class Interval:
         return (lo + hi) / 2
 
 
-@dataclass(frozen=True)
 class IntervalSet:
     """A finite disjoint union of closed intervals, sorted by left endpoint.
 
     Construct through :meth:`normalize`; the constructor trusts its input.
+    A set from :meth:`_from_runs` holds ascending (lo, hi) integer numerator
+    pairs over one common denominator q instead: it answers ``len``,
+    ``measure`` and ``contains_set`` against another such set in integers,
+    and builds its components once, on their first read.
     """
 
-    components: tuple[Interval, ...]
+    _runs: Optional[list[tuple[int, int]]] = None
+
+    def __init__(self, components: tuple[Interval, ...]):
+        self.components = components
+
+    @staticmethod
+    def _from_runs(runs: list[tuple[int, int]], q: int) -> "IntervalSet":
+        s = object.__new__(IntervalSet)
+        s._runs, s._q = runs, q
+        return s
+
+    @cached_property
+    def components(self) -> tuple[Interval, ...]:
+        runs, q = self._runs, self._q
+        self._runs = None  # one representation once the Intervals exist
+        return tuple(
+            Interval(_raw_fraction(lo, q), _raw_fraction(hi, q))
+            for lo, hi in runs
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash(self.components)
+
+    def __repr__(self) -> str:
+        return f"IntervalSet(components={self.components!r})"
 
     @staticmethod
     def normalize(
@@ -307,14 +340,14 @@ class IntervalSet:
         return IntervalSet((Interval(backend.zero, backend.one),))
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self.components if self._runs is None else self._runs)
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.components)
 
     @property
     def is_empty(self) -> bool:
-        return not self.components
+        return not len(self)
 
     def measure(self) -> Scalar:
         """Lebesgue measure of the union.
@@ -322,6 +355,8 @@ class IntervalSet:
         With rational endpoints the lengths are summed in integers over the
         least common denominator of the endpoints.
         """
+        if self._runs is not None:
+            return _raw_fraction(sum(hi - lo for lo, hi in self._runs), self._q)
         ends = [e for iv in self.components for e in (iv.lo, iv.hi)]
         if not ends or any(type(e) is not Fraction for e in ends):
             return sum(iv.length for iv in self.components)
@@ -358,7 +393,24 @@ class IntervalSet:
         return Interval(self.components[0].lo, self.components[-1].hi)
 
     def contains_set(self, other: "IntervalSet", backend: Backend = EXACT) -> bool:
-        """True iff every component of ``other`` lies inside a component."""
+        """True iff every component of ``other`` lies inside a component.
+
+        Two integer-backed sets are walked together in integers, each
+        scaled to the lcm of the two denominators.
+        """
+        outer, inner = self._runs, other._runs
+        if outer is not None and inner is not None and backend.is_exact:
+            g = math.gcd(self._q, other._q)
+            up_outer, up_inner = other._q // g, self._q // g
+            j, m = 0, len(outer)
+            for lo, hi in inner:
+                lo, hi = lo * up_inner, hi * up_inner
+                while j < m and outer[j][1] * up_outer < lo:
+                    j += 1
+                if (j == m or outer[j][0] * up_outer > lo
+                        or outer[j][1] * up_outer < hi):
+                    return False
+            return True
         los, keys = self._los, self._lo_keys
         for iv in other.components:
             i = bisect_exact(los, keys, iv.lo, right=True)

@@ -77,11 +77,16 @@ class PiecewiseContraction:
 
     ``closures[j]`` says which branch owns breakpoint j: "right-open"
     (default, branch [x_{i-1}, x_i)) or "left-open" (branch (x_{i-1}, x_i]).
+    On a :func:`power_map` result, ``words[i-1]`` is the k-step digit word
+    that branch i follows; elsewhere ``words`` is empty.
     """
 
     ifs: IteratedFunctionSystem
     breakpoints: Breakpoints
     closures: tuple[str, ...] = ()
+    words: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def __post_init__(self):
         if len(self.ifs) != len(self.breakpoints) + 1:
@@ -492,9 +497,9 @@ def power_map(
             raise CapExceededError(f"refined branch count exceeds cap {cap}")
     ys = sorted(cuts)
     bounds = [EXACT.zero] + ys + [EXACT.one]
-    branch_words = [
+    branch_words = tuple(
         _digit_word(f, (lo + hi) / 2, k) for lo, hi in zip(bounds, bounds[1:])
-    ]
+    )
     maps = tuple(_word_map(f, w) for w in branch_words)
     # a refined breakpoint belongs to whichever adjacent branch its own
     # k-step digit word follows (orientation of the hitting composition)
@@ -506,4 +511,5 @@ def power_map(
         IteratedFunctionSystem(maps),
         Breakpoints(tuple(ys)),
         closures,
+        branch_words,
     )

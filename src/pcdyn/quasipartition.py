@@ -186,21 +186,23 @@ class QuasiPartition:
     def _cut_keys(self) -> tuple[float, ...]:
         return float_keys(self.cut_points)
 
+    def _cut_index(self, x: Scalar, fx: float) -> tuple[int, bool]:
+        """``(bisect_left(cut_points, x), x in cut_points)`` for x with
+        float fx, searched on the cut points' float keys."""
+        keys = self._cut_keys
+        i = bisect_left(keys, fx)
+        if i < len(keys) and keys[i] == fx:  # a float tie: resolve it exactly
+            return resolve_tie(self.cut_points, i, bisect_right(keys, fx, i), x)
+        return i, False
+
     def locate(self, x: Scalar) -> Optional[int]:
         """1-based index of the open interval containing x, None on a cut
         point or at 0."""
         fx = unit_key(x)
         if fx == 0.0 and x == 0:
             return None
-        keys = self._cut_keys
-        i = bisect_left(keys, fx)
-        if i < len(keys) and keys[i] == fx:  # a float tie: resolve it exactly
-            i, hit = resolve_tie(
-                self.cut_points, i, bisect_right(keys, fx, i), x
-            )
-            if hit:
-                return None
-        return i + 1
+        i, hit = self._cut_index(x, fx)
+        return None if hit else i + 1
 
 
 def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartition:
@@ -328,6 +330,7 @@ def equivalence_classes(
     f: PiecewiseContraction,
     part: QuasiPartition,
     eps_fp: float = DEFAULT_EPS_FP,
+    orbits: Optional[list[PeriodicOrbit]] = None,
 ) -> EquivalenceClasses:
     """Group the breakpoint-adjacent intervals by shared forward orbits.
 
@@ -336,14 +339,14 @@ def equivalence_classes(
     stay inside single intervals, this matches the definition through a
     common absorbing interval.  Two forward index orbits meet exactly when
     they end in one cycle, so the classes group the adjacency intervals by
-    basin, ordered by their smallest member.
+    basin, ordered by their smallest member.  ``orbits`` is
+    ``periodic_orbits(f, part, eps_fp)`` when the caller already holds it.
     """
     n = f.n
-    cuts = part.cut_points
     adjacency = []
-    for x_i in f.breakpoints:
-        pos = bisect_left(cuts, x_i)
-        if pos >= len(cuts) or cuts[pos] != x_i:
+    for x_i, fx in zip(f.breakpoints, f._bp_keys):
+        pos, hit = part._cut_index(x_i, fx)
+        if not hit:
             raise ValueError("breakpoint missing from the closure points")
         adjacency.append((pos + 1, pos + 2))
     members = list(dict.fromkeys(idx for pair in adjacency for idx in pair))
@@ -352,7 +355,8 @@ def equivalence_classes(
         grouped.setdefault(part.basins[idx - 1], []).append(idx)
     classes = tuple(tuple(v) for v in sorted(grouped.values(), key=min))
 
-    orbits = periodic_orbits(f, part, eps_fp)
+    if orbits is None:
+        orbits = periodic_orbits(f, part, eps_fp)
     if len(classes) > n:
         raise BoundViolationError(
             f"{len(classes)} equivalence classes exceed branch count {n}"

@@ -154,7 +154,7 @@ def run_sample(cfg: RunConfig, index: int) -> SampleRecord:
             orbits = periodic_orbits(f, part, cfg.eps_fp)
             orbit_count = len(orbits)
             try:
-                ec = equivalence_classes(f, part, cfg.eps_fp)
+                ec = equivalence_classes(f, part, cfg.eps_fp, orbits)
                 class_count = len(ec.classes)
             except BoundViolationError:
                 violation = True

@@ -175,6 +175,24 @@ class TestCommands:
             "3,7/20",
         ]
 
+    @pytest.mark.parametrize(
+        "text, rows, digest",
+        [
+            (P3.replace("k 2", "k 10"), 17, "4ec8a32b59ff28a56b48add9ed79a6ab"
+             "9b3a3dc02c15eac7c5d20abc0a3b5502"),
+            ("backend exact\nmap affine -2/5 3/5\nmap affine 1/3 1/7\n"
+             "map affine 3/7 2/9\nbreakpoints 2/7 5/8\nk 4\n", 13,
+             "18fa1f38b5c93592939e623f58c8475626a24a1ee93448f5fec15eb996c655a3"),
+        ],
+        ids=["period3-k10", "n3-k4"],
+    )
+    def test_power_csv_pinned(self, tmp_path, capsys, text, rows, digest):
+        # pinned from the output of an emit_power that re-derived each word
+        assert main(["power", "--config", self.write(tmp_path, text)]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == rows
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_cap_emits_delta(self, tmp_path, capsys):
         text = (
             "backend exact\n"

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import pcdyn.ifs
+import pcdyn.numerics
 from pcdyn import (
     Affine,
     Backend,
@@ -21,7 +22,7 @@ from pcdyn import (
     ifs_image,
 )
 from pcdyn.sampling import draw_breakpoints, draw_ifs, rng_for_sample
-from _support import example_ifs, generic_sequence
+from _support import example_ifs, fraction_measure, generic_sequence
 
 
 def min_endpoint(k):
@@ -122,6 +123,117 @@ def random_rational_affine(rng):
 K_FOR_N = {2: 8, 3: 7, 4: 5, 5: 5}
 
 
+TOUCHING = [
+    # A_1: images [1/6, 1/2] and [1/2, 5/6] share the endpoint 1/2
+    (((F(1, 3), F(1, 6)), (F(1, 3), F(1, 2))), [1, 1, 2, 4]),
+    # the same touch with a reversed (negative-slope) first image
+    (((F(-1, 3), F(1, 2)), (F(1, 3), F(1, 2))), [1, 1, 2, 4]),
+    # A_1: a constant map's point 4/7 is the other image's right end
+    (((0, F(4, 7)), (F(2, 7), F(2, 7))), [1, 1, 2, 3]),
+    # A_1: thirds, [1/9, 4/9] and [4/9, 7/9] touch at 4/9
+    (((F(1, 3), F(1, 9)), (F(1, 3), F(4, 9))), [1, 1, 2, 4]),
+    # A_2: [7/63, 15/63] and the reversed [15/63, 23/63] touch
+    (((F(1, 3), F(2, 21)), (F(-1, 3), F(8, 21))), [1, 1, 1, 2]),
+]
+
+
+def _seeded_systems():
+    """(ifs, k_max) for 240 seeded rational affine systems, n = 2-5."""
+    rng = random.Random(20141)
+    for idx in range(240):
+        n = 2 + idx % 4
+        ifs = IteratedFunctionSystem(
+            tuple(random_rational_affine(rng) for _ in range(n))
+        )
+        yield ifs, 1 + idx % K_FOR_N[n] if idx % 3 else K_FOR_N[n]
+
+
+def _differential_systems():
+    """(ifs, k_max): the touching cases, then the seeded systems."""
+    for maps, counts in TOUCHING:
+        yield IteratedFunctionSystem(tuple(Affine(a, b) for a, b in maps)), 3
+    yield from _seeded_systems()
+
+
+def _integer_backed(ifs, k_max):
+    seq = attractor_sequence(ifs, k_max)
+    assert all(s._runs is not None for s in seq)
+    return seq
+
+
+class TestIntegerBackedSets:
+    """A_k from the integer path, read before and after its components
+    exist, against the generic path's sets."""
+
+    def test_integer_answers_match_generic(self):
+        outcomes = set()
+        seen = {"negative": 0, "zero": 0}
+        prev = None
+        for ifs, k_max in _differential_systems():
+            want = generic_sequence(ifs, k_max)
+            got = _integer_backed(ifs, k_max)
+            assert [len(s) for s in got] == [len(w) for w in want]
+            assert [s.measure() for s in got] == [
+                fraction_measure(w) for w in want
+            ]
+            pairs = [(j, k) for j in range(k_max + 1) for k in range(k_max + 1)]
+            for j, k in pairs:
+                result = got[j].contains_set(got[k])
+                assert result == want[j].contains_set(want[k]), (ifs, j, k)
+                outcomes.add((j <= k, result))
+            if prev is not None:  # two systems: unrelated denominators
+                pgot, pwant = prev
+                for (s, w), (ps, pw) in zip(zip(got, want), zip(pgot, pwant)):
+                    assert s.contains_set(ps) == w.contains_set(pw)
+                    assert ps.contains_set(s) == pw.contains_set(w)
+            assert all(s._runs is not None for s in got)  # nothing built yet
+            prev = (got, want)
+            seen["negative"] += any(m.a < 0 for m in ifs)
+            seen["zero"] += any(m.a == 0 for m in ifs)
+        # nested pairs hold, and some pairs are not nested
+        assert outcomes == {(True, True), (False, True), (False, False)}
+        assert min(seen.values()) >= 20, seen
+
+    def test_endpoints_match_generic(self):
+        for ifs, k_max in _differential_systems():
+            want = generic_sequence(ifs, k_max)
+            for s, w in zip(_integer_backed(ifs, k_max), want):
+                assert list(s) == list(w)
+                assert s._runs is None  # one representation once built
+                assert [s.components[i] for i in range(len(w))] == list(
+                    w.components
+                )
+                assert s.measure() == fraction_measure(w)
+            for s, w in zip(_integer_backed(ifs, k_max), want):
+                assert s == w
+            for s, w in zip(_integer_backed(ifs, k_max), want):
+                assert w == s
+            for s, w in zip(_integer_backed(ifs, k_max), want):
+                assert hash(s) == hash(w)
+            got = _integer_backed(ifs, k_max)
+            if want[-1] != want[-2]:  # constant maps: A_k stops changing
+                assert got[-1] != want[-2] and want[-2] != got[-1]
+
+    def test_len_measure_contains_set_build_no_interval(self, monkeypatch):
+        built = []
+
+        def spy(lo, hi):
+            built.append((lo, hi))
+            return Interval(lo, hi)
+
+        monkeypatch.setattr(pcdyn.numerics, "Interval", spy)
+        for ifs, k_max in list(_differential_systems())[:12]:
+            seq = _integer_backed(ifs, k_max)
+            for k in range(k_max):
+                len(seq[k])
+                seq[k].measure()
+                seq[k].contains_set(seq[k + 1])
+                seq[k + 1].contains_set(seq[k])
+        assert built == []
+        list(seq[-1])  # the spy sees the components once they are read
+        assert len(built) == len(seq[-1])
+
+
 class TestIntegerAttractorPath:
     """The integer path of attractor_sequence against the generic path."""
 
@@ -134,16 +246,11 @@ class TestIntegerAttractorPath:
             return real(maps, k_max)
 
         monkeypatch.setattr(pcdyn.ifs, "_rational_affine_sequence", spy)
-        rng = random.Random(20141)
         seen = {"negative": 0, "zero": 0, "int": 0, "non-dyadic": 0, "merged": 0}
-        for idx in range(240):
-            n = 2 + idx % 4
-            ifs = IteratedFunctionSystem(
-                tuple(random_rational_affine(rng) for _ in range(n))
-            )
-            k_max = 1 + idx % K_FOR_N[n] if idx % 3 else K_FOR_N[n]
+        for ifs, k_max in _seeded_systems():
+            n = len(ifs)
             got = attractor_sequence(ifs, k_max)
-            assert got == generic_sequence(ifs, k_max), (idx, ifs)
+            assert got == generic_sequence(ifs, k_max), ifs
             seen["negative"] += any(m.a < 0 for m in ifs)
             seen["zero"] += any(m.a == 0 for m in ifs)
             seen["int"] += any(type(m.a) is int for m in ifs)
@@ -154,21 +261,7 @@ class TestIntegerAttractorPath:
         assert len(taken) == 240
         assert min(seen.values()) >= 20, seen
 
-    @pytest.mark.parametrize(
-        "maps, counts",
-        [
-            # A_1: images [1/6, 1/2] and [1/2, 5/6] share the endpoint 1/2
-            (((F(1, 3), F(1, 6)), (F(1, 3), F(1, 2))), [1, 1, 2, 4]),
-            # the same touch with a reversed (negative-slope) first image
-            (((F(-1, 3), F(1, 2)), (F(1, 3), F(1, 2))), [1, 1, 2, 4]),
-            # A_1: a constant map's point 4/7 is the other image's right end
-            (((0, F(4, 7)), (F(2, 7), F(2, 7))), [1, 1, 2, 3]),
-            # A_1: thirds, [1/9, 4/9] and [4/9, 7/9] touch at 4/9
-            (((F(1, 3), F(1, 9)), (F(1, 3), F(4, 9))), [1, 1, 2, 4]),
-            # A_2: [7/63, 15/63] and the reversed [15/63, 23/63] touch
-            (((F(1, 3), F(2, 21)), (F(-1, 3), F(8, 21))), [1, 1, 1, 2]),
-        ],
-    )
+    @pytest.mark.parametrize("maps, counts", TOUCHING)
     def test_touching_images_merge(self, maps, counts):
         ifs = IteratedFunctionSystem(tuple(Affine(a, b) for a, b in maps))
         got = attractor_sequence(ifs, 3)

@@ -374,3 +374,51 @@ def test_measure_on_int_and_float_endpoints(pairs):
     s = iset(*pairs)
     got, want = s.measure(), fraction_measure(s)
     assert got == want and type(got) is type(want)
+
+
+def _random_runs(rng, q):
+    """Ascending disjoint (lo, hi) numerator pairs over q, some degenerate."""
+    cuts = sorted(rng.sample(range(q + 1), 2 * rng.randint(0, min(5, q // 2))))
+    runs = list(zip(cuts[::2], cuts[1::2]))
+    return [(lo, lo) if rng.randrange(4) == 0 else (lo, hi) for lo, hi in runs]
+
+
+def _shrunk(rng, runs, up):
+    """Sub-runs of ``runs`` over a denominator ``up`` times finer."""
+    out = []
+    for lo, hi in runs:
+        if rng.randrange(3):
+            a = rng.randint(lo * up, hi * up)
+            out.append((a, rng.randint(a, hi * up)))
+    return out
+
+
+def _generic(runs, q):
+    return IntervalSet(tuple(Interval(F(lo, q), F(hi, q)) for lo, hi in runs))
+
+
+def test_integer_backed_sets_match_generic_sets():
+    rng = random.Random(33)
+    outcomes = set()
+    for _ in range(400):
+        q = rng.choice([1, 2, 6, 12, 35, 64, 3**7, 2**40 * 21])
+        outer = _random_runs(rng, min(q, 40) if rng.randrange(2) else q)
+        up = rng.choice([1, 2, 3, 10])
+        # a sub-collection of outer over q*up, or unrelated runs over q2
+        inner, q2 = (
+            (_shrunk(rng, outer, up), q * up) if rng.randrange(2)
+            else (_random_runs(rng, 48), 48)
+        )
+        a, b = IntervalSet._from_runs(outer, q), IntervalSet._from_runs(inner, q2)
+        ga, gb = _generic(outer, q), _generic(inner, q2)
+        assert (len(a), len(b)) == (len(ga), len(gb))
+        assert a.measure() == fraction_measure(ga)
+        assert b.measure() == fraction_measure(gb)
+        for x, y, gx, gy in ((a, b, ga, gb), (b, a, gb, ga)):
+            got = x.contains_set(y)
+            assert got == gx.contains_set(gy), (outer, q, inner, q2)
+            outcomes.add(got)
+        assert a._runs is not None and b._runs is not None
+        assert a == ga and gb == b and hash(a) == hash(ga) and hash(b) == hash(gb)
+        assert a.is_empty == ga.is_empty
+    assert outcomes == {True, False}

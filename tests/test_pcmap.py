@@ -415,6 +415,24 @@ class TestPowerMap:
             right = g.ifs.maps[j + 1](y)
             assert v in (left, right)
 
+    def test_words_are_the_branch_digit_words(self):
+        rng = random.Random(23)
+        for idx in range(40):
+            f = draw_pc(rng_for_sample(77, idx), 2 + idx % 3, 0.45)
+            k = 1 + idx % 4
+            g = power_map(f, k)
+            bounds = (F(0),) + g.breakpoints.points + (F(1),)
+            assert g.words == tuple(
+                pcmap._digit_word(f, (lo + hi) / 2, k)
+                for lo, hi in zip(bounds, bounds[1:])
+            )
+            x = F(rng.randrange(2**16), 2**16)
+            assert g.words[g.digit(x) - 1] == pcmap._digit_word(f, x, k)
+        assert f.words == ()
+        assert g == power_map(f, k) and hash(g) == hash(
+            PiecewiseContraction(g.ifs, g.breakpoints, g.closures)
+        )
+
     def test_refined_set_matches_manual_preimages(self):
         # brute-force oracle: solve a*x + b = q on each branch directly
         f = period3_pc()

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import pcdyn.quasipartition
 from pcdyn import (
     Affine,
+    BoundViolationError,
     Breakpoints,
     Clamped,
     Interval,
@@ -561,3 +563,72 @@ class TestLookupsAgainstExactBisect:
             for x in cuts + tuple(F(g, 64) for g in range(64)):
                 assert part.locate(x) == _oracle_locate(part, x)
             checked += 1
+
+
+def _hand_partition(cuts, transition):
+    """A QuasiPartition on the given cut points with the given index map."""
+    bounds = (F(0),) + tuple(cuts) + (F(1),)
+    return QuasiPartition(
+        PreimageSet((), 0, COMPLETE),
+        tuple(cuts),
+        tuple(Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:])),
+        tuple(transition),
+        (1,) * (len(cuts) + 1),
+    )
+
+
+def _three_branch_pc(bps):
+    maps = (Affine(F(1, 2), F(1, 4)), Affine(F(1, 3), F(1, 3)), Affine(0, F(1, 2)))
+    return PiecewiseContraction(IteratedFunctionSystem(maps), Breakpoints(bps))
+
+
+class TestEquivalenceClassesInputs:
+    def test_given_orbits_are_not_recomputed(self, monkeypatch):
+        rng = random.Random(1409)
+        checked = 0
+        while checked < 20:
+            built = _random_partition(rng)
+            if built is None:
+                continue
+            f, part = built
+            orbs = periodic_orbits(f, part)
+            want = _oracle_equivalence_classes(f, part)
+
+            def refuse(*args):
+                raise AssertionError("periodic_orbits recomputed")
+
+            with monkeypatch.context() as m:
+                m.setattr(pcdyn.quasipartition, "periodic_orbits", refuse)
+                assert equivalence_classes(f, part, orbits=orbs) == want
+            checked += 1
+
+    def test_bound_checks_keep_their_messages(self):
+        f = period3_pc()
+        part = build_partition(f, preimage_set(f))
+        orbs = periodic_orbits(f, part)
+        with pytest.raises(
+            BoundViolationError, match="^2 periodic orbits exceed class count 1$"
+        ):
+            equivalence_classes(f, part, orbits=orbs * 2)
+        # four adjacency intervals, each its own fixed cycle, for n = 3
+        f3 = _three_branch_pc((F(1, 4), F(3, 4)))
+        part = _hand_partition((F(1, 4), F(1, 2), F(3, 4)), (1, 2, 3, 4))
+        with pytest.raises(
+            BoundViolationError, match="^4 equivalence classes exceed branch count 3$"
+        ):
+            equivalence_classes(f3, part, orbits=[])
+
+    def test_breakpoint_found_among_float_tied_cut_points(self):
+        x, eps = F(1, 3), F(1, 2**80)
+        cuts = (x - eps, x, x + eps, F(2, 3))
+        assert len(set(float(c) for c in cuts[:3])) == 1
+        part = _hand_partition(cuts, (1,) * 5)
+        ec = equivalence_classes(_three_branch_pc((x, F(2, 3))), part, orbits=[])
+        assert ec.adjacency == ((2, 3), (4, 5))
+        for missing in (x + eps / 2, x - 2 * eps, F(1, 2)):
+            with pytest.raises(
+                ValueError, match="^breakpoint missing from the closure points$"
+            ):
+                equivalence_classes(
+                    _three_branch_pc((missing, F(2, 3))), part, orbits=[]
+                )

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import pcdyn.quasipartition
 from pcdyn import (
     Backend,
     Breakpoints,
@@ -45,6 +46,23 @@ class TestRunSample:
             assert rec.q_status == "complete"
             assert rec.m >= 1
             assert 1 <= rec.orbit_count <= 2
+
+    def test_periodic_orbits_computed_once_per_sample(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return periodic_orbits(*args)
+
+        monkeypatch.setattr(survey, "periodic_orbits", spy)
+        monkeypatch.setattr(pcdyn.quasipartition, "periodic_orbits", spy)
+        reached = 0
+        for i in range(10):
+            calls.clear()
+            rec = run_sample(small_cfg(n=3), i)
+            assert len(calls) == (rec.m > 0)
+            reached += rec.m > 0
+        assert reached >= 5
 
     def test_samples_independent_of_order(self):
         a = [run_sample(small_cfg(), i) for i in range(5)]
