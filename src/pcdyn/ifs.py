@@ -102,17 +102,17 @@ def _rational_affine_sequence(
     """attractor_sequence for rational affine maps, in integer arithmetic.
 
     A_k is held as ascending (lo, hi) numerator pairs over one common
-    denominator q.  With L the lcm of every coefficient denominator, map
-    x -> a*x + b sends p/q to (aL*p + bL*q) / (L*q), where aL and bL are
-    integers.  Each map's images form an ascending run (read backwards for
-    a negative slope), so the sort merges n runs; touching components
-    merge as in ``IntervalSet.normalize``.  One gcd per step keeps q and
-    the numerators reduced; each A_k keeps its pairs and q, and builds its
-    endpoint Fractions only when they are read.
+    denominator q.  With L the lcm of the maps' integer-form denominators
+    D, map x -> (A*x + B)/D sends p/q to (aL*p + bL*q) / (L*q), where
+    aL = A*L/D and bL = B*L/D.  Each map's images form an ascending run
+    (read backwards for a negative slope), so the sort merges n runs;
+    touching components merge as in ``IntervalSet.normalize``.  One gcd
+    per step keeps q and the numerators reduced; each A_k keeps its pairs
+    and q, and builds its endpoint Fractions only when they are read.
     """
     ints = [m._ints for m in maps]
-    den = math.lcm(*(d for _, ad, _, bd in ints for d in (ad, bd)))
-    coeffs = [(an * (den // ad), bn * (den // bd)) for an, ad, bn, bd in ints]
+    den = math.lcm(*(d for _, _, d in ints))
+    coeffs = [(a * (den // d), b * (den // d)) for a, b, d in ints]
     runs, q = [(0, 1)], 1
     seq = [IntervalSet._from_runs(runs, q)]
     for _ in range(k_max):

@@ -116,15 +116,15 @@ class Affine(MapDescriptor):
 
     def __post_init__(self):
         ra, rb = _ratio(self.a), _ratio(self.b)
-        ints = (ra + rb) if ra and rb else None
+        ints = None
+        if ra and rb:  # the integer form: a = A/D, b = B/D, D = lcm(ad, bd)
+            (an, ad), (bn, bd) = ra, rb
+            D = ad // math.gcd(ad, bd) * bd
+            ints = A, B, D = an * (D // ad), bn * (D // bd), D
         object.__setattr__(self, "_ints", ints)
-        if ints is not None:
-            # |a| < 1, 0 < b < 1 and 0 < a + b < 1, cross-multiplied over
-            # the positive denominators; a failure raises below
-            an, ad, bn, bd = ints
-            s = an * bd + bn * ad  # (a + b) * ad * bd
-            if -ad < an < ad and 0 < bn < bd and 0 < s < ad * bd:
-                return
+        # |a| < 1, 0 < b < 1 and 0 < a + b < 1 over D; a failure raises below
+        if ints is not None and -D < A < D and 0 < B < D and 0 < A + B < D:
+            return
         if not abs(self.a) < 1:
             raise ValueError(f"Lipschitz bound >= 1: |a| = {abs(self.a)}")
         for v in (self.b, self.a + self.b):
@@ -133,13 +133,23 @@ class Affine(MapDescriptor):
                     f"image of [0, 1] leaves (0, 1): endpoint value {v}"
                 )
 
+    @staticmethod
+    def _from_ints(A: int, B: int, D: int) -> "Affine":
+        """The map x -> (A*x + B)/D, known valid: no checks, no parsing."""
+        g = math.gcd(A, B, D)
+        A, B, D = A // g, B // g, D // g
+        m = object.__new__(Affine)
+        m.__dict__.update(
+            a=_raw_fraction(A, D), b=_raw_fraction(B, D), _ints=(A, B, D)
+        )
+        return m
+
     def _eval(self, x: Scalar) -> Scalar:
         ints = self._ints
         if ints is not None and type(x) is Fraction:
-            an, ad, bn, bd = ints
-            xn, xd = x._numerator, x._denominator
-            den = ad * xd
-            return _raw_fraction(an * xn * bd + bn * den, den * bd)
+            A, B, D = ints
+            xd = x._denominator
+            return _raw_fraction(A * x._numerator + B * xd, D * xd)
         return self.a * x + self.b
 
     def lipschitz_bound(self) -> Scalar:
@@ -268,10 +278,6 @@ class Clamped(MapDescriptor):
                 f"clamp window invalid: need 0 <= lo < hi <= 1, "
                 f"got [{self.lo}, {self.hi}]"
             )
-        rlo, rhi = _ratio(self.lo), _ratio(self.hi)
-        object.__setattr__(
-            self, "_window_ints", (rlo + rhi) if rlo and rhi else None
-        )
 
     @cached_property
     def _vlo(self) -> Scalar:
@@ -282,15 +288,6 @@ class Clamped(MapDescriptor):
         return self.inner._eval(self.hi)
 
     def _eval(self, x: Scalar) -> Scalar:
-        ints = self._window_ints
-        if ints is not None and type(x) is Fraction:
-            ln, ld, hn, hd = ints
-            xn, xd = x._numerator, x._denominator
-            if xn * ld <= ln * xd:
-                return self._vlo
-            if xn * hd >= hn * xd:
-                return self._vhi
-            return self.inner._eval(x)
         if x <= self.lo:
             return self._vlo
         if x >= self.hi:
@@ -408,9 +405,15 @@ def compose(outer: MapDescriptor, inner: MapDescriptor) -> MapDescriptor:
         parts.extend(m.chain if isinstance(m, Composed) else (m,))
     merged: list[MapDescriptor] = []
     for m in parts:
-        if merged and isinstance(merged[-1], Affine) and isinstance(m, Affine):
-            prev = merged[-1]
-            merged[-1] = Affine(m.a * prev.a, m.a * prev.b + m.b)
+        prev = merged[-1] if merged else None
+        if isinstance(prev, Affine) and isinstance(m, Affine):
+            if prev._ints is not None and m._ints is not None:
+                (A1, B1, D1), (A2, B2, D2) = prev._ints, m._ints
+                merged[-1] = Affine._from_ints(
+                    A2 * A1, A2 * B1 + B2 * D1, D2 * D1
+                )
+            else:
+                merged[-1] = Affine(m.a * prev.a, m.a * prev.b + m.b)
         else:
             merged.append(m)
     if len(merged) == 1:

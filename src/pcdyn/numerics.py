@@ -85,8 +85,9 @@ EXACT = Backend.exact()
 # On CPython, Fraction's generic operators (ABC isinstance checks, the
 # parsing constructor, _richcmp) cost several times the integer arithmetic
 # behind them, so hot exact loops build, compare and search through these
-# helpers, which read Fraction internals.  The only other readers are the
-# integer fast paths of Affine._eval and Clamped._eval in maps.py.
+# helpers, which read Fraction internals.  The only other readers are
+# Affine._eval and Clamped._eval (maps.py), PiecewiseContraction.__call__
+# (pcmap.py), and _gaps_at_least and _intercept_range (sampling.py).
 
 
 def _raw_fraction(num: int, den: int) -> Fraction:
@@ -109,23 +110,23 @@ def _ratio(x) -> Optional[tuple[int, int]]:
 
 
 def affine_solve(
-    ints: tuple[int, int, int, int], y: Scalar, lo: Scalar, hi: Scalar
+    ints: tuple[int, int, int], y: Scalar, lo: Scalar, hi: Scalar
 ) -> Optional[list[Fraction]]:
     """The solutions of a*x + b = y with lo <= x <= hi, in integers.
 
-    ``ints = (an, ad, bn, bd)`` gives a = an/ad != 0 and b = bn/bd.  The
-    domain test is cross-multiplied, so a y outside the image of [lo, hi]
-    builds no Fraction.  None when y is not a Fraction or an end is not
-    rational: the caller then takes the generic path.
+    ``ints = (A, B, D)`` is the map's integer form: a = A/D != 0, b = B/D.
+    The domain test is cross-multiplied, so a y outside the image of
+    [lo, hi] builds no Fraction.  None when y is not a Fraction or an end
+    is not rational: the caller then takes the generic path.
     """
     rlo, rhi = _ratio(lo), _ratio(hi)
     if type(y) is not Fraction or rlo is None or rhi is None:
         return None
-    an, ad, bn, bd = ints
+    A, B, D = ints
     yn, yd = y._numerator, y._denominator
-    # x = (y - b)/a = (yn*bd - bn*yd)*ad / (yd*bd*an)
-    num = (yn * bd - bn * yd) * ad
-    den = yd * bd * an
+    # x = (y - B/D) / (A/D) = (yn*D - B*yd) / (A*yd)
+    num = yn * D - B * yd
+    den = A * yd
     if den < 0:
         num, den = -num, -den
     (ln, ld), (hn, hd) = rlo, rhi

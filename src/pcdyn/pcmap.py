@@ -25,12 +25,14 @@ from .errors import (
     NonDiscretePreimageError,
 )
 from .ifs import IteratedFunctionSystem
-from .maps import DEFAULT_EPS_FP, MapDescriptor, compose
+from .maps import DEFAULT_EPS_FP, Affine, Clamped, MapDescriptor, compose
 from .numerics import (
     EXACT,
     Backend,
     Interval,
     Scalar,
+    _ratio,
+    _raw_fraction,
     float_keys,
     resolve_tie,
     unit_key,
@@ -106,7 +108,6 @@ class PiecewiseContraction:
         object.__setattr__(
             self, "_bp_keys", float_keys(self.breakpoints.points)
         )
-        object.__setattr__(self, "_branch_maps", self.ifs.maps)
 
     @property
     def n(self) -> int:
@@ -126,7 +127,38 @@ class PiecewiseContraction:
         return i + 1
 
     def __call__(self, x: Scalar) -> Scalar:
-        return self._branch_maps[self.digit(x) - 1]._eval(x)
+        if type(x) is Fraction and 0 < x._numerator < x._denominator:
+            # off the breakpoint keys, the branch's integer form inline;
+            # ties and every other input take digit + _eval
+            xn, xd = x._numerator, x._denominator
+            keys, fx = self._bp_keys, xn / xd
+            i = bisect_right(keys, fx)
+            form = None if i and keys[i - 1] == fx else self._branch_forms[i]
+            if form is not None:
+                A, B, D, window = form
+                if window is not None:
+                    ln, ld, hn, hd, vlo, vhi = window
+                    if xn * ld <= ln * xd:
+                        return vlo
+                    if xn * hd >= hn * xd:
+                        return vhi
+                return _raw_fraction(A * xn + B * xd, D * xd)
+        return self.ifs.maps[self.digit(x) - 1]._eval(x)
+
+    @cached_property
+    def _branch_forms(self) -> tuple:
+        """Per branch, (A, B, D, window) for a rational Affine map or a
+        Clamped one (window: the clamp ends' integers and plateau values),
+        else None."""
+        out = []
+        for m in self.ifs.maps:
+            window = None
+            if type(m) is Clamped and _ratio(m.lo) and _ratio(m.hi):
+                window = _ratio(m.lo) + _ratio(m.hi) + (m._vlo, m._vhi)
+                m = m.inner
+            rational = type(m) is Affine and m._ints is not None
+            out.append(m._ints + (window,) if rational else None)
+        return tuple(out)
 
     def branch_domain(self, i: int) -> tuple[Scalar, Scalar, bool, bool]:
         """(lo, hi, lo_included, hi_included) for branch i."""
@@ -144,13 +176,15 @@ class PiecewiseContraction:
         a solution sitting on a breakpoint is attributed to the branch that
         owns it.
         """
-        found: set[Scalar] = set()
+        found: list[Scalar] = []
         for m, dom, lo_inc, hi_inc in self._domains:
             for p in m.preimages(y, dom, backend):
                 if (p == dom.lo and not lo_inc) or (p == dom.hi and not hi_inc):
                     continue
-                found.add(p)
-        return sorted(found)
+                found.append(p)
+        # exact solutions ascend within their branch's domain, and a shared
+        # end belongs to one branch: in branch order they already ascend
+        return found if not backend.eps_cmp else sorted(set(found))
 
     @cached_property
     def _domains(self) -> tuple:
@@ -489,7 +523,7 @@ def power_map(
                     raise InexactPreimageError(
                         f"irrational preimage of {q} cannot refine exactly"
                     )
-                if p not in cuts and 0 < p < 1:
+                if p and p not in cuts:  # preimages lie in [0, 1)
                     nxt.add(p)
         cuts.update(nxt)
         level = nxt
@@ -498,7 +532,8 @@ def power_map(
     ys = sorted(cuts)
     bounds = [EXACT.zero] + ys + [EXACT.one]
     branch_words = tuple(
-        _digit_word(f, (lo + hi) / 2, k) for lo, hi in zip(bounds, bounds[1:])
+        _digit_word(f, Interval(lo, hi).midpoint(), k)
+        for lo, hi in zip(bounds, bounds[1:])
     )
     maps = tuple(_word_map(f, w) for w in branch_words)
     # a refined breakpoint belongs to whichever adjacent branch its own

@@ -114,8 +114,9 @@ def preimage_set(
                     raise InexactPreimageError(
                         f"irrational preimage of {e.point}"
                     )
-                if p not in seen:
-                    seen.add(p)
+                known = len(seen)
+                seen.add(p)  # the point's one hash
+                if len(seen) > known:
                     level.append(QPoint(p, e.source, depth))
         entries.extend(level)
         if len(entries) > size_cap:

@@ -11,13 +11,15 @@ sweeps produce identical streams.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .ifs import IteratedFunctionSystem
 from .maps import Affine
 from .numerics import _raw_fraction
 from .pcmap import Breakpoints, PiecewiseContraction
+
+if TYPE_CHECKING:  # numpy loads with the first stream, not with pcdyn
+    import numpy as np
 
 RATIONAL_BITS = 32
 DEFAULT_MARGIN = Fraction(1, 64)
@@ -31,6 +33,8 @@ def rationalize(x: float, bits: int = RATIONAL_BITS) -> Fraction:
 
 def rng_for_sample(seed: int, index: int) -> np.random.Generator:
     """Independent deterministic stream for one sample of a sweep."""
+    import numpy as np
+
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     )

@@ -135,3 +135,30 @@ def affine_check_error(a, b):
         if not 0 < v < 1:
             return f"image of [0, 1] leaves (0, 1): endpoint value {v}"
     return None
+
+
+def generic_value(f, x):
+    """f(x) through digit and the branch map's generic a*x + b; a clamped
+    affine branch first clamps x into its window by comparison.  Other
+    branch maps evaluate through their own _eval."""
+    m = f.ifs.maps[f.digit(x) - 1]
+    if isinstance(m, Clamped) and isinstance(m.inner, Affine):
+        x = min(max(x, m.lo), m.hi)
+        m = m.inner
+    if isinstance(m, Affine):
+        return m.a * x + m.b
+    return m._eval(x)
+
+
+def fraction_compose(outer: Affine, inner: Affine) -> Affine:
+    """compose() of two affine maps through generic Fraction arithmetic."""
+    return Affine(outer.a * inner.a, outer.a * inner.b + outer.b)
+
+
+def fraction_word_map(f: PiecewiseContraction, word) -> Affine:
+    """The map of a digit word of an affine system, first digit acting
+    first, composed through :func:`fraction_compose`."""
+    m = f.ifs.maps[word[0] - 1]
+    for d in word[1:]:
+        m = fraction_compose(f.ifs.maps[d - 1], m)
+    return m

@@ -279,6 +279,20 @@ class TestCommands:
             parse_config("kappa_max 0.6\neps_range 1/4\n")
         assert parse_config("kappa_max 0.6\neps_range 1/8\n").kappa_max == 0.6
 
+    def test_cli_import_leaves_numpy_out(self):
+        # numpy loads with the first sample stream, not with the CLI
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); import pcdyn.cli; "
+            "print('numpy' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_module_entry_point(self, tmp_path):
         cfgp = self.write(tmp_path, "samples 3\nn 2\nseed 11\ngrid 4\n")
         src = Path(__file__).resolve().parents[1] / "src"

@@ -22,7 +22,12 @@ from pcdyn import (
     ifs_image,
 )
 from pcdyn.sampling import draw_breakpoints, draw_ifs, rng_for_sample
-from _support import example_ifs, fraction_measure, generic_sequence
+from _support import (
+    example_ifs,
+    fraction_measure,
+    generic_sequence,
+    generic_value,
+)
 
 
 def min_endpoint(k):
@@ -364,3 +369,30 @@ class TestCapIfs:
                 for _ in range(100):
                     x = F(int(rng.integers(0, 2**20)), 2**20)
                     assert f_orig(x) == f_cap(x)
+
+    def test_capped_values_match_the_clamp_oracle(self):
+        # fused Clamped(Affine) branches against clamping by comparison;
+        # breakpoints moved out of the collar reach both plateaus
+        plateaus = [0, 0]  # hi side, lo side
+        for idx in range(20):
+            rng = rng_for_sample(2718, idx)
+            n = 2 + idx % 3
+            bps = draw_breakpoints(rng, n)
+            ifs = draw_ifs(rng, n, kappa_max=0.45)
+            plan = cap_ifs(ifs, bps)
+            f = PiecewiseContraction(ifs, Breakpoints(bps))
+            xs = [F(j, 1024) for j in range(1024)] + list(bps)
+            fc = PiecewiseContraction(plan.capped, f.breakpoints)
+            assert all(form[3] for form in fc._branch_forms)
+            for x in xs:
+                assert fc(x) == generic_value(fc, x) == f(x)
+            for shift in (-2 * plan.delta, 2 * plan.delta):
+                moved = tuple(b + shift for b in bps)
+                if not 0 < moved[0] < moved[-1] < 1:
+                    continue
+                fm = PiecewiseContraction(plan.capped, Breakpoints(moved))
+                for x in xs:
+                    assert fm(x) == generic_value(fm, x)
+                    m = plan.capped[fm.digit(x) - 1]
+                    plateaus[x <= m.lo] += not m.lo < x < m.hi
+        assert min(plateaus) > 100

@@ -14,7 +14,12 @@ from pcdyn import (
     Quadratic,
     compose,
 )
-from _support import affine_check_error, rand_descriptor
+from _support import (
+    affine_check_error,
+    fraction_compose,
+    rand_affine,
+    rand_descriptor,
+)
 
 EXACT = Backend.exact()
 
@@ -92,7 +97,7 @@ class TestAffineIntegerCheck:
 
     def test_ints_match_the_coefficients(self):
         m = Affine(F(-3, 8), F(5, 6))
-        assert m._ints == (-3, 8, 5, 6)
+        assert m._ints == (-9, 20, 24)  # a = -9/24, b = 20/24
         assert Affine(0.5, F(1, 4))._ints is None
 
 
@@ -141,6 +146,45 @@ class TestCompose:
             for _ in range(5):
                 x = F(rng.randrange(0, 101), 100)
                 assert m(x) == outer(inner(x))
+
+
+class TestIntegerCompose:
+    """compose merges rational affine pairs in their integer forms; the
+    Fraction composition is the oracle."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert (got.a, got.b) == (want.a, want.b)
+        assert type(got.a) is type(want.a) is F
+        assert type(got.b) is type(want.b) is F
+        assert got == want and hash(got) == hash(want)
+        assert got._ints == want._ints
+
+    def test_seeded_chains(self):
+        rng = random.Random(91)
+        for _ in range(300):
+            chain = [rand_affine(rng) for _ in range(rng.randint(2, 6))]
+            if rng.random() < 0.2:
+                chain[rng.randrange(len(chain))] = Affine(F(0), F(1, 3))
+            got = want = chain[0]
+            for m in chain[1:]:
+                got = compose(m, got)
+                want = fraction_compose(m, want)
+                self.assert_same(got, want)
+
+    def test_order_matters(self):
+        outer, inner = Affine(F(1, 2), F(1, 4)), Affine(F(-1, 3), F(1, 2))
+        got = compose(outer, inner)
+        self.assert_same(got, Affine(F(-1, 6), F(1, 2)))
+        self.assert_same(compose(inner, outer), Affine(F(-1, 6), F(5, 12)))
+
+    def test_int_and_float_coefficients(self):
+        self.assert_same(
+            compose(Affine(0, F(1, 3)), Affine(F(1, 2), F(1, 5))),
+            Affine(F(0), F(1, 3)),
+        )
+        mixed = compose(Affine(0.5, 0.25), Affine(F(1, 2), F(1, 4)))
+        assert mixed == Affine(0.25, 0.375) and mixed._ints is None
 
 
 class TestImage:

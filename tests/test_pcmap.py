@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -13,16 +15,32 @@ from pcdyn import (
     Clamped,
     Interval,
     IteratedFunctionSystem,
+    NonDiscretePreimageError,
     PiecewiseContraction,
     Quadratic,
+    cap_ifs,
+    compose,
     is_generic,
     orbit,
     power_map,
 )
 from pcdyn import pcmap
 from pcdyn.pcmap import LEFT_OPEN, RIGHT_OPEN, _generic_forward
-from pcdyn.sampling import draw_pc, rng_for_sample
-from _support import period3_pc
+from pcdyn.sampling import (
+    draw_breakpoints,
+    draw_ifs,
+    draw_pc,
+    rng_for_sample,
+)
+from _support import (
+    fraction_word_map,
+    generic_value,
+    period3_pc,
+    rand_affine,
+    rand_clamped,
+    rand_fraction,
+    rand_quadratic,
+)
 
 FLOAT = Backend.floating()
 
@@ -78,7 +96,7 @@ def _oracle_digit(f, x):
     return i + 1
 
 
-class TestDigitAgainstExactBisect:
+class TestDigitTiesAgainstExactBisect:
     def test_tied_breakpoints_and_closures(self):
         rng = random.Random(303)
         tiny = F(1, 2**70)
@@ -131,7 +149,180 @@ class TestEval:
             assert f(x) == f.ifs.maps[f.digit(x) - 1](x)
 
 
+def _mixed_pc(rng: random.Random) -> PiecewiseContraction:
+    """A seeded system of Affine branches (negative and zero slopes among
+    them) and Clamped affine branches, with random closures."""
+    n = rng.randint(2, 5)
+    cuts = set()
+    while len(cuts) < n - 1:
+        den = rng.choice([97, 2**16])
+        cuts.add(rand_fraction(rng, F(1, 50), F(49, 50), den))
+    kinds = (
+        rand_affine,
+        rand_clamped,
+        lambda r: Affine(F(0), F(r.randrange(1, 99), 99)),
+    )
+    maps = tuple(rng.choice(kinds)(rng) for _ in range(n))
+    closures = tuple(rng.choice((LEFT_OPEN, RIGHT_OPEN)) for _ in cuts)
+    return PiecewiseContraction(
+        IteratedFunctionSystem(maps), Breakpoints(tuple(sorted(cuts))),
+        closures,
+    )
+
+
+def _assert_call(f, x):
+    got, want = f(x), generic_value(f, x)
+    assert got == want and type(got) is type(want), (f, x)
+    if type(got) is F:  # normalised: the same integers and hash
+        assert got.as_integer_ratio() == want.as_integer_ratio()
+        assert hash(got) == hash(want)
+
+
+class TestFusedCall:
+    """__call__ evaluates rational Affine and Clamped affine branches from
+    their integer forms; digit + the generic a*x + b is the oracle."""
+
+    def test_seeded_mixed_systems(self):
+        rng = random.Random(4242)
+        tiny = F(1, 2**70)
+        slopes = set()
+        plateaus = 0
+        for _ in range(150):
+            f = _mixed_pc(rng)
+            xs = [F(rng.randrange(1, 2**20), 2**20) for _ in range(30)]
+            xs += [rand_fraction(rng, F(0), F(1), 3**20) for _ in range(10)]
+            for p in f.breakpoints:
+                xs += [p, p - tiny, p + tiny, p - F(1, 2**20)]
+            for x in xs:
+                if 0 <= x < 1:
+                    _assert_call(f, x)
+                    m = f.ifs.maps[f.digit(x) - 1]
+                    if isinstance(m, Clamped):
+                        plateaus += not m.lo < x < m.hi
+                    else:
+                        slopes.add((m.a > 0) - (m.a < 0))
+        assert slopes == {-1, 0, 1} and plateaus > 100
+
+    def test_breakpoints_sharing_one_float(self):
+        p = F(1, 3)
+        q = p + F(1, 2**70)
+        assert float(p) == float(q)
+        maps = (
+            Affine(F(1, 2), F(1, 4)),
+            Clamped(Affine(F(-1, 3), F(1, 2)), F(1, 5), F(1, 3) + F(1, 2**71)),
+            Affine(F(1, 4), F(1, 8)),
+        )
+        xs = [p, q, p + F(1, 2**71), p - F(1, 2**71), q + F(1, 2**71)]
+        assert len({float(x) for x in xs}) == 1
+        for closures in [(a, b) for a in (LEFT_OPEN, RIGHT_OPEN)
+                         for b in (LEFT_OPEN, RIGHT_OPEN)]:
+            f = PiecewiseContraction(
+                IteratedFunctionSystem(maps), Breakpoints((p, q)), closures
+            )
+            for x in xs + [F(1, 4), F(1, 2)]:
+                _assert_call(f, x)
+
+    def test_fused_path_skips_digit_and_ties_take_it(self, monkeypatch):
+        f = PiecewiseContraction(
+            IteratedFunctionSystem(
+                (Affine(F(1, 2), F(1, 4)),
+                 Clamped(Affine(F(1, 2), F(1, 8)), F(1, 2), F(3, 4)))
+            ),
+            Breakpoints((F(3, 10),)),
+            (LEFT_OPEN,),
+        )
+        want = {x: generic_value(f, x) for x in (F(1, 10), F(3, 5), F(7, 8))}
+        calls = []
+        digit = PiecewiseContraction.digit
+
+        def counted(self, x):
+            calls.append(x)
+            return digit(self, x)
+
+        monkeypatch.setattr(PiecewiseContraction, "digit", counted)
+        for x, v in want.items():
+            assert f(x) == v
+        assert calls == []
+        assert f(F(3, 10)) == Affine(F(1, 2), F(1, 4))(F(3, 10))  # left-open
+        assert calls == [F(3, 10)]
+
+    def test_other_inputs_take_the_generic_path(self):
+        f = _mixed_pc(random.Random(8))
+        for x in (F(0), 0, 0.0, 0.3, 0.75, F(1, 2**1100), F(1) - F(1, 2**60)):
+            _assert_call(f, x)
+        clamped = Clamped(Affine(F(1, 3), F(1, 3)), F(1, 4), F(3, 4))
+        maps = (
+            rand_quadratic(random.Random(3)),
+            compose(Affine(F(1, 2), F(1, 4)), clamped),
+            Affine(0.5, 0.125),
+        )
+        g = PiecewiseContraction(
+            IteratedFunctionSystem(maps), Breakpoints((F(1, 3), F(2, 3)))
+        )
+        assert g._branch_forms == (None, None, None)
+        for x in (F(1, 7), F(1, 2), F(5, 6), F(1, 3), 0.5, 0):
+            _assert_call(g, x)
+
+    def test_outside_the_unit_interval_raises_the_same(self):
+        f = _mixed_pc(random.Random(9))
+        xs = (F(1), 1, 1.0, F(3, 2), F(-1, 10), -1, -0.25, F(10**400, 3),
+              -F(1, 2**1100))
+        for x in xs:
+            message = re.escape(f"point {x} outside [0, 1)")
+            with pytest.raises(ValueError, match=message):
+                f(x)
+
+
+def _values_digest() -> str:
+    """SHA-256 of f, the capped f, f^2 and f^3 at (2j+1)/512 on seeded
+    systems (slopes of both signs), one line per map."""
+    h = hashlib.sha256()
+    xs = [F(2 * j + 1, 512) for j in range(256)]
+    for idx in range(12):
+        rng = rng_for_sample(909, idx)
+        n = 2 + idx % 3
+        bps = draw_breakpoints(rng, n)
+        ifs = draw_ifs(rng, n, kappa_max=0.45)
+        f = PiecewiseContraction(ifs, Breakpoints(bps))
+        fc = PiecewiseContraction(cap_ifs(ifs, bps).capped, f.breakpoints)
+        for g in (f, fc, power_map(f, 2), power_map(f, 3)):
+            h.update(" ".join(str(g(x)) for x in xs).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_map_values_pinned():
+    # the values of the per-map evaluator that preceded the integer forms
+    assert _values_digest() == (
+        "d3f8ffbf1e4fe08b39f3b284a8c40ba3aabbd75a58f960a2017d3e20ed70a39d"
+    )
+
+
 class TestPreimages:
+    def test_matches_the_sorted_set_of_branch_solutions(self):
+        # the concatenation in branch order against the sorted union
+        rng = random.Random(515)
+        tested = multi = 0
+        for _ in range(150):
+            f = _mixed_pc(rng)
+            ys = [rand_fraction(rng, F(0), F(1), 2**12) for _ in range(10)]
+            ys += [f(x) for x in f.breakpoints]
+            ys += [f(F(rng.randrange(2**12), 2**12)) for _ in range(20)]
+            for y in ys:
+                try:
+                    got = f.preimages(y)
+                except NonDiscretePreimageError:
+                    continue
+                want = set()
+                for m, dom, lo_inc, hi_inc in f._domains:
+                    want.update(
+                        p for p in m.preimages(y, dom)
+                        if (p != dom.lo or lo_inc) and (p != dom.hi or hi_inc)
+                    )
+                assert got == sorted(want)
+                tested += 1
+                multi += len(got) > 1
+        assert tested > 1000 and multi > 100
+
     def test_branchwise_halfopen(self):
         f = period3_pc()
         assert f.preimages(F(3, 10)) == [F(1, 10), F(7, 20)]
@@ -433,6 +624,17 @@ class TestPowerMap:
             PiecewiseContraction(g.ifs, g.breakpoints, g.closures)
         )
 
+    def test_maps_are_the_fraction_composed_word_maps(self):
+        for idx in range(30):
+            f = draw_pc(rng_for_sample(61, idx), 2 + idx % 4, 0.45)
+            for k in (2, 3, 4):
+                g = power_map(f, k)
+                for m, word in zip(g.ifs.maps, g.words):
+                    want = fraction_word_map(f, word)
+                    assert (m.a, m.b) == (want.a, want.b)
+                    assert m == want and hash(m) == hash(want)
+                    assert m._ints == want._ints
+
     def test_refined_set_matches_manual_preimages(self):
         # brute-force oracle: solve a*x + b = q on each branch directly
         f = period3_pc()
@@ -452,17 +654,6 @@ class TestPowerMap:
             level = nxt
         g = power_map(f, k)
         assert set(g.breakpoints.points) == want
-
-
-def _oracle_digit(f, x):
-    """The generic digit: an exact bisect over the breakpoints."""
-    if not 0 <= x < 1:
-        raise ValueError(f"point {x} outside [0, 1)")
-    pts = f.breakpoints.points
-    i = bisect_right(pts, x)
-    if i > 0 and pts[i - 1] == x and f.closures[i - 1] == LEFT_OPEN:
-        return i
-    return i + 1
 
 
 class TestDigitAgainstExactBisect:
