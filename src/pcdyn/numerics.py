@@ -86,8 +86,9 @@ EXACT = Backend.exact()
 # parsing constructor, _richcmp) cost several times the integer arithmetic
 # behind them, so hot exact loops build, compare and search through these
 # helpers, which read Fraction internals.  The only other readers are
-# Affine._eval and Clamped._eval (maps.py), PiecewiseContraction.__call__
-# (pcmap.py), and _gaps_at_least and _intercept_range (sampling.py).
+# Affine._eval (maps.py), PiecewiseContraction.__call__ (pcmap.py), which
+# holds the only integer path of a clamped affine branch, and
+# _gaps_at_least and _intercept_range (sampling.py).
 
 
 def _raw_fraction(num: int, den: int) -> Fraction:
