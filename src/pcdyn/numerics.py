@@ -7,8 +7,9 @@ subintervals of [0, 1]; touching components are merged so connectivity and
 component counts are meaningful.
 
 The exact kernels below build Fractions from integers, solve rational
-affine equations in integers, and search sorted exact points on their
-floats, comparing exactly only where floats tie.
+affine equations in integers, and search sorted exact points: one
+function, :func:`find_exact`, bisects the points' floats and compares
+exactly only where the floats tie.
 """
 
 from __future__ import annotations
@@ -137,29 +138,29 @@ def affine_solve(
 
 
 def _key(x: Scalar) -> float:
-    """float(x): for a Fraction, the correctly rounded quotient of its
-    integers (what ``float`` computes, without its generic dispatch)."""
-    if type(x) is Fraction:
-        return x._numerator / x._denominator
-    return float(x)
+    """float(x), or +-inf for an x beyond the float range; for a Fraction,
+    the correctly rounded quotient of its integers (what ``float``
+    computes, without its generic dispatch)."""
+    try:
+        if type(x) is Fraction:
+            return x._numerator / x._denominator
+        return float(x)
+    except OverflowError:  # |x| beyond the float range
+        return math.inf if x > 0 else -math.inf
 
 
 def float_keys(points: Iterable[Scalar]) -> tuple[float, ...]:
-    """The correctly rounded float of each point: the search keys of
-    :func:`bisect_exact`."""
+    """The key of each point: the search keys of :func:`find_exact`."""
     return tuple(map(_key, points))
 
 
 def unit_key(x: Scalar) -> float:
-    """float(x), after checking exactly that x lies in [0, 1).
+    """The key of x, after checking exactly that x lies in [0, 1).
 
     Rounding to float is monotone, so 0 < float(x) < 1 implies 0 < x < 1;
     x itself is compared only when its float is not inside (0, 1).
     """
-    try:
-        fx = _key(x)
-    except OverflowError:  # |x| beyond the float range
-        fx = math.inf
+    fx = _key(x)
     if not 0.0 < fx < 1.0:
         if type(x) is Fraction:
             inside = 0 <= x._numerator < x._denominator
@@ -170,42 +171,23 @@ def unit_key(x: Scalar) -> float:
     return fx
 
 
-def bisect_exact(
-    points: Sequence[Scalar],
-    keys: Sequence[float],
-    x: Scalar,
-    right: bool = False,
-) -> int:
-    """``bisect_left`` (``bisect_right`` if ``right``) of x in the strictly
-    increasing ``points``, searched on ``keys = float_keys(points)``.
-
-    Rounding to float is monotone, so a point whose key is below float(x)
-    lies below x and one whose key is above lies above; only the points
-    whose key equals float(x) are compared exactly, by :func:`resolve_tie`.
-    The result equals the plain bisect's for every x.
-    """
-    try:
-        fx = _key(x)
-    except OverflowError:  # |x| beyond the float range
-        return (bisect_right if right else bisect_left)(points, x)
-    lo = bisect_left(keys, fx)
-    hi = bisect_right(keys, fx, lo)
-    if lo == hi:
-        return lo
-    i, hit = resolve_tie(points, lo, hi, x)
-    return i + 1 if right and hit else i
-
-
-def resolve_tie(
-    points: Sequence[Scalar], lo: int, hi: int, x: Scalar
+def find_exact(
+    points: Sequence[Scalar], keys: Sequence[float], x: Scalar, fx: float
 ) -> tuple[int, bool]:
-    """``(bisect_left(points, x, lo, hi), x in points[lo:hi])`` for strictly
-    increasing ``points`` whose floats in [lo, hi) all equal float(x).
+    """``(bisect_left(points, x), x in points)`` for strictly increasing
+    ``points``, searched on ``keys = float_keys(points)`` with
+    ``fx = _key(x)``.
 
-    Rational x and points are compared by integer cross-multiplication
-    (denominators are positive); anything else by the generic operators.
+    Rounding to float is monotone, so a point whose key is below fx lies
+    below x and one whose key is above lies above; only the points whose
+    key equals fx are compared exactly: rationals by integer
+    cross-multiplication (denominators are positive), anything else by the
+    generic operators.
     """
-    end = hi
+    lo = bisect_left(keys, fx)
+    if lo == len(keys) or keys[lo] != fx:
+        return lo, False
+    hi = end = bisect_right(keys, fx, lo)
     rx = _ratio(x)
     if rx is not None:
         xn, xd = rx
@@ -380,7 +362,8 @@ class IntervalSet:
 
     def contains(self, x: Scalar, backend: Backend = EXACT) -> bool:
         """Closed-interval membership in some component."""
-        i = bisect_exact(self._los, self._lo_keys, x, right=True)
+        i, hit = find_exact(self._los, self._lo_keys, x, _key(x))
+        i += hit
         if i and self.components[i - 1].contains(x, backend):
             return True
         # tolerance can put x just left of a component's lo
@@ -415,7 +398,8 @@ class IntervalSet:
             return True
         los, keys = self._los, self._lo_keys
         for iv in other.components:
-            i = bisect_exact(los, keys, iv.lo, right=True)
+            i, hit = find_exact(los, keys, iv.lo, _key(iv.lo))
+            i += hit
             ok = False
             for j in (i - 1, i):
                 if 0 <= j < len(self.components):

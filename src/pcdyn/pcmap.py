@@ -13,7 +13,7 @@ breakpoints.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
@@ -33,8 +33,8 @@ from .numerics import (
     Scalar,
     _ratio,
     _raw_fraction,
+    find_exact,
     float_keys,
-    resolve_tie,
     unit_key,
 )
 
@@ -115,16 +115,10 @@ class PiecewiseContraction:
 
     def digit(self, x: Scalar) -> int:
         """The branch index i (1-based) whose domain contains x."""
-        keys = self._bp_keys
-        fx = unit_key(x)
-        i = bisect_right(keys, fx)
-        if i and keys[i - 1] == fx:  # a float tie: resolve it exactly
-            i, hit = resolve_tie(
-                self.breakpoints.points, bisect_left(keys, fx, 0, i), i, x
-            )
-            if hit and self.closures[i] == RIGHT_OPEN:
-                i += 1
-        return i + 1
+        i, hit = find_exact(
+            self.breakpoints.points, self._bp_keys, x, unit_key(x)
+        )
+        return i + 1 + (hit and self.closures[i] == RIGHT_OPEN)
 
     def __call__(self, x: Scalar) -> Scalar:
         if type(x) is Fraction and 0 < x._numerator < x._denominator:
@@ -169,7 +163,7 @@ class PiecewiseContraction:
         hi_inc = False if i == self.n else self.closures[i - 1] == LEFT_OPEN
         return lo, hi, lo_inc, hi_inc
 
-    def preimages(self, y: Scalar, backend: Backend = EXACT) -> list[Scalar]:
+    def preimages(self, y: Scalar) -> list[Scalar]:
         """All x in [0, 1) with f(x) = y, solved branch by branch.
 
         Branch domains are honored exactly, including the closure flags, so
@@ -178,13 +172,13 @@ class PiecewiseContraction:
         """
         found: list[Scalar] = []
         for m, dom, lo_inc, hi_inc in self._domains:
-            for p in m.preimages(y, dom, backend):
+            for p in m.preimages(y, dom):
                 if (p == dom.lo and not lo_inc) or (p == dom.hi and not hi_inc):
                     continue
                 found.append(p)
         # exact solutions ascend within their branch's domain, and a shared
         # end belongs to one branch: in branch order they already ascend
-        return found if not backend.eps_cmp else sorted(set(found))
+        return found
 
     @cached_property
     def _domains(self) -> tuple:

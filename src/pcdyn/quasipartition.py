@@ -14,7 +14,6 @@ rounding error, and the finiteness argument is an exact one.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -30,9 +29,9 @@ from .numerics import (
     EXACT,
     Interval,
     Scalar,
-    bisect_exact,
+    _key,
+    find_exact,
     float_keys,
-    resolve_tie,
     unit_key,
 )
 from .pcmap import (
@@ -187,22 +186,13 @@ class QuasiPartition:
     def _cut_keys(self) -> tuple[float, ...]:
         return float_keys(self.cut_points)
 
-    def _cut_index(self, x: Scalar, fx: float) -> tuple[int, bool]:
-        """``(bisect_left(cut_points, x), x in cut_points)`` for x with
-        float fx, searched on the cut points' float keys."""
-        keys = self._cut_keys
-        i = bisect_left(keys, fx)
-        if i < len(keys) and keys[i] == fx:  # a float tie: resolve it exactly
-            return resolve_tie(self.cut_points, i, bisect_right(keys, fx, i), x)
-        return i, False
-
     def locate(self, x: Scalar) -> Optional[int]:
         """1-based index of the open interval containing x, None on a cut
         point or at 0."""
         fx = unit_key(x)
         if fx == 0.0 and x == 0:
             return None
-        i, hit = self._cut_index(x, fx)
+        i, hit = find_exact(self.cut_points, self._cut_keys, x, fx)
         return None if hit else i + 1
 
 
@@ -231,9 +221,9 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
         d = f.digit(mid)
         phi = f.ifs.maps[d - 1]
         img = phi.image(iv)
-        lo_idx = bisect_exact(cuts, keys, img.lo)
-        hi_idx = bisect_exact(cuts, keys, img.hi, right=True)
-        for q in cuts[lo_idx:hi_idx]:
+        lo_idx, _ = find_exact(cuts, keys, img.lo, _key(img.lo))
+        hi_idx, hit = find_exact(cuts, keys, img.hi, _key(img.hi))
+        for q in cuts[lo_idx:hi_idx + hit]:
             try:
                 hits = phi.preimages(q, iv)
             except NonDiscretePreimageError as exc:
@@ -245,8 +235,8 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
                     f"image of interval {j} straddles closure point {q}"
                 )
         y = phi._eval(mid)
-        target = bisect_exact(cuts, keys, y)
-        if target < len(cuts) and cuts[target] == y:
+        target, hit = find_exact(cuts, keys, y, _key(y))
+        if hit:
             raise PartitionInvarianceError(
                 f"image midpoint of interval {j} lies on a closure point"
             )
@@ -345,8 +335,8 @@ def equivalence_classes(
     """
     n = f.n
     adjacency = []
-    for x_i, fx in zip(f.breakpoints, f._bp_keys):
-        pos, hit = part._cut_index(x_i, fx)
+    for x_i in f.breakpoints:
+        pos, hit = find_exact(part.cut_points, part._cut_keys, x_i, _key(x_i))
         if not hit:
             raise ValueError("breakpoint missing from the closure points")
         adjacency.append((pos + 1, pos + 2))

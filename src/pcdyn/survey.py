@@ -228,10 +228,10 @@ def survey_csv(report: SurveyReport) -> str:
     )
     out.append("histogram")
     out.append("orbits,count")
-    for k in sorted(report.orbit_histogram()):
-        out.append(f"{k},{report.orbit_histogram()[k]}")
+    hist = report.orbit_histogram()
+    out.extend(f"{k},{hist[k]}" for k in sorted(hist))
     out.append("reasons")
     out.append("reason,count")
-    for name in sorted(report.reason_counts()):
-        out.append(f"{name},{report.reason_counts()[name]}")
+    reasons = report.reason_counts()
+    out.extend(f"{name},{reasons[name]}" for name in sorted(reasons))
     return "\n".join(out) + "\n"

@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
@@ -7,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from pcdyn import Backend, Interval, IntervalSet
 from pcdyn.numerics import (
+    _key,
     _raw_fraction,
-    bisect_exact,
+    find_exact,
     float_keys,
-    resolve_tie,
     unit_key,
 )
 from _support import fraction_measure
@@ -239,6 +240,14 @@ def _probes(rng, pts):
     return xs
 
 
+def _assert_find_exact(pts, keys, x):
+    """find_exact against the plain bisects and membership."""
+    i, hit = find_exact(pts, keys, x, _key(x))
+    assert i == bisect_left(pts, x), x
+    assert hit == (x in pts), x
+    assert i + hit == bisect_right(pts, x), x
+
+
 def test_bisect_exact_matches_bisect_on_tied_fractions():
     rng = random.Random(5)
     tied = 0
@@ -247,24 +256,38 @@ def test_bisect_exact_matches_bisect_on_tied_fractions():
         keys = float_keys(pts)
         tied += any(a == b for a, b in zip(keys, keys[1:]))
         for x in _probes(rng, pts):
-            assert bisect_exact(pts, keys, x) == bisect_left(pts, x), x
-            assert bisect_exact(pts, keys, x, right=True) == bisect_right(
-                pts, x
-            ), x
+            _assert_find_exact(pts, keys, x)
     assert tied >= 250
 
 
 def test_bisect_exact_beyond_the_float_range():
     pts = [F(1, 3), F(1, 2)]
     for x in (F(10**400), -(10**400), F(1, 10**400)):
-        assert bisect_exact(pts, float_keys(pts), x) == bisect_left(pts, x)
+        _assert_find_exact(pts, float_keys(pts), x)
+    big = [F(1, 2), F(10**400), F(10**400 + 1)]
+    for x in (F(10**400), 10**400 + 1, F(10**401), -F(10**400), 10**400):
+        _assert_find_exact(big, float_keys(big), x)
+
+
+@pytest.mark.parametrize(
+    "x, key",
+    [
+        (F(10**400), math.inf),
+        (F(-(10**400), 3), -math.inf),
+        (10**400, math.inf),
+        (-(10**400), -math.inf),
+        (F(1, 10**400), 0.0),
+    ],
+)
+def test_key_beyond_the_float_range(x, key):
+    assert _key(x) == key
 
 
 def test_bisect_exact_on_float_points():
     rng = random.Random(8)
     pts = sorted(rng.random() for _ in range(50))
     for x in pts + [F(1, 3), 0, 1, 0.5]:
-        assert bisect_exact(pts, float_keys(pts), x) == bisect_left(pts, x)
+        _assert_find_exact(pts, float_keys(pts), x)
 
 
 @pytest.mark.parametrize(
@@ -337,20 +360,15 @@ def test_resolve_tie_matches_bisect_and_membership():
         pts = _tied_points(rng)
         keys = float_keys(pts)
         for x in _probes(rng, pts):
-            try:
-                fx = float(x)
-            except OverflowError:
-                continue
-            lo, hi = bisect_left(keys, fx), bisect_right(keys, fx)
-            want = bisect_left(pts, x, lo, hi)
-            assert resolve_tie(pts, lo, hi, x) == (want, x in pts[lo:hi]), x
+            _assert_find_exact(pts, keys, x)
 
 
 def test_resolve_tie_on_float_points():
     pts = [0.25, 0.5, 0.75]
-    assert resolve_tie(pts, 1, 2, 0.5) == (1, True)
-    assert resolve_tie(pts, 1, 2, F(1, 2)) == (1, True)
-    assert resolve_tie(pts, 1, 2, F(1, 2) + F(1, 2**70)) == (2, False)
+    keys = float_keys(pts)
+    assert find_exact(pts, keys, 0.5, 0.5) == (1, True)
+    assert find_exact(pts, keys, F(1, 2), 0.5) == (1, True)
+    assert find_exact(pts, keys, F(1, 2) + F(1, 2**70), 0.5) == (2, False)
 
 
 def test_measure_matches_the_fraction_sum():
