@@ -9,6 +9,7 @@ tolerance-based float backend for nonlinear ones.
 """
 
 from .errors import (
+    BoundaryOrbitError,
     BoundViolationError,
     CapExceededError,
     InexactPreimageError,
@@ -65,6 +66,7 @@ from .quasipartition import (
 __all__ = [
     "Affine",
     "Backend",
+    "BoundaryOrbitError",
     "BoundViolationError",
     "Breakpoints",
     "CapExceededError",

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .config import ConfigError, RunConfig, descriptor_tokens, parse_config
 from .errors import (
+    BoundaryOrbitError,
     CapExceededError,
     InexactPreimageError,
     NonDiscretePreimageError,
@@ -117,6 +118,7 @@ def emit_partition(cfg: RunConfig) -> tuple[str, int]:
         NonDiscretePreimageError,
         InexactPreimageError,
         PartitionInvarianceError,
+        BoundaryOrbitError,
     ) as exc:
         rows.append(f"reason,{type(exc).__name__}: {exc}")
         return "\n".join(rows) + "\n", INCONCLUSIVE

@@ -41,5 +41,9 @@ class PartitionInvarianceError(Exception):
     """
 
 
+class BoundaryOrbitError(Exception):
+    """A partition cycle's word-map fixed point leaves the word on a cut."""
+
+
 class BoundViolationError(Exception):
     """A certified combinatorial bound failed on a concrete instance."""

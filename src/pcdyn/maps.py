@@ -21,8 +21,6 @@ from typing import Optional
 
 from .errors import IterationCapError, NonDiscretePreimageError
 from .numerics import (
-    EXACT,
-    Backend,
     Interval,
     Scalar,
     _ratio,
@@ -64,16 +62,15 @@ class MapDescriptor:
         """Exact image of a closed interval."""
         raise NotImplementedError
 
-    def preimages(
-        self, y: Scalar, domain: Interval, backend: Backend = EXACT
-    ) -> list[Scalar]:
-        """All solutions of m(x) = y inside ``domain``, ascending.
+    def preimages(self, y: Scalar, domain: Interval) -> list[Scalar]:
+        """All solutions of m(x) = y inside ``domain``, ascending, compared
+        exactly.
 
         Raises NonDiscretePreimageError when a plateau attains ``y`` over a
-        nondegenerate part of the domain.  Under the exact backend a
-        quadratic solve whose discriminant is not a perfect rational square
-        falls back to floating point; the fallback is flagged by returning
-        floats instead of Fractions.
+        nondegenerate part of the domain.  A quadratic solve whose
+        discriminant is not a perfect rational square falls back to
+        floating point; the fallback is flagged by returning floats
+        instead of Fractions.
         """
         raise NotImplementedError
 
@@ -160,20 +157,20 @@ class Affine(MapDescriptor):
         v = self._eval(iv.hi)
         return Interval(u, v) if u <= v else Interval(v, u)
 
-    def preimages(self, y, domain, backend=EXACT):
+    def preimages(self, y, domain):
         ints = self._ints
-        if ints is not None and ints[0] and not backend.eps_cmp:
+        if ints is not None and ints[0]:
             found = affine_solve(ints, y, domain.lo, domain.hi)
             if found is not None:
                 return found
         if self.a == 0:
-            if backend.eq(y, self.b):
+            if y == self.b:
                 if domain.lo == domain.hi:
                     return [domain.lo]
                 raise NonDiscretePreimageError(domain.lo, domain.hi, y)
             return []
         x = (y - self.b) / self.a
-        if backend.le(domain.lo, x) and backend.le(x, domain.hi):
+        if domain.lo <= x <= domain.hi:
             return [x]
         return []
 
@@ -223,9 +220,9 @@ class Quadratic(MapDescriptor):
         v = self._eval(iv.hi)
         return Interval(u, v) if u <= v else Interval(v, u)
 
-    def preimages(self, y, domain, backend=EXACT):
+    def preimages(self, y, domain):
         if self.a == 0:
-            return Affine(self.b, self.c).preimages(y, domain, backend)
+            return Affine(self.b, self.c).preimages(y, domain)
         disc = self.b * self.b - 4 * self.a * (self.c - y)
         if disc < 0:
             return []
@@ -238,11 +235,7 @@ class Quadratic(MapDescriptor):
         sols = sorted(
             {(-self.b - root) / (2 * self.a), (-self.b + root) / (2 * self.a)}
         )
-        return [
-            x
-            for x in sols
-            if backend.le(domain.lo, x) and backend.le(x, domain.hi)
-        ]
+        return [x for x in sols if domain.lo <= x <= domain.hi]
 
     def fixed_point(self, eps_fp=DEFAULT_EPS_FP, cap=DEFAULT_FP_CAP):
         if self.a == 0:
@@ -306,19 +299,17 @@ class Clamped(MapDescriptor):
             values.extend((inner_img.lo, inner_img.hi))
         return Interval(min(values), max(values))
 
-    def preimages(self, y, domain, backend=EXACT):
+    def preimages(self, y, domain):
         if domain.lo == domain.hi:
-            return [domain.lo] if backend.eq(self._eval(domain.lo), y) else []
+            return [domain.lo] if self._eval(domain.lo) == y else []
         found: set[Scalar] = set()
         mid_lo = max(domain.lo, self.lo)
         mid_hi = min(domain.hi, self.hi)
         if mid_lo <= mid_hi:
-            found.update(
-                self.inner.preimages(y, Interval(mid_lo, mid_hi), backend)
-            )
-        if self.lo > 0 and domain.lo < self.lo and backend.eq(y, self._vlo):
+            found.update(self.inner.preimages(y, Interval(mid_lo, mid_hi)))
+        if self.lo > 0 and domain.lo < self.lo and y == self._vlo:
             raise NonDiscretePreimageError(domain.lo, min(domain.hi, self.lo), y)
-        if self.hi < 1 and domain.hi > self.hi and backend.eq(y, self._vhi):
+        if self.hi < 1 and domain.hi > self.hi and y == self._vhi:
             raise NonDiscretePreimageError(max(domain.lo, self.hi), domain.hi, y)
         return sorted(found)
 
@@ -367,15 +358,15 @@ class Composed(MapDescriptor):
             iv = m.image(iv)
         return iv
 
-    def preimages(self, y, domain, backend=EXACT):
+    def preimages(self, y, domain):
         first, rest = self.chain[0], self.chain[1:]
         if not rest:
-            return first.preimages(y, domain, backend)
+            return first.preimages(y, domain)
         tail = Composed(rest)
-        mids = tail.preimages(y, first.image(domain), backend)
+        mids = tail.preimages(y, first.image(domain))
         found: set[Scalar] = set()
         for w in mids:
-            found.update(first.preimages(w, domain, backend))
+            found.update(first.preimages(w, domain))
         return sorted(found)
 
     def fixed_point(self, eps_fp=DEFAULT_EPS_FP, cap=DEFAULT_FP_CAP):

@@ -19,11 +19,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import (
-    CapExceededError,
-    InexactPreimageError,
-    NonDiscretePreimageError,
-)
+from .errors import CapExceededError, NonDiscretePreimageError
 from .ifs import IteratedFunctionSystem
 from .maps import DEFAULT_EPS_FP, Affine, Clamped, MapDescriptor, compose
 from .numerics import (
@@ -281,12 +277,15 @@ def _refine_candidate(
     backend: Backend,
     eps_orbit: float,
     eps_fp: float,
+    home_cycle: Optional[Sequence[int]] = None,
 ) -> Optional[PeriodicOrbit]:
     """Solve the fixed point of the composed word map and verify the cycle.
 
     Exact backend: the refined orbit must close exactly and follow the
     word's digits.  Float backend: it must close within eps_orbit.
-    Returns None when verification fails (a spurious candidate).
+    Returns None when verification fails (a spurious candidate).  The
+    orbit search passes an itinerary's repeated word; a quasi-partition
+    passes each index cycle's word, with the cycle as ``home_cycle``.
     """
     p = len(word)
     try:
@@ -313,7 +312,7 @@ def _refine_candidate(
             return None
     elif abs(cur - z) > max(eps_orbit, 10 * eps_fp):
         return None
-    return rotate_to_min(pts, digits)
+    return rotate_to_min(pts, digits, home_cycle)
 
 
 def orbit(
@@ -448,7 +447,7 @@ def is_generic(
         for y in level:
             for m in f.ifs:
                 try:
-                    pre = m.preimages(y, unit, backend)
+                    pre = m.preimages(y, unit)
                 except NonDiscretePreimageError:
                     return _generic_forward(f, depth, backend, cap)
                 nxt.update(p for p in pre if not isinstance(p, float))
@@ -507,23 +506,11 @@ def power_map(
     """
     if k < 1:
         raise ValueError("power must be >= 1")
-    cuts: set[Scalar] = set(f.breakpoints.points)
-    level: set[Scalar] = set(f.breakpoints.points)
-    for _ in range(k - 1):
-        nxt: set[Scalar] = set()
-        for q in level:
-            for p in f.preimages(q):
-                if isinstance(p, float):
-                    raise InexactPreimageError(
-                        f"irrational preimage of {q} cannot refine exactly"
-                    )
-                if p and p not in cuts:  # preimages lie in [0, 1)
-                    nxt.add(p)
-        cuts.update(nxt)
-        level = nxt
-        if len(cuts) + 1 > cap:
-            raise CapExceededError(f"refined branch count exceeds cap {cap}")
-    ys = sorted(cuts)
+    from .quasipartition import preimage_set  # quasipartition imports pcmap
+
+    ys = [p for p in preimage_set(f, k - 1, cap).points if p]
+    if len(ys) + 1 > cap:
+        raise CapExceededError(f"refined branch count exceeds cap {cap}")
     bounds = [EXACT.zero] + ys + [EXACT.one]
     branch_words = tuple(
         _digit_word(f, Interval(lo, hi).midpoint(), k)

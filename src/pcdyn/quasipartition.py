@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import (
+    BoundaryOrbitError,
     BoundViolationError,
     InexactPreimageError,
     NonDiscretePreimageError,
@@ -35,9 +36,10 @@ from .numerics import (
     unit_key,
 )
 from .pcmap import (
+    DEFAULT_EPS_ORBIT,
     PeriodicOrbit,
     PiecewiseContraction,
-    _word_map,
+    _refine_candidate,
     rotate_to_min,
 )
 
@@ -174,12 +176,22 @@ class QuasiPartition:
         self, f: PiecewiseContraction, eps_fp: float = DEFAULT_EPS_FP
     ) -> dict[tuple[int, ...], PeriodicOrbit]:
         """Each cycle's orbit in ``basins`` order, computed once per
-        ``eps_fp``; f is the map the partition was built from."""
+        ``eps_fp``; f is the map the partition was built from.  An orbit is
+        the fixed point of the branch maps composed along its cycle, and
+        BoundaryOrbitError says that fixed point does not follow the word."""
         if eps_fp not in self._orbits:
-            self._orbits[eps_fp] = {
-                cyc: _cycle_orbit(f, self, cyc, eps_fp)
-                for cyc in dict.fromkeys(self.basins)
-            }
+            orbits = {}
+            for cyc in dict.fromkeys(self.basins):
+                word = tuple(self.branch[l - 1] for l in cyc)
+                orbits[cyc] = _refine_candidate(
+                    f, word, EXACT, DEFAULT_EPS_ORBIT, eps_fp, cyc
+                )
+                if orbits[cyc] is None:
+                    raise BoundaryOrbitError(
+                        f"the fixed point of index cycle {';'.join(map(str, cyc))}"
+                        f" does not follow its word {';'.join(map(str, word))}"
+                    )
+            self._orbits[eps_fp] = orbits
         return self._orbits[eps_fp]
 
     @cached_property
@@ -247,34 +259,18 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
     )
 
 
-def _cycle_orbit(
-    f: PiecewiseContraction,
-    part: QuasiPartition,
-    cyc: tuple[int, ...],
-    eps_fp: float,
-) -> PeriodicOrbit:
-    """Fixed point of the branch maps composed along a canonical index
-    cycle."""
-    word = tuple(part.branch[l - 1] for l in cyc)
-    z = _word_map(f, word).fixed_point(eps_fp)
-    pts = []
-    cur = z
-    for d in word:
-        pts.append(cur)
-        cur = f.ifs.maps[d - 1]._eval(cur)
-    return rotate_to_min(pts, word, cyc)
-
-
 def periodic_orbits(
     f: PiecewiseContraction,
     part: QuasiPartition,
     eps_fp: float = DEFAULT_EPS_FP,
 ) -> list[PeriodicOrbit]:
-    """One periodic orbit per transition cycle, deduplicated."""
-    unique: dict[frozenset, PeriodicOrbit] = {}
-    for orb in part.cycle_orbits(f, eps_fp).values():
-        unique.setdefault(orb.point_set(), orb)
-    return list(unique.values())
+    """One periodic orbit per transition cycle, in ``basins`` order.
+
+    Each orbit follows its cycle's word, so two cycles never give one
+    orbit: a point in an open interval names its interval, and a
+    breakpoint on the orbit names the adjacent interval of its branch.
+    """
+    return list(part.cycle_orbits(f, eps_fp).values())
 
 
 def omega_limit(

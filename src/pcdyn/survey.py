@@ -17,6 +17,7 @@ from typing import Optional
 
 from .config import RunConfig, check_sampling, descriptor_tokens
 from .errors import (
+    BoundaryOrbitError,
     BoundViolationError,
     CapExceededError,
     InexactPreimageError,
@@ -168,6 +169,8 @@ def run_sample(cfg: RunConfig, index: int) -> SampleRecord:
         reason = "inexact-preimage"
     except PartitionInvarianceError:
         reason = "partition-straddle"
+    except BoundaryOrbitError:
+        reason = "boundary-orbit"
     except IterationCapError:
         reason = "iteration-cap"
     except CapExceededError:

@@ -29,6 +29,14 @@ x0 0
 k 2
 """
 
+# x/2 + 1/4 fixes the breakpoint 1/2, which right-open f sends to 3/8
+BOUNDARY = """\
+backend exact
+map affine 1/2 1/4
+map affine 1/2 1/8
+breakpoints 1/2
+"""
+
 
 class TestParseConfig:
     def test_example_maps(self):
@@ -157,6 +165,24 @@ class TestCommands:
             assert block in out.splitlines()
         assert "1,3,2/7;11/28;9/28,1;2;2" in out.splitlines()
 
+    def test_partition_boundary_orbit_is_a_reason_row(self, tmp_path, capsys):
+        code = main(["partition", "--config", self.write(tmp_path, BOUNDARY)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "orbits" not in out
+        assert out[-1] == (
+            "reason,BoundaryOrbitError: the fixed point of index cycle 1 "
+            "does not follow its word 1"
+        )
+        text = BOUNDARY + "closures left-open\n"
+        code = main(["partition", "--config", self.write(tmp_path, text)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[out.index("orbits") + 1 :][:2] == [
+            "id,period,points,word",
+            "1,1,1/2,1",
+        ]
+
     def test_power_echiose_k1(self, tmp_path, capsys):
         cfg = P3.replace("k 2", "k 1")
         code = main(["power", "--config", self.write(tmp_path, cfg)])
@@ -174,6 +200,17 @@ class TestCommands:
             "2,3/10",
             "3,7/20",
         ]
+
+    def test_power_irrational_preimage_is_a_reason_row(self, tmp_path, capsys):
+        # the quadratic branch sends (-1 + sqrt(9/5))/2 onto the breakpoint
+        text = (
+            "backend exact\nmap quadratic 1/4 1/4 1/5\nmap affine 1/2 1/8\n"
+            "breakpoints 1/4\nk 2\n"
+        )
+        code = main(["power", "--config", self.write(tmp_path, text)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == "reason,InexactPreimageError: irrational preimage of 1/4\n"
 
     @pytest.mark.parametrize(
         "text, rows, digest",

@@ -23,6 +23,7 @@ from pcdyn import (
     is_generic,
     orbit,
     power_map,
+    preimage_set,
 )
 from pcdyn import pcmap
 from pcdyn.pcmap import LEFT_OPEN, RIGHT_OPEN, _generic_forward
@@ -654,6 +655,40 @@ class TestPowerMap:
             level = nxt
         g = power_map(f, k)
         assert set(g.breakpoints.points) == want
+
+
+    def test_cap_counts_the_refined_branches(self):
+        for f in (period3_pc(), _zero_on_breakpoint_pc()):
+            branches = power_map(f, 3).n
+            assert power_map(f, 3, cap=branches).n == branches
+            with pytest.raises(
+                CapExceededError,
+                match=f"^refined branch count exceeds cap {branches - 1}$",
+            ):
+                power_map(f, 3, cap=branches - 1)
+
+    def test_zero_stays_out_of_the_refined_breakpoints(self):
+        f = _zero_on_breakpoint_pc()
+        assert F(0) in preimage_set(f, 1).points
+        assert power_map(f, 2).breakpoints.points == (F(1, 2), F(3, 4))
+        for k in (2, 3, 4):
+            g = power_map(f, k)
+            assert g.breakpoints[0] > 0
+            for x in (F(0),) + g.breakpoints.points:
+                y = x
+                for _ in range(k):
+                    y = f(y)
+                assert g(x) == y
+
+
+def _zero_on_breakpoint_pc() -> PiecewiseContraction:
+    """x/4 + 1/2 sends 0 onto the breakpoint 1/2: 0 is a backward iterate."""
+    return PiecewiseContraction(
+        IteratedFunctionSystem(
+            (Affine(F(1, 4), F(1, 2)), Affine(F(1, 2), F(1, 8)))
+        ),
+        Breakpoints((F(1, 2),)),
+    )
 
 
 class TestDigitAgainstExactBisect:

@@ -7,6 +7,7 @@ import pytest
 import pcdyn.quasipartition
 from pcdyn import (
     Affine,
+    BoundaryOrbitError,
     BoundViolationError,
     Breakpoints,
     Clamped,
@@ -31,8 +32,8 @@ from pcdyn.quasipartition import (
     PreimageSet,
     QPoint,
     QuasiPartition,
-    _cycle_orbit,
 )
+from pcdyn.pcmap import _word_map, rotate_to_min
 from pcdyn.sampling import draw_pc, rng_for_sample
 from pcdyn.survey import cut_cycle
 from _support import constant_pc, period3_pc, rand_affine, rand_fraction
@@ -156,6 +157,28 @@ class TestPeriodicOrbits:
             for _ in range(orb.period):
                 x = f(x)
             assert x == orb.points[0]
+
+    def test_fixed_point_on_a_breakpoint_is_a_boundary_orbit(self):
+        # x/2 + 1/4 fixes the breakpoint 1/2, but right-open f sends 1/2 to
+        # 3/8 by the second branch: every orbit rises toward 1/2 in [0, 1/2)
+        maps = IteratedFunctionSystem(
+            (Affine(F(1, 2), F(1, 4)), Affine(F(1, 2), F(1, 8)))
+        )
+        f = PiecewiseContraction(maps, Breakpoints((F(1, 2),)))
+        part = build_partition(f, preimage_set(f))
+        assert part.basins[0] == (1,)
+        with pytest.raises(
+            BoundaryOrbitError,
+            match="^the fixed point of index cycle 1 does not follow its word 1$",
+        ):
+            periodic_orbits(f, part)
+        with pytest.raises(BoundaryOrbitError):
+            omega_limit(f, F(1, 8), part)
+        # owned by the left branch, 1/2 is a fixed point of f
+        g = PiecewiseContraction(maps, f.breakpoints, ("left-open",))
+        part = build_partition(g, preimage_set(g))
+        assert periodic_orbits(g, part) == [PeriodicOrbit((F(1, 2),), 1, (1,))]
+        assert g(F(1, 2)) == F(1, 2)
 
 
 class TestOmegaLimit:
@@ -320,10 +343,21 @@ def _oracle_cycles(transition):
     return cycles
 
 
+def _oracle_cycle_orbit(f, part, cyc):
+    """The fixed point of the word map along cyc, walked without checks."""
+    word = tuple(part.branch[l - 1] for l in cyc)
+    z = _word_map(f, word).fixed_point(1e-13)
+    pts = []
+    for d in word:
+        pts.append(z)
+        z = f.ifs.maps[d - 1]._eval(z)
+    return rotate_to_min(pts, word, cyc)
+
+
 def _oracle_periodic_orbits(f, part):
     orbits = []
     for cyc in _oracle_cycles(part.transition):
-        orb = _cycle_orbit(f, part, cyc, 1e-13)
+        orb = _oracle_cycle_orbit(f, part, cyc)
         if not any(orb.point_set() == o.point_set() for o in orbits):
             orbits.append(orb)
     return orbits
@@ -345,7 +379,7 @@ def _oracle_omega_limit(f, x, part):
     while True:
         nxt = part.transition[seq[-1] - 1]
         if nxt in seen:
-            return _cycle_orbit(f, part, _canonical_cycle(seq[seen[nxt]:]), 1e-13)
+            return _oracle_cycle_orbit(f, part, _canonical_cycle(seq[seen[nxt]:]))
         seen[nxt] = len(seq)
         seq.append(nxt)
 
@@ -455,6 +489,30 @@ class TestBasinIndexAgainstOracles:
             assert equivalence_classes(f, part) == _oracle_equivalence_classes(f, part)
             checked += 1
             multi += len(want_orbits) > 1
+        assert multi >= 30
+
+
+class TestOrbitsWithoutDedup:
+    """``periodic_orbits`` reports one orbit per transition cycle as it is;
+    each follows its cycle's word, so no two cycles share an orbit."""
+
+    def test_random_partitions(self):
+        rng = random.Random(1410)
+        checked = multi = 0
+        while checked < 150:
+            built = _random_partition(rng)
+            if built is None:
+                continue
+            f, part = built
+            orbits = periodic_orbits(f, part)
+            for o in orbits:
+                assert tuple(f.digit(p) for p in o.points) == o.word
+                assert [f(p) for p in o.points] == list(o.points[1:] + o.points[:1])
+            point_sets = [o.point_set() for o in orbits]
+            assert len(set(point_sets)) == len(point_sets)
+            assert len(orbits) == len(set(part.basins))
+            checked += 1
+            multi += len(orbits) > 1
         assert multi >= 30
 
 

@@ -108,6 +108,36 @@ class TestCutCycle:
         assert "\nreason,count\ncut-cycle,1\n" in survey_csv(report)
 
 
+def boundary_orbit_pc():
+    """x/2 + 1/4 and x/2 + 1/8 split at 1/2.  The word map of the partition's
+    only cycle fixes the breakpoint 1/2, but f(1/2) = 3/8: f has no
+    periodic orbit."""
+    return PiecewiseContraction(
+        IteratedFunctionSystem(
+            (Affine(F(1, 2), F(1, 4)), Affine(F(1, 2), F(1, 8)))
+        ),
+        Breakpoints((F(1, 2),)),
+    )
+
+
+class TestBoundaryOrbit:
+    def test_is_a_counted_reason(self, monkeypatch):
+        f = boundary_orbit_pc()
+        monkeypatch.setattr(
+            survey, "draw_breakpoints", lambda rng, n, margin: f.breakpoints.points
+        )
+        monkeypatch.setattr(
+            survey, "draw_ifs", lambda rng, n, kappa_max, margin: f.ifs
+        )
+        rec = run_sample(small_cfg(), 0)
+        assert rec.reason == "boundary-orbit"
+        assert not rec.grid_converged and not rec.conclusive
+        assert (rec.q_status, rec.m, rec.orbit_count) == ("complete", 3, 0)
+        report = SurveyReport(2, (rec,))
+        assert report.reason_counts() == {"boundary-orbit": 1}
+        assert "\nreason,count\nboundary-orbit,1\n" in survey_csv(report)
+
+
 class TestRunSurvey:
     def test_report_aggregates(self):
         report = run_survey(small_cfg())
