@@ -23,9 +23,10 @@ from .errors import IterationCapError, NonDiscretePreimageError
 from .numerics import (
     Interval,
     Scalar,
+    _key,
     _ratio,
     _raw_fraction,
-    affine_solve,
+    affine_preimages,
 )
 
 DEFAULT_EPS_FP = 1e-13
@@ -158,11 +159,11 @@ class Affine(MapDescriptor):
         return Interval(u, v) if u <= v else Interval(v, u)
 
     def preimages(self, y, domain):
-        ints = self._ints
-        if ints is not None and ints[0]:
-            found = affine_solve(ints, y, domain.lo, domain.hi)
-            if found is not None:
-                return found
+        ints, ends = self._ints, (_ratio(domain.lo), _ratio(domain.hi))
+        if ints and ints[0] and type(y) is Fraction and None not in ends:
+            window = ends[0] + ends[1] + (True, True)
+            _, xs = affine_preimages(ints, window, [_ratio(y)], [_key(y)])
+            return [_raw_fraction(*x) for x in xs]
         if self.a == 0:
             if y == self.b:
                 if domain.lo == domain.hi:

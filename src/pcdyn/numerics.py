@@ -9,7 +9,10 @@ component counts are meaningful.
 The exact kernels below build Fractions from integers, solve rational
 affine equations in integers, and search sorted exact points: one
 function, :func:`find_exact`, bisects the points' floats and compares
-exactly only where the floats tie.
+exactly only where the floats tie.  The one preimage step,
+:func:`affine_preimages`, solves a rational affine map for a whole level
+of reduced integer pairs, searched the same way: the backward walks pass
+a level, ``Affine.preimages`` a single point.
 """
 
 from __future__ import annotations
@@ -88,8 +91,12 @@ EXACT = Backend.exact()
 # behind them, so hot exact loops build, compare and search through these
 # helpers, which read Fraction internals.  The only other readers are
 # Affine._eval (maps.py), PiecewiseContraction.__call__ (pcmap.py), which
-# holds the only integer path of a clamped affine branch, and
-# _gaps_at_least and _intercept_range (sampling.py).
+# holds the only integer path of a clamped affine branch, build_partition
+# (quasipartition.py), which filters the cut points and takes an affine
+# branch's image ends from the interval ends' integers, and _gaps_at_least
+# and _intercept_range (sampling.py).  is_generic (pcmap.py) and
+# preimage_set (quasipartition.py) hold their points as integer pairs and
+# cross to and from Fractions only through _ratio and _raw_fraction.
 
 
 def _raw_fraction(num: int, den: int) -> Fraction:
@@ -111,30 +118,73 @@ def _ratio(x) -> Optional[tuple[int, int]]:
     return None
 
 
-def affine_solve(
-    ints: tuple[int, int, int], y: Scalar, lo: Scalar, hi: Scalar
-) -> Optional[list[Fraction]]:
-    """The solutions of a*x + b = y with lo <= x <= hi, in integers.
+# --- the backward step on reduced integer pairs ------------------------------
+# The backward walks hold their points as reduced (num, den) pairs, den > 0:
+# a set of int tuples hashes without Fraction's modular inverse.
 
-    ``ints = (A, B, D)`` is the map's integer form: a = A/D != 0, b = B/D.
-    The domain test is cross-multiplied, so a y outside the image of
-    [lo, hi] builds no Fraction.  None when y is not a Fraction or an end
-    is not rational: the caller then takes the generic path.
+UNIT_WINDOW = (0, 1, 1, 1, True, True)  # [0, 1], both ends included
+
+
+def sort_pairs(pairs) -> tuple[list, list]:
+    """The distinct reduced pairs ascending by value, and their float keys.
+
+    Rounding is monotone, so sorting the keys sorts the pairs; only pairs
+    whose keys are equal are then compared exactly.
     """
-    rlo, rhi = _ratio(lo), _ratio(hi)
-    if type(y) is not Fraction or rlo is None or rhi is None:
-        return None
+    by_key = {n / d: (n, d) for n, d in pairs}
+    if len(by_key) == len(pairs):
+        keys = sorted(by_key)
+        return [by_key[k] for k in keys], keys
+    level = sorted(pairs, key=lambda p: (p[0] / p[1], _raw_fraction(*p)))
+    return level, [n / d for n, d in level]
+
+
+def _resolve_tie(
+    level: list, keys: list, lo: int, n: int, d: int, right: bool
+) -> int:
+    """``bisect_left`` (``bisect_right`` when ``right``) of n/d in a level
+    from :func:`sort_pairs`, given that ``keys[lo]`` is the first key equal
+    to n/d's: only the pairs with that key are compared, as Fractions."""
+    hi = bisect_right(keys, keys[lo], lo)
+    run = [_raw_fraction(*p) for p in level[lo:hi]]
+    search = bisect_right if right else bisect_left
+    return lo + search(run, _raw_fraction(n, d))
+
+
+def affine_preimages(
+    ints: tuple[int, int, int], window: tuple, level: list, keys: list
+) -> tuple[int, list[tuple[int, int]]]:
+    """``(start, xs)``: ``xs[i]`` is the one x in the window with
+    (A*x + B)/D = y for y = ``level[start + i]``, as a reduced pair.
+
+    ``ints = (A, B, D)`` with A != 0, ``window = (ln, ld, hn, hd, lo_in,
+    hi_in)`` the ends ln/ld <= hn/hd and whether each is included, and
+    ``level, keys`` from :func:`sort_pairs`.  The map is strictly monotone,
+    so x lies in the window exactly when y lies in the window's image
+    (an end included with its preimage): that image is one slice of the
+    level, found by two exact searches, and every y in it is solved.
+    """
     A, B, D = ints
-    yn, yd = y._numerator, y._denominator
-    # x = (y - B/D) / (A/D) = (yn*D - B*yd) / (A*yd)
-    num = yn * D - B * yd
-    den = A * yd
-    if den < 0:
-        num, den = -num, -den
-    (ln, ld), (hn, hd) = rlo, rhi
-    if ln * den <= num * ld and num * hd <= hn * den:
-        return [_raw_fraction(num, den)]
-    return []
+    ln, ld, hn, hd, lo_in, hi_in = window
+    un, ud, u_in = A * ln + B * ld, D * ld, lo_in  # the image of the lo end
+    vn, vd, v_in = A * hn + B * hd, D * hd, hi_in
+    if A < 0:  # decreasing: the image runs from v to u, and the negated
+        # integer form keeps the solved denominators positive
+        un, ud, u_in, vn, vd, v_in = vn, vd, v_in, un, ud, u_in
+        A, B, D = -A, -B, -D
+    fu, fv = un / ud, vn / vd
+    start = bisect_left(keys, fu)
+    if start < len(keys) and keys[start] == fu:
+        start = _resolve_tie(level, keys, start, un, ud, not u_in)
+    stop = bisect_left(keys, fv, start)
+    if stop < len(keys) and keys[stop] == fv:
+        stop = _resolve_tie(level, keys, stop, vn, vd, v_in)
+    xs = []  # x = (y - B/D) / (A/D) = (yn*D - B*yd) / (A*yd), A*yd > 0
+    for yn, yd in level[start:stop]:
+        num, den = yn * D - B * yd, A * yd
+        g = math.gcd(num, den)
+        xs.append((num // g, den // g))
+    return start, xs
 
 
 def _key(x: Scalar) -> float:

@@ -26,11 +26,14 @@ from .numerics import (
     EXACT,
     Backend,
     Interval,
+    UNIT_WINDOW,
     Scalar,
     _ratio,
     _raw_fraction,
+    affine_preimages,
     find_exact,
     float_keys,
+    sort_pairs,
     unit_key,
 )
 
@@ -167,7 +170,7 @@ class PiecewiseContraction:
         owns it.
         """
         found: list[Scalar] = []
-        for m, dom, lo_inc, hi_inc in self._domains:
+        for m, dom, lo_inc, hi_inc, _ in self._domains:
             for p in m.preimages(y, dom):
                 if (p == dom.lo and not lo_inc) or (p == dom.hi and not hi_inc):
                     continue
@@ -178,12 +181,26 @@ class PiecewiseContraction:
 
     @cached_property
     def _domains(self) -> tuple:
-        """(map, closed domain, lo included, hi included) for each branch."""
+        """(map, closed domain, lo included, hi included, window) for each
+        branch; ``window`` is the domain in :func:`affine_preimages`' form
+        when :func:`_strict_affine` holds for the map and the domain's ends
+        are rational, else None."""
         out = []
         for i, m in enumerate(self.ifs.maps, start=1):
             lo, hi, lo_inc, hi_inc = self.branch_domain(i)
-            out.append((m, Interval(lo, hi), lo_inc, hi_inc))
+            ends = _ratio(lo), _ratio(hi)
+            window = None
+            if _strict_affine(m) and None not in ends:
+                window = ends[0] + ends[1] + (lo_inc, hi_inc)
+            out.append((m, Interval(lo, hi), lo_inc, hi_inc, window))
         return tuple(out)
+
+
+def _strict_affine(m: MapDescriptor) -> Optional[tuple[int, int, int]]:
+    """The integer form (A, B, D) of a rational affine map with a nonzero
+    slope, which is continuous and strictly monotone; else None."""
+    ints = m._ints if type(m) is Affine else None
+    return ints if ints and ints[0] else None
 
 
 @dataclass(frozen=True)
@@ -429,28 +446,37 @@ def is_generic(
     depth-limited.  Rational input under the exact backend is searched
     backwards, through the preimages of the breakpoints under every map,
     pruned to [0, 1] and to new points; ``cap`` bounds one tree level.
-    Irrational preimages are dropped: no rational source reaches them.
-    Otherwise (float backend or coefficients, a plateau on a tree point)
-    all n**depth forward images are enumerated, ``cap`` bounding n**depth;
-    a near-collision within the float tolerance counts as a collision.
+    Tree points are reduced (num, den) pairs: a rational affine map with
+    a nonzero slope solves a whole sorted level at once
+    (:func:`affine_preimages`), any other map solves each point through
+    its own ``preimages``, whose irrational roots are dropped: no
+    rational source reaches them.  Otherwise (float backend or
+    coefficients, a plateau on a tree point) all n**depth forward images
+    are enumerated, ``cap`` bounding n**depth; a near-collision within the
+    float tolerance counts as a collision.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     targets = f.breakpoints.points
     if not (backend.is_exact and _rational(targets) and _rational(f.ifs.maps)):
         return _generic_forward(f, depth, backend, cap)
-    sources = {backend.zero, *targets}
+    steps = [_strict_affine(m) for m in f.ifs.maps]
     unit = Interval(backend.zero, backend.one)
-    level = seen = set(targets)
+    level = seen = set(map(_ratio, targets))
+    sources = {(0, 1), *seen}
     for _ in range(depth):
+        level, keys = sort_pairs(level)
         nxt = set()
-        for y in level:
-            for m in f.ifs:
+        for m, ints in zip(f.ifs.maps, steps):
+            if ints is not None:
+                nxt.update(affine_preimages(ints, UNIT_WINDOW, level, keys)[1])
+                continue
+            for y in level:
                 try:
-                    pre = m.preimages(y, unit)
+                    pre = m.preimages(_raw_fraction(*y), unit)
                 except NonDiscretePreimageError:
                     return _generic_forward(f, depth, backend, cap)
-                nxt.update(p for p in pre if not isinstance(p, float))
+                nxt.update(_ratio(p) for p in pre if not isinstance(p, float))
         if not nxt.isdisjoint(sources):
             return False
         nxt -= seen

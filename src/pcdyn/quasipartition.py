@@ -31,8 +31,12 @@ from .numerics import (
     Interval,
     Scalar,
     _key,
+    _ratio,
+    _raw_fraction,
+    affine_preimages,
     find_exact,
     float_keys,
+    sort_pairs,
     unit_key,
 )
 from .pcmap import (
@@ -40,6 +44,7 @@ from .pcmap import (
     PeriodicOrbit,
     PiecewiseContraction,
     _refine_candidate,
+    _strict_affine,
     rotate_to_min,
 )
 
@@ -91,15 +96,20 @@ def preimage_set(
     """Backward breadth-first closure of the breakpoints.
 
     Level 0 is the breakpoints themselves; each later level collects the
-    branchwise preimages of the previous one.  Points reachable from two
-    breakpoints keep their first provenance (the trees are disjoint for
-    generic parameters).
+    branchwise preimages of the previous one, as reduced (num, den) pairs:
+    a rational affine branch with a nonzero slope solves the sorted level
+    at once (:func:`affine_preimages` on its domain and closure flags), any
+    other branch solves each point through its own ``preimages``.  A point
+    has one image, so it has one parent and one provenance: the source of
+    the breakpoint its forward orbit reaches first.
     """
-    entries: list[QPoint] = [
-        QPoint(p, i, 0) for i, p in enumerate(f.breakpoints, start=1)
-    ]
-    seen = {e.point for e in entries}
-    frontier = entries[:]
+    found = {}  # point -> (source, depth)
+    for i, p in enumerate(f.breakpoints, start=1):
+        r = _ratio(p)
+        if r is None:
+            raise InexactPreimageError(f"inexact breakpoint {p}")
+        found[r] = (i, 0)
+    frontier = list(found)
     depth = 0
     status = COMPLETE
     while frontier:
@@ -108,24 +118,62 @@ def preimage_set(
             status = TRUNCATED
             depth = depth_cap
             break
-        level: list[QPoint] = []
-        for e in frontier:
-            for p in f.preimages(e.point):
-                if isinstance(p, float):
-                    raise InexactPreimageError(
-                        f"irrational preimage of {e.point}"
-                    )
-                known = len(seen)
-                seen.add(p)  # the point's one hash
-                if len(seen) > known:
-                    level.append(QPoint(p, e.source, depth))
-        entries.extend(level)
-        if len(entries) > size_cap:
+        level, keys = sort_pairs(frontier)
+        frontier = []
+        for m, dom, lo_in, hi_in, window in f._domains:
+            if window is not None:
+                start, xs = affine_preimages(m._ints, window, level, keys)
+                for y, x in zip(level[start:], xs):
+                    if x not in found:
+                        found[x] = (found[y][0], depth)
+                        frontier.append(x)
+                continue
+            for y in level:
+                try:
+                    pre = m.preimages(_raw_fraction(*y), dom)
+                except NonDiscretePreimageError:
+                    raise _walk_order_error(f, level, depth) from None
+                for p in pre:
+                    if (p == dom.lo and not lo_in) or (p == dom.hi and not hi_in):
+                        continue
+                    if isinstance(p, float):
+                        raise _walk_order_error(f, level, depth)
+                    x = _ratio(p)
+                    if x not in found:
+                        found[x] = (found[y][0], depth)
+                        frontier.append(x)
+        if len(found) > size_cap:
             status = TRUNCATED
             break
-        frontier = level
-    entries.sort(key=lambda e: e.point)
-    return PreimageSet(tuple(entries), depth, status)
+    entries = tuple(
+        QPoint(_raw_fraction(*x), *found[x]) for x in sort_pairs(found)[0]
+    )
+    return PreimageSet(entries, depth, status)
+
+
+def _walk_order_error(f: PiecewiseContraction, level: list, depth: int):
+    """The error that a point-by-point walk of this level meets first.
+
+    That walk visits a level in discovery order: by source, then by each
+    backward step's branch and point, from the breakpoint down; at each
+    point it solves every branch (a plateau raises there) before it
+    rejects an irrational preimage.
+    """
+
+    def discovery(y):
+        steps = []
+        for _ in range(depth - 1):
+            steps.append((f.digit(y), y))
+            y = f(y)
+        return f.breakpoints.points.index(y), steps[::-1]
+
+    for y in sorted((_raw_fraction(*y) for y in level), key=discovery):
+        try:
+            pre = f.preimages(y)
+        except NonDiscretePreimageError as exc:
+            return exc
+        if any(isinstance(p, float) for p in pre):
+            return InexactPreimageError(f"irrational preimage of {y}")
 
 
 @dataclass(frozen=True)
@@ -213,13 +261,20 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
 
     For each open interval the containing branch is constant (breakpoints
     are closure points); the image interval must avoid every closure point
-    except at its ends, which is checked through exact preimage queries.
-    A straddle raises PartitionInvarianceError: the closure was truncated
-    or the parameters are degenerate.
+    except at its ends.  On a rational affine branch with a nonzero slope
+    the map is continuous and strictly monotone, so a closure point has a
+    preimage strictly inside the interval exactly when it lies strictly
+    between the image's ends: two searches for the ends, computed in
+    integers, decide it, and the first such point is the first one past
+    the lower end.  Other branches are checked through exact preimage
+    queries, one per closure point inside the image.  A straddle raises
+    PartitionInvarianceError: the closure was truncated or the parameters
+    are degenerate.
     """
     if not qset.is_complete:
         raise ValueError("partition requires a complete backward closure")
-    cuts = tuple(p for p in qset.points if 0 < p < 1)
+    # closure points are Fractions: compare their integers
+    cuts = tuple(p for p in qset.points if 0 < p._numerator < p._denominator)
     keys = float_keys(cuts)
     bounds = (EXACT.zero,) + cuts + (EXACT.one,)
     intervals = tuple(
@@ -232,6 +287,25 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
         mid = iv.midpoint()
         d = f.digit(mid)
         phi = f.ifs.maps[d - 1]
+        ints = _strict_affine(phi)
+        if ints:
+            A, B, D = ints
+            lo, hi = iv.lo, iv.hi
+            ld, hd = lo._denominator, hi._denominator
+            u = _raw_fraction(A * lo._numerator + B * ld, D * ld)
+            v = _raw_fraction(A * hi._numerator + B * hd, D * hd)
+            if A < 0:
+                u, v = v, u
+            first, hit = find_exact(cuts, keys, u, _key(u))
+            first += hit  # the first cut past u
+            if first < find_exact(cuts, keys, v, _key(v))[0]:
+                raise PartitionInvarianceError(
+                    f"image of interval {j} straddles closure point {cuts[first]}"
+                )
+            # no cut lies strictly inside the image: it is in interval first + 1
+            transition.append(first + 1)
+            branch.append(d)
+            continue
         img = phi.image(iv)
         lo_idx, _ = find_exact(cuts, keys, img.lo, _key(img.lo))
         hi_idx, hit = find_exact(cuts, keys, img.hi, _key(img.hi))

@@ -9,13 +9,26 @@ from pcdyn import (
     EXACT,
     Affine,
     Breakpoints,
+    CapExceededError,
     Clamped,
     Composed,
+    InexactPreimageError,
+    Interval,
     IntervalSet,
     IteratedFunctionSystem,
+    NonDiscretePreimageError,
+    PartitionInvarianceError,
     PiecewiseContraction,
     Quadratic,
     ifs_image,
+)
+from pcdyn.pcmap import _generic_forward
+from pcdyn.quasipartition import (
+    COMPLETE,
+    TRUNCATED,
+    PreimageSet,
+    QPoint,
+    QuasiPartition,
 )
 
 
@@ -162,3 +175,106 @@ def fraction_word_map(f: PiecewiseContraction, word) -> Affine:
     for d in word[1:]:
         m = fraction_compose(f.ifs.maps[d - 1], m)
     return m
+
+
+# --- Fraction oracles for the backward walks ------------------------------------
+
+
+def fraction_is_generic(f: PiecewiseContraction, depth: int, cap: int = 100_000):
+    """is_generic's backward tree for rational input on sets of Fractions:
+    every map's own ``preimages`` of every tree point over [0, 1], level by
+    level, irrational roots dropped, a plateau handing over to the forward
+    enumeration."""
+    targets = f.breakpoints.points
+    sources = {F(0), *targets}
+    unit = Interval(F(0), F(1))
+    level = seen = set(targets)
+    for _ in range(depth):
+        nxt = set()
+        for y in level:
+            for m in f.ifs:
+                try:
+                    pre = m.preimages(y, unit)
+                except NonDiscretePreimageError:
+                    return _generic_forward(f, depth, EXACT, cap)
+                nxt.update(p for p in pre if not isinstance(p, float))
+        if not nxt.isdisjoint(sources):
+            return False
+        nxt -= seen
+        if len(nxt) > cap:
+            raise CapExceededError(f"{len(nxt)} tree points exceed cap {cap}")
+        seen |= nxt
+        level = nxt
+    return True
+
+
+def fraction_preimage_set(
+    f: PiecewiseContraction, depth_cap: int = 64, size_cap: int = 10_000
+) -> PreimageSet:
+    """preimage_set point by point: each frontier point's ``f.preimages``
+    in discovery order, on a set of Fractions."""
+    entries = [QPoint(p, i, 0) for i, p in enumerate(f.breakpoints, start=1)]
+    seen = {e.point for e in entries}
+    frontier = entries[:]
+    depth = 0
+    status = COMPLETE
+    while frontier:
+        depth += 1
+        if depth > depth_cap:
+            status = TRUNCATED
+            depth = depth_cap
+            break
+        level = []
+        for e in frontier:
+            for p in f.preimages(e.point):
+                if isinstance(p, float):
+                    raise InexactPreimageError(f"irrational preimage of {e.point}")
+                if p not in seen:
+                    seen.add(p)
+                    level.append(QPoint(p, e.source, depth))
+        entries.extend(level)
+        if len(entries) > size_cap:
+            status = TRUNCATED
+            break
+        frontier = level
+    entries.sort(key=lambda e: e.point)
+    return PreimageSet(tuple(entries), depth, status)
+
+
+def fraction_build_partition(
+    f: PiecewiseContraction, qset: PreimageSet
+) -> QuasiPartition:
+    """build_partition with an exact preimage query for every closure point
+    inside every interval's image, on every branch."""
+    if not qset.is_complete:
+        raise ValueError("partition requires a complete backward closure")
+    cuts = tuple(p for p in qset.points if 0 < p < 1)
+    bounds = (F(0),) + cuts + (F(1),)
+    intervals = tuple(Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    transition, branch = [], []
+    for j, iv in enumerate(intervals, start=1):
+        mid = (iv.lo + iv.hi) / 2
+        d = f.digit(mid)
+        phi = f.ifs.maps[d - 1]
+        img = phi.image(iv)
+        for q in cuts:
+            if not img.lo <= q <= img.hi:
+                continue
+            try:
+                hits = phi.preimages(q, iv)
+            except NonDiscretePreimageError as exc:
+                raise PartitionInvarianceError(
+                    f"interval {j} has a plateau on closure point {q}"
+                ) from exc
+            if any(iv.lo < p < iv.hi for p in hits):
+                raise PartitionInvarianceError(
+                    f"image of interval {j} straddles closure point {q}"
+                )
+        y = phi(mid)
+        if y in cuts:
+            raise PartitionInvarianceError(
+                f"image midpoint of interval {j} lies on a closure point"
+            )
+        transition.append(sum(c < y for c in cuts) + 1)
+        branch.append(d)
+    return QuasiPartition(qset, cuts, intervals, tuple(transition), tuple(branch))

@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,7 @@ from pcdyn.sampling import (
     rng_for_sample,
 )
 from _support import (
+    fraction_is_generic,
     fraction_word_map,
     generic_value,
     period3_pc,
@@ -314,7 +316,9 @@ class TestPreimages:
                 except NonDiscretePreimageError:
                     continue
                 want = set()
-                for m, dom, lo_inc, hi_inc in f._domains:
+                for i, m in enumerate(f.ifs.maps, start=1):
+                    lo, hi, lo_inc, hi_inc = f.branch_domain(i)
+                    dom = Interval(lo, hi)
                     want.update(
                         p for p in m.preimages(y, dom)
                         if (p != dom.lo or lo_inc) and (p != dom.hi or hi_inc)
@@ -444,6 +448,14 @@ def _pc(maps, cuts) -> PiecewiseContraction:
     )
 
 
+def _outcome(fn, *args):
+    """fn's result, or its CapExceededError's type and message."""
+    try:
+        return fn(*args)
+    except CapExceededError as exc:
+        return type(exc), str(exc)
+
+
 def _coarse_pc(rng: random.Random, n: int) -> PiecewiseContraction:
     """Affine maps and breakpoints on a grid of 1/64, slopes in 1/8 steps
     (constant maps included): collisions are common at every depth."""
@@ -477,14 +489,46 @@ class TestGenericBackwardSearch:
             f = _coarse_pc(rng, n)
             want = _generic_forward(f, depth, EXACT, 10**6)
             assert is_generic(f, depth) == want, (i, f)
+            assert fraction_is_generic(f, depth) == want, (i, f)
+            cap = rng.randint(1, 12)
+            assert _outcome(is_generic, f, depth, EXACT, cap) == _outcome(
+                fraction_is_generic, f, depth, cap
+            )
             outcomes.append(want)
         # both answers are well represented, so the comparison has teeth
         assert 100 <= sum(outcomes) <= 230
 
     def test_agrees_on_steep_survey_draws(self):
+        capped = 0
         for i in range(30):
             f = draw_pc(rng_for_sample(7, i), 2 + i % 5, kappa_max=0.9)
             assert is_generic(f, 3) == _generic_forward(f, 3, EXACT, 10**6)
+            for depth, cap in ((5, 100_000), (6, 40)):
+                want = _outcome(fraction_is_generic, f, depth, cap)
+                assert _outcome(is_generic, f, depth, EXACT, cap) == want
+                capped += isinstance(want, tuple)
+        assert capped >= 10
+
+    def test_mixed_maps_and_tied_breakpoints_match_the_fraction_tree(self):
+        # quadratic, clamped and constant maps take their own preimages;
+        # breakpoints 2^-70 apart share one float
+        rng = random.Random(1412)
+        tiny = F(1, 2**70)
+        verdicts = Counter()
+        for i in range(120):
+            base = sorted({rand_fraction(rng, F(1, 10), F(9, 10), 2**8) for _ in range(2)})
+            cuts = sorted({b + k * tiny for b in base for k in range(i % 3)} | set(base))
+            kinds = [rand_affine, rand_affine, rand_quadratic, rand_clamped]
+            maps = [rng.choice(kinds)(rng) for _ in range(len(cuts) + 1)]
+            if i % 4 == 0:
+                maps[rng.randrange(len(maps))] = Affine(F(0), rng.choice(cuts))
+            f = _pc(maps, cuts)
+            for depth in (1, 2, 4):
+                want = _outcome(fraction_is_generic, f, depth, 300)
+                assert _outcome(is_generic, f, depth, EXACT, 300) == want
+                verdicts[want if isinstance(want, bool) else want[0]] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50
+        assert verdicts[CapExceededError] >= 5
 
     def test_collision_through_a_map_outside_the_branch(self):
         # 1/2 belongs to branch 2, but map 1 fixes it; map 2 never reaches

@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from pcdyn import (
     BoundaryOrbitError,
     BoundViolationError,
     Breakpoints,
+    InexactPreimageError,
     Clamped,
     Interval,
     IteratedFunctionSystem,
@@ -17,6 +19,7 @@ from pcdyn import (
     PartitionInvarianceError,
     PeriodicOrbit,
     PiecewiseContraction,
+    Quadratic,
     build_partition,
     equivalence_classes,
     is_generic,
@@ -33,10 +36,19 @@ from pcdyn.quasipartition import (
     QPoint,
     QuasiPartition,
 )
-from pcdyn.pcmap import _word_map, rotate_to_min
+from pcdyn.pcmap import LEFT_OPEN, RIGHT_OPEN, _word_map, rotate_to_min
 from pcdyn.sampling import draw_pc, rng_for_sample
 from pcdyn.survey import cut_cycle
-from _support import constant_pc, period3_pc, rand_affine, rand_fraction
+from _support import (
+    constant_pc,
+    fraction_build_partition,
+    fraction_preimage_set,
+    period3_pc,
+    rand_affine,
+    rand_clamped,
+    rand_fraction,
+    rand_quadratic,
+)
 
 PERIOD3_Q = {F(1, 10), F(1, 5), F(3, 10), F(7, 20), F(9, 20), F(13, 20)}
 
@@ -690,3 +702,240 @@ class TestEquivalenceClassesInputs:
                 equivalence_classes(
                     _three_branch_pc((missing, F(2, 3))), part, orbits=[]
                 )
+
+
+# --- the integer backward walk against the Fraction oracles ----------------
+
+
+def _outcome(fn, *args):
+    """fn's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except (
+        InexactPreimageError,
+        NonDiscretePreimageError,
+        PartitionInvarianceError,
+        ValueError,
+    ) as exc:
+        return type(exc), str(exc)
+
+
+def _label(outcome):
+    """A truncated closure's status, the type of a partition, or the name
+    of the exception raised."""
+    if isinstance(outcome, tuple):
+        return outcome[0].__name__
+    if isinstance(outcome, PreimageSet):
+        return outcome.status
+    return type(outcome).__name__
+
+
+def _closures(rng, k):
+    return tuple(rng.choice((RIGHT_OPEN, LEFT_OPEN)) for _ in range(k))
+
+
+def _steep_pc(rng):
+    """2-5 affine branches: slopes of both signs and zero, random closure
+    flags, breakpoints on the 2^-16 grid."""
+    n = rng.randint(2, 5)
+    maps = [
+        Affine(F(0), rand_fraction(rng, F(1, 100), F(99, 100)))
+        if rng.random() < 0.15
+        else rand_affine(rng)
+        for _ in range(n)
+    ]
+    cuts = sorted({rand_fraction(rng, F(1, 20), F(19, 20)) for _ in range(n - 1)})
+    if len(cuts) != n - 1:
+        return None
+    return PiecewiseContraction(
+        IteratedFunctionSystem(tuple(maps)), Breakpoints(tuple(cuts)),
+        _closures(rng, n - 1),
+    )
+
+
+def _tied_pc(rng):
+    """Breakpoints in clusters 2^-70 apart, so several share one float, and
+    one cluster around the image of a breakpoint under the first map: the
+    level's float ties and the image ends' ties both need exact order."""
+    tiny = F(1, 2**70)
+    n = rng.randint(2, 4)
+    maps = [rand_affine(rng) for _ in range(n)]
+    base = rand_fraction(rng, F(1, 10), F(2, 5))
+    pts = {base, maps[0]._eval(base)}
+    for _ in range(rng.randint(1, 2)):
+        pts.add(rand_fraction(rng, F(1, 10), F(9, 10)))
+    cuts = set()
+    for p in pts:
+        cuts.update(p + k * tiny for k in range(-1, 2))
+    cuts = sorted(c for c in cuts if 0 < c < 1)
+    maps += [rand_affine(rng) for _ in range(len(cuts) + 1 - n)]
+    return PiecewiseContraction(
+        IteratedFunctionSystem(tuple(maps)), Breakpoints(tuple(cuts)),
+        _closures(rng, len(cuts)),
+    )
+
+
+def _mixed_pc(rng):
+    """Affine branches mixed with quadratic, clamped and constant ones: the
+    branches the walk solves point by point."""
+    n = rng.randint(2, 4)
+    kinds = [rand_affine, rand_affine, rand_quadratic, rand_clamped]
+    maps = [rng.choice(kinds)(rng) for _ in range(n)]
+    cuts = sorted({rand_fraction(rng, F(1, 20), F(19, 20), 2**8) for _ in range(n - 1)})
+    if len(cuts) != n - 1:
+        return None
+    if rng.random() < 0.3:  # a constant branch, sometimes onto a breakpoint
+        b = rng.choice(cuts + [rand_fraction(rng, F(1, 10), F(9, 10))])
+        maps[rng.randrange(n)] = Affine(F(0), b)
+    return PiecewiseContraction(
+        IteratedFunctionSystem(tuple(maps)), Breakpoints(tuple(cuts)),
+        _closures(rng, n - 1),
+    )
+
+
+def _assert_same_partition(f, q):
+    got = _outcome(build_partition, f, q)
+    want = _outcome(fraction_build_partition, f, q)
+    if isinstance(want, QuasiPartition):
+        assert got.cut_points == want.cut_points
+        assert got.intervals == want.intervals
+        assert got.transition == want.transition
+        assert got.branch == want.branch
+    else:
+        assert got == want
+    return want
+
+
+class TestBackwardWalkAgainstFractionOracles:
+    """preimage_set and build_partition on integer pairs against the
+    point-by-point Fraction walk and the per-cut preimage check."""
+
+    def _check(self, f, depth_cap=64, size_cap=10_000):
+        got = _outcome(preimage_set, f, depth_cap, size_cap)
+        want = _outcome(fraction_preimage_set, f, depth_cap, size_cap)
+        if not isinstance(want, PreimageSet):
+            assert got == want
+            return want
+        assert got.entries == want.entries
+        assert got.depth_reached == want.depth_reached
+        assert got.status == want.status
+        if want.is_complete:
+            return _assert_same_partition(f, got)
+        return want
+
+    def test_seeded_affine_systems(self):
+        rng = random.Random(1663)
+        outcomes = Counter()
+        for i in range(300):
+            f = _steep_pc(rng)
+            if f is None:
+                continue
+            depth_cap, size_cap = (64, 10_000) if i % 3 else (rng.randint(1, 6), rng.randint(2, 30))
+            outcomes[_label(self._check(f, depth_cap, size_cap))] += 1
+        # every outcome is represented, so the comparison has teeth
+        assert outcomes[TRUNCATED] >= 20 and outcomes["QuasiPartition"] >= 50
+
+    def test_breakpoints_sharing_one_float(self):
+        rng = random.Random(70)
+        complete = 0
+        for _ in range(60):
+            f = _tied_pc(rng)
+            floats = [float(p) for p in f.breakpoints]
+            assert len(set(floats)) < len(floats)
+            want = self._check(f, 24, 400)
+            complete += isinstance(want, QuasiPartition)
+        assert complete >= 10
+
+    def test_an_image_end_tied_with_level_points(self):
+        # branch 1 is [0, 1/4) or [0, 1/4]; its image ends at 3/8, flanked
+        # 2^-70 away by two more breakpoints of one float
+        tiny = F(1, 2**70)
+        maps = (Affine(F(1, 2), F(1, 4)),) + tuple(
+            Affine(F(1, 3), F(k, 7)) for k in range(1, 5)
+        )
+        cuts = (F(1, 4), F(3, 8) - tiny, F(3, 8), F(3, 8) + tiny)
+        for closures in ((RIGHT_OPEN,) * 4, (LEFT_OPEN,) * 4):
+            f = PiecewiseContraction(
+                IteratedFunctionSystem(maps), Breakpoints(cuts), closures
+            )
+            self._check(f, 12, 2000)
+            one = {e.point for e in preimage_set(f, 1).entries if e.depth == 1}
+            # branch 1 solves 1/4 and 3/8 - tiny; 3/8 and 3/8 + tiny lie
+            # on or past the end of its image
+            assert {p for p in one if p < F(1, 4)} == {F(0), F(1, 4) - 2 * tiny}
+
+    def test_mixed_branches_and_their_errors(self):
+        rng = random.Random(1412)
+        outcomes = Counter()
+        for _ in range(200):
+            f = _mixed_pc(rng)
+            if f is None:
+                continue
+            outcomes[_label(self._check(f, 10, 300))] += 1
+        assert outcomes["InexactPreimageError"] >= 15
+        assert outcomes["NonDiscretePreimageError"] >= 20
+        assert outcomes[TRUNCATED] + outcomes["QuasiPartition"] >= 20
+
+    def test_irrational_preimages_named_in_walk_order(self):
+        # the decreasing branch 3 sends 17/30 onto 9/20 and 23/45 onto 1/2:
+        # a walk from the breakpoints meets 17/30 first, the larger point;
+        # both have irrational preimages under the quadratic branch 1
+        f = PiecewiseContraction(
+            IteratedFunctionSystem((
+                Quadratic(F(1, 10), F(1, 5), F(101, 200)),
+                Affine(F(1, 2), F(1, 10)),
+                Affine(F(-9, 10), F(24, 25)),
+            )),
+            Breakpoints((F(9, 20), F(1, 2))),
+        )
+        one = {e.point for e in preimage_set(f, 1).entries if e.depth == 1}
+        assert one == {F(17, 30), F(23, 45)}
+        want = (InexactPreimageError, "irrational preimage of 17/30")
+        assert _outcome(fraction_preimage_set, f) == want
+        assert _outcome(preimage_set, f) == want
+
+    def test_incomplete_closures_straddle_where_the_oracle_does(self):
+        rng = random.Random(1664)
+        raised = Counter()
+        checked = 0
+        while checked < 150:
+            f = _steep_pc(rng)
+            q = None if f is None else preimage_set(f, size_cap=400)
+            if q is None or not q.is_complete or len(q.entries) < 4:
+                continue
+            kept = [e for e in q.entries if e.depth == 0 or rng.random() < 0.5]
+            extra = [QPoint(rand_fraction(rng, F(0), F(1)), 1, 1) for _ in range(rng.randint(0, 2))]
+            entries = sorted(
+                {e.point: e for e in kept + extra if e.point < 1}.values(),
+                key=lambda e: e.point,
+            )
+            fake = PreimageSet(tuple(entries), q.depth_reached, COMPLETE)
+            want = _assert_same_partition(f, fake)
+            if isinstance(want, tuple):
+                raised["straddles" in want[1]] += 1
+            checked += 1
+        assert raised[True] >= 50
+
+    def test_straddle_found_at_the_second_cut(self):
+        # interval (0, 1/4) maps onto (1/4, 3/8): the cut 1/4 is its lower
+        # end, the breakpoint 3/10 lies strictly inside
+        fake = PreimageSet(
+            (QPoint(F(1, 4), 1, 1), QPoint(F(3, 10), 1, 0)), 1, COMPLETE
+        )
+        f = period3_pc()
+        want = _assert_same_partition(f, fake)
+        assert want == (
+            PartitionInvarianceError,
+            "image of interval 1 straddles closure point 3/10",
+        )
+        # a decreasing branch: -x/2 + 5/8 maps (1/8, 1/4) onto (1/2, 9/16)
+        g = PiecewiseContraction(
+            IteratedFunctionSystem((Affine(F(-1, 2), F(5, 8)), Affine(F(1, 2), F(1, 8)))),
+            Breakpoints((F(3, 10),)),
+        )
+        cuts = (F(1, 8), F(1, 4), F(3, 10), F(1, 2), F(17, 32))
+        fake = PreimageSet(tuple(QPoint(c, 1, 1) for c in cuts), 1, COMPLETE)
+        assert _assert_same_partition(g, fake) == (
+            PartitionInvarianceError,
+            "image of interval 2 straddles closure point 17/32",
+        )

@@ -176,6 +176,19 @@ class TestRunSurvey:
             "ac7686442f7a4493ca57fa6048d81969d580920da0394b09fa15048b850f50f4"
         )
 
+    @pytest.mark.parametrize("n", [6, 10, 12])
+    def test_wide_surveys_pinned(self, n):
+        # 40 samples at seed 0, where the genericity tree is most of the
+        # work; digests recorded before the tree moved to integer pairs
+        want = {
+            6: "8684ea2680c242e8bb7626c1efdf3c53eceaddedc8fe7dfc49ec48d09a802370",
+            10: "524c40600b3ec6cdb25a2ab59ba0fd368e6d3267316c75c2064422f4d3830559",
+            12: "e8d9f0b9886208d3e8ddd27edbed4ba6d4452f7a51122ea99c335fffb1eb5bca",
+        }[n]
+        cfg = RunConfig(backend=Backend.exact(), samples=40, seed=0, n=n)
+        digest = hashlib.sha256(survey_csv(run_survey(cfg)).encode()).hexdigest()
+        assert digest == want
+
 
 class TestSamplingBounds:
     """run_survey checks a RunConfig built in code as parse_config does."""
