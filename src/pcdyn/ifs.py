@@ -21,6 +21,8 @@ from .numerics import (
     Backend,
     IntervalSet,
     Scalar,
+    _ratio,
+    _raw_fraction,
 )
 
 
@@ -151,8 +153,19 @@ def highly_contractive_bound(ifs: IteratedFunctionSystem) -> Optional[Scalar]:
     Computed piecewise on the common refinement of all clamp breakpoints;
     plateaus contribute zero on their pieces, quadratics are bounded by
     endpoint derivative values (exact, since the derivative is linear).
-    Returns None when the computable bound is >= 1.
+    Clamped rational affine maps with rational windows are summed in
+    integers (:func:`_swept_slope_sum`).  Returns None when the computable
+    bound is >= 1.
     """
+    rho = _swept_slope_sum(ifs)
+    if rho is None:
+        rho = _grid_slope_sum(ifs)
+    return rho if rho < 1 else None
+
+
+def _grid_slope_sum(ifs: IteratedFunctionSystem) -> Scalar:
+    """The largest sum of the maps' slope bounds over a cell of the grid of
+    clamp breakpoints, through each map's ``_slope_bound_on``."""
     cuts = {Fraction(0), Fraction(1)}
     for m in ifs:
         cuts.update(b for b in m._domain_breakpoints() if 0 < b < 1)
@@ -163,7 +176,40 @@ def highly_contractive_bound(ifs: IteratedFunctionSystem) -> Optional[Scalar]:
         for m in ifs:
             total += m._slope_bound_on(lo, hi)
         rho = max(rho, total)
-    return rho if rho < 1 else None
+    return rho
+
+
+def _swept_slope_sum(ifs: IteratedFunctionSystem) -> Optional[Scalar]:
+    """:func:`_grid_slope_sum` for maps that are all ``Clamped(Affine)``
+    with rational coefficients and window ends, else None.
+
+    Such a map adds |A|/D on each cell inside its window.  Over L, the lcm
+    of the D, that is the integer weight |A|*(L/D); the window ends, over
+    one common denominator, are swept in order, a window closing before
+    another opens at a shared end, and the bound is the largest running
+    sum over L (the int 0 when no cell has a slope, as the grid gives).
+    """
+    windows = []
+    for m in ifs:
+        if type(m) is not Clamped or type(m.inner) is not Affine:
+            return None
+        ints, lo, hi = m.inner._ints, _ratio(m.lo), _ratio(m.hi)
+        if ints is None or lo is None or hi is None:
+            return None
+        windows.append((abs(ints[0]), ints[2], lo, hi))
+    den = math.lcm(*(d for _, d, _, _ in windows))
+    q = math.lcm(*(e[1] for _, _, lo, hi in windows for e in (lo, hi)))
+    events = []  # (position over q, 0 to close or 1 to open, weight)
+    for a, d, (ln, ld), (hn, hd) in windows:
+        w = a * (den // d)
+        events += [(ln * (q // ld), 1, w), (hn * (q // hd), 0, -w)]
+    events.sort()
+    best = total = 0
+    for _, _, w in events:
+        total += w
+        if total > best:
+            best = total
+    return _raw_fraction(best, den) if best else 0
 
 
 def cap_ifs(

@@ -8,8 +8,8 @@ component counts are meaningful.
 
 The exact kernels below build Fractions from integers, solve rational
 affine equations in integers, and search sorted exact points: one
-function, :func:`find_exact`, bisects the points' floats and compares
-exactly only where the floats tie.  The one preimage step,
+function, :func:`find_pair`, bisects the points' floats and compares
+exactly, in integers, only where the floats tie.  The one preimage step,
 :func:`affine_preimages`, solves a rational affine map for a whole level
 of reduced integer pairs, searched the same way: the backward walks pass
 a level, ``Affine.preimages`` a single point.
@@ -91,12 +91,14 @@ EXACT = Backend.exact()
 # behind them, so hot exact loops build, compare and search through these
 # helpers, which read Fraction internals.  The only other readers are
 # Affine._eval (maps.py), PiecewiseContraction.__call__ (pcmap.py), which
-# holds the only integer path of a clamped affine branch, build_partition
-# (quasipartition.py), which filters the cut points and takes an affine
-# branch's image ends from the interval ends' integers, and _gaps_at_least
-# and _intercept_range (sampling.py).  is_generic (pcmap.py) and
-# preimage_set (quasipartition.py) hold their points as integer pairs and
-# cross to and from Fractions only through _ratio and _raw_fraction.
+# holds the only integer path of a clamped affine branch, _walk and
+# _refine_candidate (pcmap.py), which walk orbits on integer pairs,
+# build_partition (quasipartition.py), which filters the cut points and
+# takes an affine branch's image ends from the interval ends' integers,
+# and _gaps_at_least and _intercept_range (sampling.py).  is_generic
+# (pcmap.py) and preimage_set (quasipartition.py) hold their points as
+# integer pairs and cross to and from Fractions only through _ratio and
+# _raw_fraction.
 
 
 def _raw_fraction(num: int, den: int) -> Fraction:
@@ -139,18 +141,6 @@ def sort_pairs(pairs) -> tuple[list, list]:
     return level, [n / d for n, d in level]
 
 
-def _resolve_tie(
-    level: list, keys: list, lo: int, n: int, d: int, right: bool
-) -> int:
-    """``bisect_left`` (``bisect_right`` when ``right``) of n/d in a level
-    from :func:`sort_pairs`, given that ``keys[lo]`` is the first key equal
-    to n/d's: only the pairs with that key are compared, as Fractions."""
-    hi = bisect_right(keys, keys[lo], lo)
-    run = [_raw_fraction(*p) for p in level[lo:hi]]
-    search = bisect_right if right else bisect_left
-    return lo + search(run, _raw_fraction(n, d))
-
-
 def affine_preimages(
     ints: tuple[int, int, int], window: tuple, level: list, keys: list
 ) -> tuple[int, list[tuple[int, int]]]:
@@ -174,11 +164,13 @@ def affine_preimages(
         A, B, D = -A, -B, -D
     fu, fv = un / ud, vn / vd
     start = bisect_left(keys, fu)
-    if start < len(keys) and keys[start] == fu:
-        start = _resolve_tie(level, keys, start, un, ud, not u_in)
+    if start < len(keys) and keys[start] == fu:  # most ends tie no level key
+        start, hit = find_pair(level, keys, un, ud, fu)
+        start += hit and not u_in
     stop = bisect_left(keys, fv, start)
     if stop < len(keys) and keys[stop] == fv:
-        stop = _resolve_tie(level, keys, stop, vn, vd, v_in)
+        stop, hit = find_pair(level, keys, vn, vd, fv)
+        stop += hit and v_in
     xs = []  # x = (y - B/D) / (A/D) = (yn*D - B*yd) / (A*yd), A*yd > 0
     for yn, yd in level[start:stop]:
         num, den = yn * D - B * yd, A * yd
@@ -228,35 +220,56 @@ def find_exact(
     ``points``, searched on ``keys = float_keys(points)`` with
     ``fx = _key(x)``.
 
-    Rounding to float is monotone, so a point whose key is below fx lies
-    below x and one whose key is above lies above; only the points whose
-    key equals fx are compared exactly: rationals by integer
-    cross-multiplication (denominators are positive), anything else by the
-    generic operators.
+    Off the points' keys the bisect of fx decides.  On a tie, a rational
+    x is searched by :func:`find_pair`; anything else compares the points
+    whose key equals fx by the generic operators.
     """
     lo = bisect_left(keys, fx)
     if lo == len(keys) or keys[lo] != fx:
         return lo, False
-    hi = end = bisect_right(keys, fx, lo)
     rx = _ratio(x)
     if rx is not None:
-        xn, xd = rx
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p = points[mid]
-            if type(p) is not Fraction:
-                break
-            d = p._numerator * xd - xn * p._denominator
-            if d < 0:
-                lo = mid + 1
-            elif d > 0:
-                hi = mid
-            else:
-                return mid, True
-        else:
-            return lo, False
+        return find_pair(points, keys, rx[0], rx[1], fx)
+    hi = bisect_right(keys, fx, lo)
     i = bisect_left(points, x, lo, hi)
-    return i, i < end and points[i] == x
+    return i, i < hi and points[i] == x
+
+
+def find_pair(
+    points: Sequence[Scalar], keys: Sequence[float], n: int, d: int, fx: float
+) -> tuple[int, bool]:
+    """:func:`find_exact` for x = n/d, given as integers with d > 0 that
+    need not be reduced, and its key ``fx`` (``n / d``, which integer true
+    division rounds correctly, or ``_key`` of x).
+
+    Rounding to float is monotone, so a point whose key is below fx lies
+    below x and one whose key is above lies above; only the points whose
+    key equals fx are compared, by integer cross-multiplication: every
+    point is a Fraction, a (num, den) pair with den > 0 (a level from
+    :func:`sort_pairs`), an int or a finite float, and each has an exact
+    integer ratio with a positive denominator.
+    """
+    lo = bisect_left(keys, fx)
+    if lo == len(keys) or keys[lo] != fx:
+        return lo, False
+    hi = bisect_right(keys, fx, lo)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p = points[mid]
+        if type(p) is Fraction:
+            pn, pd = p._numerator, p._denominator
+        elif type(p) is tuple:
+            pn, pd = p
+        else:
+            pn, pd = p.as_integer_ratio()
+        c = pn * d - n * pd
+        if c < 0:
+            lo = mid + 1
+        elif c > 0:
+            hi = mid
+        else:
+            return mid, True
+    return lo, False
 
 
 def format_scalar(x: Scalar) -> str:

@@ -278,8 +278,44 @@ def _word_map(f: PiecewiseContraction, word: Sequence[int]) -> MapDescriptor:
     return m
 
 
+def _walk(
+    f: PiecewiseContraction, n: int, d: int, k: int,
+    word: Optional[Sequence[int]] = None,
+):
+    """``(points, digits, (n, d))``: x, f(x), ..., f^{k-1}(x) for
+    x = n/d (d > 0, not necessarily reduced) as Fractions, each built once,
+    their digits, and f^k(x) as an unreduced pair; None as soon as a digit
+    differs from ``word``.  Every branch taken is unclamped rational affine
+    (:func:`_plain`).  The float bisect of the breakpoints' keys picks each
+    digit, as in ``__call__``; ``digit`` runs only on a key tie.
+    """
+    keys, forms = f._bp_keys, f._branch_forms
+    points, digits = [], []
+    for t in range(k):
+        x = _raw_fraction(n, d)
+        n, d = x._numerator, x._denominator
+        fx = n / d
+        i = bisect_right(keys, fx)
+        if i and keys[i - 1] == fx:  # on a breakpoint's key
+            i = f.digit(x) - 1
+        if word is not None and word[t] != i + 1:
+            return None
+        points.append(x)
+        digits.append(i + 1)
+        A, B, D, _ = forms[i]
+        n, d = A * n + B * d, D * d
+    return points, digits, (n, d)
+
+
+def _plain(forms: Sequence) -> bool:
+    """Every form is a rational affine map's integer form, unclamped."""
+    return all(fm is not None and fm[3] is None for fm in forms)
+
+
 def _digit_word(f: PiecewiseContraction, x: Scalar, k: int) -> tuple[int, ...]:
     """The branch digits of x, f(x), ..., f^{k-1}(x)."""
+    if type(x) is Fraction and _plain(f._branch_forms):
+        return tuple(_walk(f, x._numerator, x._denominator, k)[1])
     word = []
     for _ in range(k):
         d = f.digit(x)
@@ -299,12 +335,31 @@ def _refine_candidate(
     """Solve the fixed point of the composed word map and verify the cycle.
 
     Exact backend: the refined orbit must close exactly and follow the
-    word's digits.  Float backend: it must close within eps_orbit.
+    word's digits; when every letter's branch is an unclamped rational
+    affine map, the word map is folded and the orbit walked in integers
+    (:func:`_walk`).  Float backend: it must close within eps_orbit.
     Returns None when verification fails (a spurious candidate).  The
     orbit search passes an itinerary's repeated word; a quasi-partition
     passes each index cycle's word, with the cycle as ``home_cycle``.
     """
     p = len(word)
+    forms = [f._branch_forms[d - 1] for d in word]
+    if backend.is_exact and _plain(forms):
+        # the word map (A*x + B)/D, first letter acting first, has the
+        # fixed point B/(D - A), D > |A|
+        A, B, D = 1, 0, 1
+        for a, b, dd, _ in forms:
+            A, B, D = a * A, a * B + b * D, dd * D
+        if not 0 <= B < D - A:
+            return None
+        walked = _walk(f, B, D - A, p, word)
+        if walked is None:
+            return None
+        pts, digits, (n, d) = walked
+        z = pts[0]
+        if n * z._denominator != z._numerator * d:  # the walk closes on z
+            return None
+        return rotate_to_min(pts, digits, home_cycle)
     try:
         z = _word_map(f, word).fixed_point(eps_fp)
     except (ValueError, ArithmeticError):

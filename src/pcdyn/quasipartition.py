@@ -35,6 +35,7 @@ from .numerics import (
     _raw_fraction,
     affine_preimages,
     find_exact,
+    find_pair,
     float_keys,
     sort_pairs,
     unit_key,
@@ -193,6 +194,10 @@ class QuasiPartition:
     _orbits: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    # (breakpoints, index of each among cut_points), set by build_partition
+    _at: tuple = field(
+        default=(None, None), init=False, compare=False, repr=False
+    )
 
     @property
     def m(self) -> int:
@@ -259,53 +264,57 @@ class QuasiPartition:
 def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartition:
     """Build the invariant partition and verify it is respected exactly.
 
-    For each open interval the containing branch is constant (breakpoints
-    are closure points); the image interval must avoid every closure point
-    except at its ends.  On a rational affine branch with a nonzero slope
-    the map is continuous and strictly monotone, so a closure point has a
-    preimage strictly inside the interval exactly when it lies strictly
-    between the image's ends: two searches for the ends, computed in
-    integers, decide it, and the first such point is the first one past
-    the lower end.  Other branches are checked through exact preimage
-    queries, one per closure point inside the image.  A straddle raises
-    PartitionInvarianceError: the closure was truncated or the parameters
-    are degenerate.
+    The breakpoints are closure points: each is found once among the cut
+    points (ValueError when one is missing), and an open interval's branch
+    steps up just past each of them.  The image interval must avoid every
+    closure point except at its ends.  On a rational affine branch with a
+    nonzero slope the map is continuous and strictly monotone, so a closure
+    point has a preimage strictly inside the interval exactly when it lies
+    strictly between the image's ends: the ends, unreduced integer pairs
+    from the interval ends' integers, are searched by :func:`find_pair`,
+    and the first such point is the first one past the lower end.  Other
+    branches are checked through exact preimage queries, one per closure
+    point inside the image, and their midpoint's image must miss the
+    closure points.  A straddle raises PartitionInvarianceError: the
+    closure was truncated or the parameters are degenerate.
     """
     if not qset.is_complete:
         raise ValueError("partition requires a complete backward closure")
     # closure points are Fractions: compare their integers
     cuts = tuple(p for p in qset.points if 0 < p._numerator < p._denominator)
     keys = float_keys(cuts)
+    at = _breakpoint_positions(f, cuts, keys)
     bounds = (EXACT.zero,) + cuts + (EXACT.one,)
     intervals = tuple(
         Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:])
     )
-
-    transition: list[int] = []
     branch: list[int] = []
-    for j, iv in enumerate(intervals, start=1):
-        mid = iv.midpoint()
-        d = f.digit(mid)
-        phi = f.ifs.maps[d - 1]
-        ints = _strict_affine(phi)
+    for d, last in enumerate(at + [len(cuts)], start=1):
+        branch += [d] * (last + 1 - len(branch))  # intervals up to cut `last`
+
+    maps = f.ifs.maps
+    steps = [_strict_affine(m) for m in maps]
+    transition: list[int] = []
+    for j, (iv, d) in enumerate(zip(intervals, branch), start=1):
+        ints = steps[d - 1]
         if ints:
             A, B, D = ints
             lo, hi = iv.lo, iv.hi
             ld, hd = lo._denominator, hi._denominator
-            u = _raw_fraction(A * lo._numerator + B * ld, D * ld)
-            v = _raw_fraction(A * hi._numerator + B * hd, D * hd)
+            un, ud = A * lo._numerator + B * ld, D * ld
+            vn, vd = A * hi._numerator + B * hd, D * hd
             if A < 0:
-                u, v = v, u
-            first, hit = find_exact(cuts, keys, u, _key(u))
-            first += hit  # the first cut past u
-            if first < find_exact(cuts, keys, v, _key(v))[0]:
+                un, ud, vn, vd = vn, vd, un, ud
+            first, hit = find_pair(cuts, keys, un, ud, un / ud)
+            first += hit  # the first cut past the image's lower end
+            if first < find_pair(cuts, keys, vn, vd, vn / vd)[0]:
                 raise PartitionInvarianceError(
                     f"image of interval {j} straddles closure point {cuts[first]}"
                 )
             # no cut lies strictly inside the image: it is in interval first + 1
             transition.append(first + 1)
-            branch.append(d)
             continue
+        phi = maps[d - 1]
         img = phi.image(iv)
         lo_idx, _ = find_exact(cuts, keys, img.lo, _key(img.lo))
         hi_idx, hit = find_exact(cuts, keys, img.hi, _key(img.hi))
@@ -320,17 +329,31 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
                 raise PartitionInvarianceError(
                     f"image of interval {j} straddles closure point {q}"
                 )
-        y = phi._eval(mid)
+        y = phi._eval(iv.midpoint())
         target, hit = find_exact(cuts, keys, y, _key(y))
         if hit:
             raise PartitionInvarianceError(
                 f"image midpoint of interval {j} lies on a closure point"
             )
         transition.append(target + 1)
-        branch.append(d)
-    return QuasiPartition(
+    part = QuasiPartition(
         qset, cuts, intervals, tuple(transition), tuple(branch)
     )
+    object.__setattr__(part, "_at", (f.breakpoints.points, at))
+    return part
+
+
+def _breakpoint_positions(
+    f: PiecewiseContraction, cuts: tuple, keys: tuple
+) -> list[int]:
+    """The index of each breakpoint of f among the cut points."""
+    at = []
+    for x, fx in zip(f.breakpoints.points, f._bp_keys):
+        pos, hit = find_exact(cuts, keys, x, fx)
+        if not hit:
+            raise ValueError("breakpoint missing from the closure points")
+        at.append(pos)
+    return at
 
 
 def periodic_orbits(
@@ -404,12 +427,10 @@ def equivalence_classes(
     ``periodic_orbits(f, part, eps_fp)`` when the caller already holds it.
     """
     n = f.n
-    adjacency = []
-    for x_i in f.breakpoints:
-        pos, hit = find_exact(part.cut_points, part._cut_keys, x_i, _key(x_i))
-        if not hit:
-            raise ValueError("breakpoint missing from the closure points")
-        adjacency.append((pos + 1, pos + 2))
+    pts, at = part._at
+    if pts != f.breakpoints.points:  # a partition built by hand or for another f
+        at = _breakpoint_positions(f, part.cut_points, part._cut_keys)
+    adjacency = [(pos + 1, pos + 2) for pos in at]
     members = list(dict.fromkeys(idx for pair in adjacency for idx in pair))
     grouped: dict[tuple[int, ...], list[int]] = {}
     for idx in members:

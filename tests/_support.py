@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from pcdyn import (
     EXACT,
     Affine,
+    BoundaryOrbitError,
     Breakpoints,
     CapExceededError,
     Clamped,
@@ -22,7 +23,7 @@ from pcdyn import (
     Quadratic,
     ifs_image,
 )
-from pcdyn.pcmap import _generic_forward
+from pcdyn.pcmap import RIGHT_OPEN, _generic_forward, rotate_to_min
 from pcdyn.quasipartition import (
     COMPLETE,
     TRUNCATED,
@@ -177,6 +178,64 @@ def fraction_word_map(f: PiecewiseContraction, word) -> Affine:
     return m
 
 
+def fraction_digit(f: PiecewiseContraction, x) -> int:
+    """f.digit by comparing x with each breakpoint in turn: x lies past a
+    breakpoint it exceeds, or equals under the right-open flag."""
+    d = 1
+    for p, c in zip(f.breakpoints, f.closures):
+        d += x > p or (x == p and c == RIGHT_OPEN)
+    return d
+
+
+def fraction_digit_word(f: PiecewiseContraction, x, k: int) -> tuple:
+    """The digits of x, f(x), ..., f^{k-1}(x) by :func:`fraction_digit`,
+    each step through the branch map's own ``_eval``."""
+    word = []
+    for _ in range(k):
+        d = fraction_digit(f, x)
+        word.append(d)
+        x = f.ifs.maps[d - 1]._eval(x)
+    return tuple(word)
+
+
+def fraction_cycle_orbit(f: PiecewiseContraction, word, home_cycle=None):
+    """The exact cycle solve of an affine word on Fractions: the fixed
+    point b/(1 - a) of :func:`fraction_word_map`, walked by
+    :func:`fraction_digit` and each branch's a*x + b; None when a point's
+    digit leaves the word or the walk does not close."""
+    m = fraction_word_map(f, word)
+    z = m.b / (1 - m.a)
+    if not 0 <= z < 1:
+        return None
+    pts, x = [], z
+    for d in word:
+        if fraction_digit(f, x) != d:
+            return None
+        pts.append(x)
+        m = f.ifs.maps[d - 1]
+        x = m.a * x + m.b
+    if x != z:
+        return None
+    return rotate_to_min(pts, tuple(word), home_cycle)
+
+
+def fraction_periodic_orbits(f: PiecewiseContraction, part: QuasiPartition):
+    """periodic_orbits of an affine system through
+    :func:`fraction_cycle_orbit`, one per cycle in ``basins`` order, with
+    the same BoundaryOrbitError for the first cycle that fails."""
+    orbits = []
+    for cyc in dict.fromkeys(part.basins):
+        word = tuple(part.branch[l - 1] for l in cyc)
+        orb = fraction_cycle_orbit(f, word, cyc)
+        if orb is None:
+            raise BoundaryOrbitError(
+                f"the fixed point of index cycle {';'.join(map(str, cyc))}"
+                f" does not follow its word {';'.join(map(str, word))}"
+            )
+        orbits.append(orb)
+    return orbits
+
+
 # --- Fraction oracles for the backward walks ------------------------------------
 
 
@@ -245,10 +304,13 @@ def fraction_build_partition(
     f: PiecewiseContraction, qset: PreimageSet
 ) -> QuasiPartition:
     """build_partition with an exact preimage query for every closure point
-    inside every interval's image, on every branch."""
+    inside every interval's image, on every branch, each interval's branch
+    taken at its midpoint once every breakpoint is known to be a cut."""
     if not qset.is_complete:
         raise ValueError("partition requires a complete backward closure")
     cuts = tuple(p for p in qset.points if 0 < p < 1)
+    if any(p not in cuts for p in f.breakpoints):
+        raise ValueError("breakpoint missing from the closure points")
     bounds = (F(0),) + cuts + (F(1),)
     intervals = tuple(Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
     transition, branch = [], []

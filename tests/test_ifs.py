@@ -27,6 +27,9 @@ from _support import (
     fraction_measure,
     generic_sequence,
     generic_value,
+    rand_clamped,
+    rand_fraction,
+    rand_quadratic,
 )
 
 
@@ -318,6 +321,81 @@ class TestHighlyContractiveBound:
         rho = highly_contractive_bound(plan.capped)
         assert rho is not None
         assert rho <= F(4, 5)
+
+
+def _shared_end_clamps(rng):
+    """2-5 ``rand_clamped`` maps, some zero-slope or over [0, 1] with int
+    ends, some windows moved to start or end where another one does."""
+    n = rng.randint(2, 5)
+    maps = [rand_clamped(rng) for _ in range(n)]
+    for i in range(n):
+        if rng.random() < 0.15:
+            maps[i] = Clamped(Affine(F(0), rand_fraction(rng, F(1, 10), F(9, 10))),
+                              maps[i].lo, maps[i].hi)
+        if rng.random() < 0.15:
+            maps[i] = Clamped(maps[i].inner, 0, 1)
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.sample(range(n), 2)
+        end = rng.choice((maps[a].lo, maps[a].hi))
+        lo, hi = maps[b].lo, maps[b].hi
+        if rng.random() < 0.5 and end < hi:
+            lo = end
+        elif end > lo:
+            hi = end
+        else:
+            continue
+        maps[b] = Clamped(maps[b].inner, lo, hi)
+    return IteratedFunctionSystem(tuple(maps))
+
+
+class TestSweptSlopeSum:
+    """The integer sweep for Clamped(Affine) systems against the grid of
+    clamp breakpoints, the generic code that every other system takes."""
+
+    def _check(self, ifs):
+        got = pcdyn.ifs._swept_slope_sum(ifs)
+        want = pcdyn.ifs._grid_slope_sum(ifs)
+        assert got == want and type(got) is type(want)
+        return got
+
+    def test_random_windows_with_shared_ends(self):
+        rng = random.Random(1713)
+        shared = below_one = 0
+        for _ in range(400):
+            ifs = _shared_end_clamps(rng)
+            ends = [e for m in ifs for e in (m.lo, m.hi)]
+            shared += len(set(ends)) < len(ends)
+            below_one += self._check(ifs) < 1
+        assert shared >= 150 and below_one >= 100
+
+    def test_capped_systems(self):
+        for idx in range(60):
+            rng = rng_for_sample(43, idx)
+            n = 2 + idx % 3
+            ifs = draw_ifs(rng, n, kappa_max=0.45)
+            plan = cap_ifs(ifs, draw_breakpoints(rng, n, F(1, 20)))
+            assert self._check(plan.capped) == highly_contractive_bound(
+                plan.capped
+            )
+
+    def test_zero_slopes_give_the_int_zero(self):
+        flat = Clamped(Affine(F(0), F(1, 2)), F(1, 4), F(3, 4))
+        ifs = IteratedFunctionSystem((flat, Clamped(Affine(0, F(1, 3)), 0, 1)))
+        assert self._check(ifs) == 0 and type(highly_contractive_bound(ifs)) is int
+
+    def test_other_maps_take_the_grid(self):
+        rng = random.Random(5)
+        clamped = rand_clamped(rng)
+        for other in (
+            rand_clamped(rng).inner,
+            Clamped(rand_quadratic(rng), F(1, 4), F(3, 4)),
+            Clamped(Affine(0.25, 0.5), F(1, 4), F(3, 4)),
+            Clamped(clamped.inner, 0.25, F(3, 4)),
+        ):
+            ifs = IteratedFunctionSystem((clamped, other))
+            assert pcdyn.ifs._swept_slope_sum(ifs) is None
+            want = pcdyn.ifs._grid_slope_sum(ifs)
+            assert highly_contractive_bound(ifs) == (want if want < 1 else None)
 
 
 class TestCapIfs:

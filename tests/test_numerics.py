@@ -11,6 +11,7 @@ from pcdyn.numerics import (
     _key,
     _raw_fraction,
     find_exact,
+    find_pair,
     float_keys,
     unit_key,
 )
@@ -361,6 +362,23 @@ def test_resolve_tie_matches_bisect_and_membership():
         keys = float_keys(pts)
         for x in _probes(rng, pts):
             _assert_find_exact(pts, keys, x)
+
+
+def test_find_pair_on_unreduced_pairs_and_pair_points():
+    rng = random.Random(13)
+    for _ in range(200):
+        pts = _tied_points(rng)
+        keys = float_keys(pts)
+        pairs = [(p.numerator, p.denominator) for p in pts]
+        for x in _probes(rng, pts):
+            if isinstance(x, float):
+                continue
+            x = F(x)
+            want = bisect_left(pts, x), x in pts
+            k = rng.choice([1, 3, 2**40])
+            n, d = x.numerator * k, x.denominator * k
+            assert find_pair(pts, keys, n, d, n / d) == want, x
+            assert find_pair(pairs, keys, n, d, n / d) == want, x
 
 
 def test_resolve_tie_on_float_points():

@@ -35,6 +35,7 @@ from pcdyn.sampling import (
     rng_for_sample,
 )
 from _support import (
+    fraction_digit_word,
     fraction_is_generic,
     fraction_word_map,
     generic_value,
@@ -659,15 +660,28 @@ class TestPowerMap:
             g = power_map(f, k)
             bounds = (F(0),) + g.breakpoints.points + (F(1),)
             assert g.words == tuple(
-                pcmap._digit_word(f, (lo + hi) / 2, k)
+                fraction_digit_word(f, (lo + hi) / 2, k)
                 for lo, hi in zip(bounds, bounds[1:])
             )
             x = F(rng.randrange(2**16), 2**16)
-            assert g.words[g.digit(x) - 1] == pcmap._digit_word(f, x, k)
+            assert g.words[g.digit(x) - 1] == fraction_digit_word(f, x, k)
+            for y in g.breakpoints.points + f.breakpoints.points:
+                assert pcmap._digit_word(f, y, k) == fraction_digit_word(f, y, k)
         assert f.words == ()
         assert g == power_map(f, k) and hash(g) == hash(
             PiecewiseContraction(g.ifs, g.breakpoints, g.closures)
         )
+
+    def test_digit_words_with_clamped_branches_and_ties(self):
+        rng = random.Random(29)
+        plain = 0
+        for _ in range(60):
+            f = _mixed_pc(rng)
+            plain += all(type(m) is Affine for m in f.ifs)
+            xs = [F(rng.randrange(2**16), 2**16) for _ in range(5)]
+            for x in xs + list(f.breakpoints):
+                assert pcmap._digit_word(f, x, 5) == fraction_digit_word(f, x, 5)
+        assert plain >= 5
 
     def test_maps_are_the_fraction_composed_word_maps(self):
         for idx in range(30):

@@ -42,6 +42,7 @@ from pcdyn.survey import cut_cycle
 from _support import (
     constant_pc,
     fraction_build_partition,
+    fraction_periodic_orbits,
     fraction_preimage_set,
     period3_pc,
     rand_affine,
@@ -125,6 +126,16 @@ class TestBuildPartition:
         q = preimage_set(period3_pc(), depth_cap=2)
         with pytest.raises(ValueError, match="complete"):
             build_partition(period3_pc(), q)
+
+    def test_breakpoint_missing_from_a_complete_closure(self):
+        # without 3/10 among the cuts, the one interval (0, 1) would span
+        # both branches
+        fake = PreimageSet((), 1, COMPLETE)
+        for build in (build_partition, fraction_build_partition):
+            with pytest.raises(
+                ValueError, match="^breakpoint missing from the closure points$"
+            ):
+                build(period3_pc(), fake)
 
     def test_straddle_detected(self):
         # a hand-built closure that wrongly omits the backward iterates:
@@ -688,6 +699,20 @@ class TestEquivalenceClassesInputs:
         ):
             equivalence_classes(f3, part, orbits=[])
 
+    def test_breakpoints_are_those_of_the_given_map(self):
+        # build_partition keeps f's breakpoint positions; another map's
+        # breakpoints are looked up among the cut points again
+        f = period3_pc()
+        part = build_partition(f, preimage_set(f))
+        assert equivalence_classes(f, part, orbits=[]).adjacency == ((3, 4),)
+        g = PiecewiseContraction(f.ifs, Breakpoints((F(7, 20),)))
+        assert equivalence_classes(g, part, orbits=[]).adjacency == ((4, 5),)
+        h = PiecewiseContraction(f.ifs, Breakpoints((F(1, 3),)))
+        with pytest.raises(
+            ValueError, match="^breakpoint missing from the closure points$"
+        ):
+            equivalence_classes(h, part, orbits=[])
+
     def test_breakpoint_found_among_float_tied_cut_points(self):
         x, eps = F(1, 3), F(1, 2**80)
         cuts = (x - eps, x, x + eps, F(2, 3))
@@ -712,6 +737,7 @@ def _outcome(fn, *args):
     try:
         return fn(*args)
     except (
+        BoundaryOrbitError,
         InexactPreimageError,
         NonDiscretePreimageError,
         PartitionInvarianceError,
@@ -756,7 +782,10 @@ def _steep_pc(rng):
 def _tied_pc(rng):
     """Breakpoints in clusters 2^-70 apart, so several share one float, and
     one cluster around the image of a breakpoint under the first map: the
-    level's float ties and the image ends' ties both need exact order."""
+    level's float ties and the image ends' ties both need exact order.
+    The first map's fixed point z gets the branch (z - 2^-70, z + 2^-70)
+    and the same map there, so the orbit z shares a float with breakpoints
+    and the cycle walk needs exact order too."""
     tiny = F(1, 2**70)
     n = rng.randint(2, 4)
     maps = [rand_affine(rng) for _ in range(n)]
@@ -767,8 +796,13 @@ def _tied_pc(rng):
     cuts = set()
     for p in pts:
         cuts.update(p + k * tiny for k in range(-1, 2))
+    z = maps[0].fixed_point()
+    cuts.update((z - tiny, z + tiny))
     cuts = sorted(c for c in cuts if 0 < c < 1)
     maps += [rand_affine(rng) for _ in range(len(cuts) + 1 - n)]
+    j = cuts.index(z - tiny)
+    if cuts[j + 1] == z + tiny:  # no other cut between: the branch is z's
+        maps[j + 1] = maps[0]
     return PiecewiseContraction(
         IteratedFunctionSystem(tuple(maps)), Breakpoints(tuple(cuts)),
         _closures(rng, len(cuts)),
@@ -794,6 +828,8 @@ def _mixed_pc(rng):
 
 
 def _assert_same_partition(f, q):
+    """build_partition against its Fraction oracle and, on a partition of
+    an affine system, periodic_orbits against the Fraction cycle solve."""
     got = _outcome(build_partition, f, q)
     want = _outcome(fraction_build_partition, f, q)
     if isinstance(want, QuasiPartition):
@@ -801,6 +837,14 @@ def _assert_same_partition(f, q):
         assert got.intervals == want.intervals
         assert got.transition == want.transition
         assert got.branch == want.branch
+        if not all(type(m) is Affine for m in f.ifs):
+            return want
+        orbits = _outcome(periodic_orbits, f, got)
+        assert orbits == _outcome(fraction_periodic_orbits, f, want)
+        if isinstance(orbits, list):
+            assert [o.home_cycle for o in orbits] == [
+                o.home_cycle for o in fraction_periodic_orbits(f, want)
+            ]
     else:
         assert got == want
     return want
@@ -837,14 +881,21 @@ class TestBackwardWalkAgainstFractionOracles:
 
     def test_breakpoints_sharing_one_float(self):
         rng = random.Random(70)
-        complete = 0
+        complete = tied = 0
         for _ in range(60):
             f = _tied_pc(rng)
             floats = [float(p) for p in f.breakpoints]
             assert len(set(floats)) < len(floats)
             want = self._check(f, 24, 400)
-            complete += isinstance(want, QuasiPartition)
+            if isinstance(want, QuasiPartition):
+                complete += 1
+                tied += any(
+                    float(p) in floats
+                    for o in periodic_orbits(f, want) for p in o.points
+                )
         assert complete >= 10
+        # orbit points on a breakpoint's float take the exact digit
+        assert tied >= 10
 
     def test_an_image_end_tied_with_level_points(self):
         # branch 1 is [0, 1/4) or [0, 1/4]; its image ends at 3/8, flanked
@@ -915,6 +966,55 @@ class TestBackwardWalkAgainstFractionOracles:
                 raised["straddles" in want[1]] += 1
             checked += 1
         assert raised[True] >= 50
+
+    def test_cycle_solve_takes_no_word_map_and_digit_only_on_ties(
+        self, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("word map composed")
+
+        digit = PiecewiseContraction.digit
+        calls = []
+
+        def counted(self, x):
+            calls.append((self, x))
+            return digit(self, x)
+
+        monkeypatch.setattr(pcdyn.pcmap, "_word_map", refuse)
+        monkeypatch.setattr(PiecewiseContraction, "digit", counted)
+        rng = random.Random(1665)
+        checked = 0
+        while checked < 40:
+            f = _steep_pc(rng)
+            q = None if f is None else preimage_set(f, size_cap=400)
+            if q is None or not q.is_complete:
+                continue
+            part = build_partition(f, q)
+            assert periodic_orbits(f, part) == fraction_periodic_orbits(f, part)
+            checked += 1
+        f = period3_pc()
+        assert [o.points for o in periodic_orbits(f, build_partition(f, preimage_set(f)))] == [
+            (F(2, 7), F(11, 28), F(9, 28))
+        ]
+        # digit ran only on points that share a float with a breakpoint
+        assert all(float(x) in g._bp_keys for g, x in calls)
+        # the forward orbit search confirms its cycle the same way
+        assert orbit(f, F(0)).orbit.points == (F(2, 7), F(11, 28), F(9, 28))
+        # the boundary orbit 1/2 of x/2 + 1/4 split at 1/2 sits on the
+        # breakpoint: the walk resolves it through digit
+        maps = IteratedFunctionSystem(
+            (Affine(F(1, 2), F(1, 4)), Affine(F(1, 2), F(1, 8)))
+        )
+        f = PiecewiseContraction(maps, Breakpoints((F(1, 2),)))
+        with pytest.raises(
+            BoundaryOrbitError,
+            match="^the fixed point of index cycle 1 does not follow its word 1$",
+        ):
+            periodic_orbits(f, build_partition(f, preimage_set(f)))
+        assert calls[-1] == (f, F(1, 2))
+        g = PiecewiseContraction(maps, f.breakpoints, (LEFT_OPEN,))
+        part = build_partition(g, preimage_set(g))
+        assert periodic_orbits(g, part) == [PeriodicOrbit((F(1, 2),), 1, (1,))]
 
     def test_straddle_found_at_the_second_cut(self):
         # interval (0, 1/4) maps onto (1/4, 3/8): the cut 1/4 is its lower
