@@ -15,6 +15,7 @@ notation; under the exact backend decimals parse exactly as rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -80,14 +81,19 @@ def check_sampling(
 
     ``draw_breakpoints`` fits n - 1 points eps_range apart inside
     (eps_range, 1 - eps_range), which needs n*eps_range < 1, and
-    ``draw_affine`` needs 0 <= kappa_max < 1 - 2*eps_range to leave room
-    for an intercept.  ``lines`` (parsed config lines) locate the key.
+    ``draw_affine`` needs 0 <= kappa_max < 1 - 2*eps_range (so not NaN)
+    to leave room for an intercept.  ``lines`` (parsed config lines)
+    locate the key.
     """
 
     def line(key: str) -> Optional[int]:
         return next((no for no, t in lines if t[0] == key), None)
 
     eps = format_scalar(cfg.eps_range)
+    if math.isnan(cfg.kappa_max):
+        raise ConfigError(
+            line("kappa_max"), f"kappa_max {cfg.kappa_max} is not a number"
+        )
     if cfg.eps_range < 0 or cfg.n * cfg.eps_range >= 1:
         raise ConfigError(
             line("eps_range"),
@@ -172,7 +178,8 @@ _INT_KEYS = {
     "grid",
     "jobs",
 }
-_FLOAT_KEYS = {"eps_orbit", "eps_fp", "kappa_max"}
+_TOLERANCES = {"eps_orbit", "eps_fp"}
+_FLOAT_KEYS = _TOLERANCES | {"kappa_max"}
 
 
 def parse_config(
@@ -245,7 +252,12 @@ def parse_config(
             elif key in _INT_KEYS:
                 cfg = replace(cfg, **{key: int(args[0])})
             elif key in _FLOAT_KEYS:
-                cfg = replace(cfg, **{key: float(args[0])})
+                value = float(args[0])
+                if key in _TOLERANCES and not 0 < value < math.inf:
+                    raise ConfigError(
+                        no, f"{key} {args[0]} must be finite and positive"
+                    )
+                cfg = replace(cfg, **{key: value})
             else:
                 raise ConfigError(no, f"unknown key {key!r}")
         except ConfigError:

@@ -60,8 +60,10 @@ class MapDescriptor:
         raise NotImplementedError
 
     def image(self, iv: Interval) -> Interval:
-        """Exact image of a closed interval."""
-        raise NotImplementedError
+        """Exact image of a closed interval under a monotone map."""
+        u = self._eval(iv.lo)
+        v = self._eval(iv.hi)
+        return Interval(u, v) if u <= v else Interval(v, u)
 
     def preimages(self, y: Scalar, domain: Interval) -> list[Scalar]:
         """All solutions of m(x) = y inside ``domain``, ascending, compared
@@ -153,11 +155,6 @@ class Affine(MapDescriptor):
     def lipschitz_bound(self) -> Scalar:
         return abs(self.a)
 
-    def image(self, iv: Interval) -> Interval:
-        u = self._eval(iv.lo)
-        v = self._eval(iv.hi)
-        return Interval(u, v) if u <= v else Interval(v, u)
-
     def preimages(self, y, domain):
         ints, ends = self._ints, (_ratio(domain.lo), _ratio(domain.hi))
         if ints and ints[0] and type(y) is Fraction and None not in ends:
@@ -215,11 +212,6 @@ class Quadratic(MapDescriptor):
 
     def lipschitz_bound(self) -> Scalar:
         return max(abs(self.b), abs(2 * self.a + self.b))
-
-    def image(self, iv: Interval) -> Interval:
-        u = self._eval(iv.lo)
-        v = self._eval(iv.hi)
-        return Interval(u, v) if u <= v else Interval(v, u)
 
     def preimages(self, y, domain):
         if self.a == 0:

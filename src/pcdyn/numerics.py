@@ -91,8 +91,8 @@ EXACT = Backend.exact()
 # behind them, so hot exact loops build, compare and search through these
 # helpers, which read Fraction internals.  The only other readers are
 # Affine._eval (maps.py), PiecewiseContraction.__call__ (pcmap.py), which
-# holds the only integer path of a clamped affine branch, _walk and
-# _refine_candidate (pcmap.py), which walk orbits on integer pairs,
+# holds the only integer path of a clamped affine branch, _refine_candidate
+# (pcmap.py), which closes a folded affine cycle by cross-multiplication,
 # build_partition (quasipartition.py), which filters the cut points and
 # takes an affine branch's image ends from the interval ends' integers,
 # and _gaps_at_least and _intercept_range (sampling.py).  is_generic
@@ -220,19 +220,15 @@ def find_exact(
     ``points``, searched on ``keys = float_keys(points)`` with
     ``fx = _key(x)``.
 
-    Off the points' keys the bisect of fx decides.  On a tie, a rational
-    x is searched by :func:`find_pair`; anything else compares the points
-    whose key equals fx by the generic operators.
+    Off the points' keys the bisect of fx decides.  On a tie,
+    :func:`find_pair` searches x's exact integer ratio (a float's from
+    ``as_integer_ratio``).
     """
     lo = bisect_left(keys, fx)
     if lo == len(keys) or keys[lo] != fx:
         return lo, False
-    rx = _ratio(x)
-    if rx is not None:
-        return find_pair(points, keys, rx[0], rx[1], fx)
-    hi = bisect_right(keys, fx, lo)
-    i = bisect_left(points, x, lo, hi)
-    return i, i < hi and points[i] == x
+    n, d = _ratio(x) or x.as_integer_ratio()
+    return find_pair(points, keys, n, d, fx)
 
 
 def find_pair(

@@ -28,6 +28,7 @@ from .numerics import (
     Interval,
     UNIT_WINDOW,
     Scalar,
+    _key,
     _ratio,
     _raw_fraction,
     affine_preimages,
@@ -279,49 +280,34 @@ def _word_map(f: PiecewiseContraction, word: Sequence[int]) -> MapDescriptor:
 
 
 def _walk(
-    f: PiecewiseContraction, n: int, d: int, k: int,
+    f: PiecewiseContraction, x: Scalar, k: int,
     word: Optional[Sequence[int]] = None,
 ):
-    """``(points, digits, (n, d))``: x, f(x), ..., f^{k-1}(x) for
-    x = n/d (d > 0, not necessarily reduced) as Fractions, each built once,
-    their digits, and f^k(x) as an unreduced pair; None as soon as a digit
-    differs from ``word``.  Every branch taken is unclamped rational affine
-    (:func:`_plain`).  The float bisect of the breakpoints' keys picks each
-    digit, as in ``__call__``; ``digit`` runs only on a key tie.
+    """``(points, digits)``: x, f(x), ..., f^{k-1}(x) and their digits, or
+    None as soon as a digit differs from ``word``.  The float bisect of the
+    breakpoints' keys picks each digit, as in ``__call__``; ``digit`` runs
+    only on a key tie or a key outside (0, 1), and raises its ValueError
+    for a point outside [0, 1).  Each next point is its branch's ``_eval``.
     """
-    keys, forms = f._bp_keys, f._branch_forms
+    keys, maps = f._bp_keys, f.ifs.maps
     points, digits = [], []
     for t in range(k):
-        x = _raw_fraction(n, d)
-        n, d = x._numerator, x._denominator
-        fx = n / d
+        if t:
+            x = maps[i]._eval(x)
+        fx = _key(x)
         i = bisect_right(keys, fx)
-        if i and keys[i - 1] == fx:  # on a breakpoint's key
+        if (i and keys[i - 1] == fx) or not 0.0 < fx < 1.0:
             i = f.digit(x) - 1
         if word is not None and word[t] != i + 1:
             return None
         points.append(x)
         digits.append(i + 1)
-        A, B, D, _ = forms[i]
-        n, d = A * n + B * d, D * d
-    return points, digits, (n, d)
-
-
-def _plain(forms: Sequence) -> bool:
-    """Every form is a rational affine map's integer form, unclamped."""
-    return all(fm is not None and fm[3] is None for fm in forms)
+    return points, digits
 
 
 def _digit_word(f: PiecewiseContraction, x: Scalar, k: int) -> tuple[int, ...]:
     """The branch digits of x, f(x), ..., f^{k-1}(x)."""
-    if type(x) is Fraction and _plain(f._branch_forms):
-        return tuple(_walk(f, x._numerator, x._denominator, k)[1])
-    word = []
-    for _ in range(k):
-        d = f.digit(x)
-        word.append(d)
-        x = f.ifs.maps[d - 1]._eval(x)
-    return tuple(word)
+    return tuple(_walk(f, x, k)[1])
 
 
 def _refine_candidate(
@@ -332,59 +318,52 @@ def _refine_candidate(
     eps_fp: float,
     home_cycle: Optional[Sequence[int]] = None,
 ) -> Optional[PeriodicOrbit]:
-    """Solve the fixed point of the composed word map and verify the cycle.
+    """Solve the fixed point z of the composed word map and verify the cycle.
 
-    Exact backend: the refined orbit must close exactly and follow the
-    word's digits; when every letter's branch is an unclamped rational
-    affine map, the word map is folded and the orbit walked in integers
-    (:func:`_walk`).  Float backend: it must close within eps_orbit.
+    The orbit of z is walked once (:func:`_walk`): it must follow the word
+    and the last letter must send it back to z.  Exact backend, every
+    letter's map a rational ``Affine``: the integer forms fold into
+    z = B/(D - A), and the cycle closes by cross-multiplication.  Otherwise
+    z is the word map's ``fixed_point``; a Fraction z closes exactly under
+    the exact backend, anything else within max(eps_orbit, 10*eps_fp).
     Returns None when verification fails (a spurious candidate).  The
     orbit search passes an itinerary's repeated word; a quasi-partition
     passes each index cycle's word, with the cycle as ``home_cycle``.
     """
-    p = len(word)
-    forms = [f._branch_forms[d - 1] for d in word]
-    if backend.is_exact and _plain(forms):
-        # the word map (A*x + B)/D, first letter acting first, has the
-        # fixed point B/(D - A), D > |A|
+    maps = f.ifs.maps
+    # each letter's (A, B, D), the integer form only a rational Affine has
+    forms = [getattr(maps[d - 1], "_ints", None) for d in word]
+    fold = backend.is_exact and None not in forms
+    if fold:  # the word map (A*x + B)/D, first letter acting first
         A, B, D = 1, 0, 1
-        for a, b, dd, _ in forms:
+        for a, b, dd in forms:
             A, B, D = a * A, a * B + b * D, dd * D
-        if not 0 <= B < D - A:
+        if not 0 <= B < D - A:  # D > |A|: z lies in [0, 1)
             return None
-        walked = _walk(f, B, D - A, p, word)
-        if walked is None:
-            return None
-        pts, digits, (n, d) = walked
-        z = pts[0]
-        if n * z._denominator != z._numerator * d:  # the walk closes on z
-            return None
-        return rotate_to_min(pts, digits, home_cycle)
-    try:
-        z = _word_map(f, word).fixed_point(eps_fp)
-    except (ValueError, ArithmeticError):
-        return None
-    if not 0 <= z < 1:
-        return None
-    pts = []
-    cur = z
-    digits = []
-    for _ in range(p):
-        pts.append(cur)
+        z = _raw_fraction(B, D - A)
+    else:
         try:
-            d = f.digit(cur)
-        except ValueError:
+            z = _word_map(f, word).fixed_point(eps_fp)
+        except (ValueError, ArithmeticError):
             return None
-        digits.append(d)
-        cur = f.ifs.maps[d - 1]._eval(cur)
-    if tuple(digits) != tuple(word):
+    try:
+        walked = _walk(f, z, len(word), word)
+    except ValueError:  # a point outside [0, 1)
         return None
-    if backend.is_exact and isinstance(z, Fraction):
-        if cur != z:
-            return None
-    elif abs(cur - z) > max(eps_orbit, 10 * eps_fp):
+    if walked is None:
         return None
-    return rotate_to_min(pts, digits, home_cycle)
+    pts, digits = walked
+    if fold:  # (a*x + b)/dd == z at the last point x
+        a, b, dd = forms[-1]
+        xn, xd = pts[-1]._numerator, pts[-1]._denominator
+        closes = (a * xn + b * xd) * z._denominator == z._numerator * dd * xd
+    else:
+        y = maps[word[-1] - 1]._eval(pts[-1])
+        if backend.is_exact and isinstance(z, Fraction):
+            closes = y == z
+        else:
+            closes = abs(y - z) <= max(eps_orbit, 10 * eps_fp)
+    return rotate_to_min(pts, digits, home_cycle) if closes else None
 
 
 def orbit(

@@ -46,6 +46,7 @@ from .pcmap import (
     PiecewiseContraction,
     _refine_candidate,
     _strict_affine,
+    _walk,
     rotate_to_min,
 )
 
@@ -162,11 +163,9 @@ def _walk_order_error(f: PiecewiseContraction, level: list, depth: int):
     """
 
     def discovery(y):
-        steps = []
-        for _ in range(depth - 1):
-            steps.append((f.digit(y), y))
-            y = f(y)
-        return f.breakpoints.points.index(y), steps[::-1]
+        pts, digits = _walk(f, y, depth)  # ends on the breakpoint y reaches
+        steps = list(zip(digits, pts))[:-1]
+        return f.breakpoints.points.index(pts[-1]), steps[::-1]
 
     for y in sorted((_raw_fraction(*y) for y in level), key=discovery):
         try:
@@ -349,7 +348,8 @@ def _breakpoint_positions(
     """The index of each breakpoint of f among the cut points."""
     at = []
     for x, fx in zip(f.breakpoints.points, f._bp_keys):
-        pos, hit = find_exact(cuts, keys, x, fx)
+        n, d = _ratio(x) or x.as_integer_ratio()
+        pos, hit = find_pair(cuts, keys, n, d, fx)
         if not hit:
             raise ValueError("breakpoint missing from the closure points")
         at.append(pos)

@@ -23,7 +23,7 @@ from pcdyn import (
     Quadratic,
     ifs_image,
 )
-from pcdyn.pcmap import RIGHT_OPEN, _generic_forward, rotate_to_min
+from pcdyn.pcmap import RIGHT_OPEN, _generic_forward, _word_map, rotate_to_min
 from pcdyn.quasipartition import (
     COMPLETE,
     TRUNCATED,
@@ -196,6 +196,61 @@ def fraction_digit_word(f: PiecewiseContraction, x, k: int) -> tuple:
         word.append(d)
         x = f.ifs.maps[d - 1]._eval(x)
     return tuple(word)
+
+
+def generic_digit_word(f: PiecewiseContraction, x, k: int) -> tuple:
+    """The digits of x, f(x), ..., f^{k-1}(x): ``f.digit`` and the branch
+    map's ``_eval`` at every step."""
+    word = []
+    for _ in range(k):
+        d = f.digit(x)
+        word.append(d)
+        x = f.ifs.maps[d - 1]._eval(x)
+    return tuple(word)
+
+
+def generic_cycle_orbit(
+    f: PiecewiseContraction, word, backend, eps_orbit, eps_fp, home_cycle=None
+):
+    """_refine_candidate as a loop: the composed word map's ``fixed_point``
+    z, walked by ``f.digit`` and ``_eval`` (a ValueError means no orbit);
+    the digits must be the word, and the walk must return to z exactly for
+    a Fraction z under the exact backend, within max(eps_orbit, 10*eps_fp)
+    otherwise."""
+    try:
+        z = _word_map(f, word).fixed_point(eps_fp)
+    except (ValueError, ArithmeticError):
+        return None
+    if not 0 <= z < 1:
+        return None
+    pts, digits, cur = [], [], z
+    for _ in word:
+        pts.append(cur)
+        try:
+            d = f.digit(cur)
+        except ValueError:
+            return None
+        digits.append(d)
+        cur = f.ifs.maps[d - 1]._eval(cur)
+    if tuple(digits) != tuple(word):
+        return None
+    if backend.is_exact and isinstance(z, F):
+        if cur != z:
+            return None
+    elif abs(cur - z) > max(eps_orbit, 10 * eps_fp):
+        return None
+    return rotate_to_min(pts, digits, home_cycle)
+
+
+def float_descriptor(m):
+    """m with every coefficient and window end as a float."""
+    if isinstance(m, Affine):
+        return Affine(float(m.a), float(m.b))
+    if isinstance(m, Quadratic):
+        return Quadratic(float(m.a), float(m.b), float(m.c))
+    if isinstance(m, Clamped):
+        return Clamped(float_descriptor(m.inner), float(m.lo), float(m.hi))
+    return Composed(tuple(map(float_descriptor, m.chain)))
 
 
 def fraction_cycle_orbit(f: PiecewiseContraction, word, home_cycle=None):

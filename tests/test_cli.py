@@ -38,6 +38,12 @@ breakpoints 1/2
 """
 
 
+_NAN_ORBIT = (
+    "map quadratic 1/10 1/5 1/4\nmap affine 1/3 1/2\nbreakpoints 1/2\n"
+    "x0 1/10\nbackend float\n"
+)
+
+
 class TestParseConfig:
     def test_example_maps(self):
         cfg = parse_config(EX61)
@@ -309,6 +315,37 @@ class TestCommands:
     def test_survey_kappa_max_negative_is_config_error(self):
         with pytest.raises(ConfigError, match="line 2: kappa_max -0.1 must be >= 0"):
             parse_config("n 3\nkappa_max -0.1\n")
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            # NaN passed both kappa_max bounds; numpy then raised
+            ("survey", "n 3\nsamples 2\nkappa_max nan\n",
+             "line 3: kappa_max nan is not a number"),
+            # a NaN tolerance never settled the fixed-point iteration
+            ("orbit", _NAN_ORBIT + "eps_fp nan\n",
+             "line 6: eps_fp nan must be finite and positive"),
+            ("orbit", _NAN_ORBIT + "eps_orbit nan\n",
+             "line 6: eps_orbit nan must be finite and positive"),
+        ],
+    )
+    def test_nan_settings_are_config_errors(
+        self, tmp_path, capsys, command, text, message
+    ):
+        code = main([command, "--config", self.write(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip() == f"config error: {message}"
+
+    @pytest.mark.parametrize("value", ["0", "-1e-10", "inf", "-inf"])
+    def test_tolerances_must_be_finite_and_positive(self, value):
+        for key in ("eps_fp", "eps_orbit"):
+            with pytest.raises(
+                ConfigError,
+                match=f"^line 2: {key} {value} must be finite and positive$",
+            ):
+                parse_config(f"backend float\n{key} {value}\n")
+        assert parse_config("eps_fp 1e-300\neps_orbit 0.5\n").eps_fp == 1e-300
 
     def test_survey_kappa_max_checked_after_every_key(self):
         # eps_range comes after kappa_max and moves the bound below it

@@ -284,6 +284,22 @@ def test_key_beyond_the_float_range(x, key):
     assert _key(x) == key
 
 
+def test_find_exact_float_x_on_tied_points():
+    # 1/10, the float 0.1 and its exact value +- 2^-70 all share one key
+    x, tiny = 0.1, F(1, 2**70)
+    exact = F(x)
+    for pts in (
+        [exact - tiny, exact, exact + tiny],
+        [F(1, 10), exact + tiny],
+        [F(1, 10), x, exact + tiny],  # Fraction and float points
+        [0.05, x, 0.2],
+    ):
+        keys = float_keys(pts)
+        assert keys.count(x) >= 1
+        for probe in (x, F(1, 10), exact + tiny, 0.05):
+            _assert_find_exact(pts, keys, probe)
+
+
 def test_bisect_exact_on_float_points():
     rng = random.Random(8)
     pts = sorted(rng.random() for _ in range(50))

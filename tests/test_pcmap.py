@@ -14,6 +14,7 @@ from pcdyn import (
     Breakpoints,
     CapExceededError,
     Clamped,
+    Composed,
     Interval,
     IteratedFunctionSystem,
     NonDiscretePreimageError,
@@ -35,9 +36,12 @@ from pcdyn.sampling import (
     rng_for_sample,
 )
 from _support import (
+    float_descriptor,
     fraction_digit_word,
     fraction_is_generic,
     fraction_word_map,
+    generic_cycle_orbit,
+    generic_digit_word,
     generic_value,
     period3_pc,
     rand_affine,
@@ -787,3 +791,113 @@ class TestDigitAgainstExactBisect:
         assert LEFT_OPEN in g.closures
         for x in list(g.breakpoints) + [F(j, 97) for j in range(97)]:
             assert g.digit(x) == _oracle_digit(g, x)
+
+
+def _walk_pc(rng: random.Random):
+    """A seeded system of affine branches mixed with clamped or with
+    quadratic ones, each kind also composed after an affine map, with
+    random closures, and its float copy.  Half of the systems put a
+    breakpoint on, or 2^-70 beside, a branch's exact fixed point, so a
+    cycle point shares its float with a breakpoint.  Clamped and quadratic
+    branches never share a system: a word through both iterates its fixed
+    point on Fractions (a plateau's value) whose size doubles per step."""
+    n = rng.randint(2, 4)
+    other = rng.choice((rand_clamped, rand_quadratic))
+    kinds = (
+        rand_affine,
+        other,
+        other,
+        lambda r: Composed((rand_affine(r), other(r))),
+    )
+    maps = [rng.choice(kinds)(rng) for _ in range(n)]
+    cuts = {rand_fraction(rng, F(1, 20), F(19, 20), 2**8) for _ in range(n - 1)}
+    fixed = [m.fixed_point() for m in maps]
+    exact = [z for z in fixed if type(z) is F]
+    if exact and rng.random() < 0.5:
+        cuts.pop()
+        cuts.add(rng.choice(exact) + rng.choice((-1, 0, 1)) * F(1, 2**70))
+    if len(cuts) != n - 1:
+        return None
+    cuts = tuple(sorted(cuts))
+    closures = tuple(rng.choice((LEFT_OPEN, RIGHT_OPEN)) for _ in cuts)
+    f = PiecewiseContraction(
+        IteratedFunctionSystem(tuple(maps)), Breakpoints(cuts), closures
+    )
+    fl = PiecewiseContraction(
+        IteratedFunctionSystem(tuple(map(float_descriptor, maps))),
+        Breakpoints(tuple(map(float, cuts))),
+        closures,
+    )
+    return f, fl
+
+
+class TestSingleWalk:
+    """_digit_word and _refine_candidate take one walk; digit + _eval per
+    step is the oracle (tests/_support.py)."""
+
+    def test_digit_words_match_the_digit_loop(self):
+        rng = random.Random(1401)
+        tiny = F(1, 2**70)
+        raised = checked = 0
+        for _ in range(60):
+            pair = _walk_pc(rng)
+            if pair is None:
+                continue
+            for g in pair:
+                xs = list(g.breakpoints) + [0.0, 1.0, -0.25]
+                if g is pair[0]:  # ties, and points at or past [0, 1)'s ends
+                    xs += [F(rng.randrange(2**16), 2**16) for _ in range(3)]
+                    xs += [F(0), F(1) - F(1, 2**60), F(7, 5), -F(1, 2**1100)]
+                    xs += [p + k * tiny for p in g.breakpoints for k in (-1, 1)]
+                else:
+                    xs += [rng.random() for _ in range(3)]
+                for x in xs:
+                    k = rng.randint(1, 5)
+                    try:
+                        want = generic_digit_word(g, x, k)
+                    except ValueError:
+                        raised += 1
+                        with pytest.raises(ValueError):
+                            pcmap._digit_word(g, x, k)
+                        continue
+                    assert pcmap._digit_word(g, x, k) == want, (g, x, k)
+                    checked += 1
+        assert raised >= 250 and checked >= 900
+
+    def test_cycle_solves_match_the_digit_loop(self):
+        rng = random.Random(1402)
+        seen = Counter()
+        for _ in range(40):
+            pair = _walk_pc(rng)
+            if pair is None:
+                continue
+            f, fl = pair
+            words = {(d,) for d in range(1, f.n + 1)}
+            words |= {(a, b) for a in range(1, f.n + 1) for b in range(1, f.n + 1)}
+            words |= {tuple(rng.randint(1, f.n) for _ in range(3)) for _ in range(6)}
+            rec = orbit(fl, rng.random(), 3000, backend=FLOAT)
+            digits = rec.itinerary.digits
+            for s0 in (0, len(digits) // 2, max(len(digits) - 8, 0)):
+                for p in (1, 2, 3, 4):
+                    if s0 + p <= len(digits):
+                        words.add(tuple(digits[s0:s0 + p]))
+            if rec.converged:
+                seen["converged"] += 1
+                words.add(rec.orbit.word)
+            for g, backend in ((f, EXACT), (f, FLOAT), (fl, FLOAT)):
+                for w in sorted(words):
+                    got = pcmap._refine_candidate(g, w, backend, 1e-10, 1e-13)
+                    want = generic_cycle_orbit(g, w, backend, 1e-10, 1e-13)
+                    assert got == want, (g, w, backend)
+                    if got is None:
+                        seen["none"] += 1
+                        continue
+                    seen["orbit"] += 1
+                    seen["float"] += type(got.points[0]) is float
+                    seen["mixed word"] += len(set(w)) > 1
+                    seen["tie"] += any(
+                        float(x) in g._bp_keys for x in got.points
+                    )
+        assert seen["converged"] >= 30 and seen["none"] >= 1500
+        assert seen["orbit"] >= 300 and seen["float"] >= 200
+        assert seen["mixed word"] >= 80 and seen["tie"] >= 15

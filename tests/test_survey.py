@@ -204,6 +204,8 @@ class TestSamplingBounds:
              dict(samples=1, n=2, eps_range=F(-1, 8))),
             ("n 3\nsamples 1\nkappa_max -0.5\n",
              dict(samples=1, n=3, kappa_max=-0.5)),
+            ("n 3\nsamples 2\nkappa_max nan\n",
+             dict(samples=2, n=3, kappa_max=float("nan"))),
         ],
     )
     def test_same_error_as_parse_config(self, text, fields):
