@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .ifs import IteratedFunctionSystem
 from .maps import Affine, Clamped, Composed, MapDescriptor, Quadratic
 from .numerics import Backend, Scalar, format_scalar
-from .pcmap import Breakpoints, PiecewiseContraction
+from .pcmap import LEFT_OPEN, RIGHT_OPEN, Breakpoints, PiecewiseContraction
 
 
 class ConfigError(Exception):
@@ -220,6 +220,7 @@ def parse_config(
 
     cfg = RunConfig(backend=backend)
     maps: list[MapDescriptor] = []
+    closures_line = None
     for no, toks in lines:
         key, args = toks[0], toks[1:]
         try:
@@ -235,7 +236,10 @@ def parse_config(
                 Breakpoints(pts)  # raises on unordered or boundary points
                 cfg = replace(cfg, breakpoints=pts)
             elif key == "closures":
-                cfg = replace(cfg, closures=tuple(args))
+                for flag in args:
+                    if flag not in (RIGHT_OPEN, LEFT_OPEN):
+                        raise ConfigError(no, f"unknown closure flag {flag!r}")
+                cfg, closures_line = replace(cfg, closures=tuple(args)), no
             elif key == "x0":
                 x0 = backend.number(args[0])
                 if x0 == 1:
@@ -271,9 +275,11 @@ def parse_config(
     # invariants that span several keys
     check_sampling(cfg, lines)
     if cfg.maps and cfg.breakpoints:
-        map_line = next(no for no, t in lines if t[0] == "map")
+        bad_line = next(no for no, t in lines if t[0] == "map")
+        if len(cfg.maps) == len(cfg.breakpoints) + 1:
+            bad_line = closures_line  # only the closure flag count can fail
         try:
             cfg.pc()
         except ValueError as exc:
-            raise ConfigError(map_line, str(exc)) from exc
+            raise ConfigError(bad_line, str(exc)) from exc
     return cfg

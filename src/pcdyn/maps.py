@@ -2,9 +2,11 @@
 
 The descriptor universe is deliberately closed: affine maps, monotone
 quadratics, clamped (plateau) variants, and compositions.  Every descriptor
-is piecewise monotone with computable breakpoints, which makes interval
-images and pointwise preimages exact under the rational backend.  Arbitrary
-callables would poison that exactness and are not supported.
+is monotone and continuous on [0, 1], so an interval's image runs between
+the values at its ends; the invariant partition's straddle test relies on
+this (:func:`pcdyn.quasipartition.build_partition`).  Images and pointwise
+preimages are exact under the rational backend.  Arbitrary callables would
+poison that exactness and are not supported.
 
 Every valid descriptor maps [0, 1] into (0, 1) with Lipschitz constant
 strictly below 1; both are checked at construction from monotone-piece
@@ -60,7 +62,7 @@ class MapDescriptor:
         raise NotImplementedError
 
     def image(self, iv: Interval) -> Interval:
-        """Exact image of a closed interval under a monotone map."""
+        """Exact image of a closed interval: between the end values."""
         u = self._eval(iv.lo)
         v = self._eval(iv.hi)
         return Interval(u, v) if u <= v else Interval(v, u)
@@ -83,15 +85,16 @@ class MapDescriptor:
         """The unique z in (0, 1) with m(z) = z.
 
         Exact (closed form) for affine and affine-reducible descriptors;
-        otherwise contraction iteration from 1/2, run in floating point,
-        until successive iterates differ by at most ``eps_fp``.
+        otherwise contraction iteration from 1/2 until successive iterates
+        differ by at most ``eps_fp``, each next point rounded to a float
+        (an exact plateau value would make every later step exact).
         """
         z = 0.5
         for _ in range(cap):
             nz = self._eval(z)
             if abs(nz - z) <= eps_fp:
                 return nz
-            z = nz
+            z = _key(nz)
         raise IterationCapError(
             f"fixed-point iteration did not settle within {cap} steps"
         )
@@ -219,11 +222,8 @@ class Quadratic(MapDescriptor):
         disc = self.b * self.b - 4 * self.a * (self.c - y)
         if disc < 0:
             return []
-        if isinstance(disc, Fraction):
-            root = _exact_sqrt(disc)
-            if root is None:
-                root = math.sqrt(float(disc))  # inexact fallback, flagged by type
-        else:
+        root = _exact_sqrt(disc) if isinstance(disc, Fraction) else None
+        if root is None:  # inexact fallback, flagged by type
             root = math.sqrt(disc)
         sols = sorted(
             {(-self.b - root) / (2 * self.a), (-self.b + root) / (2 * self.a)}
@@ -283,15 +283,6 @@ class Clamped(MapDescriptor):
     def lipschitz_bound(self) -> Scalar:
         return self.inner.lipschitz_bound()
 
-    def image(self, iv: Interval) -> Interval:
-        values = [self._eval(iv.lo), self._eval(iv.hi)]
-        mid_lo = max(iv.lo, self.lo)
-        mid_hi = min(iv.hi, self.hi)
-        if mid_lo < mid_hi:
-            inner_img = self.inner.image(Interval(mid_lo, mid_hi))
-            values.extend((inner_img.lo, inner_img.hi))
-        return Interval(min(values), max(values))
-
     def preimages(self, y, domain):
         if domain.lo == domain.hi:
             return [domain.lo] if self._eval(domain.lo) == y else []
@@ -345,11 +336,6 @@ class Composed(MapDescriptor):
         for m in self.chain:
             bound = bound * m.lipschitz_bound()
         return bound
-
-    def image(self, iv: Interval) -> Interval:
-        for m in self.chain:
-            iv = m.image(iv)
-        return iv
 
     def preimages(self, y, domain):
         first, rest = self.chain[0], self.chain[1:]

@@ -25,7 +25,7 @@ from .errors import (
     NonDiscretePreimageError,
     PartitionInvarianceError,
 )
-from .maps import DEFAULT_EPS_FP
+from .maps import DEFAULT_EPS_FP, MapDescriptor
 from .numerics import (
     EXACT,
     Interval,
@@ -266,16 +266,16 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
     The breakpoints are closure points: each is found once among the cut
     points (ValueError when one is missing), and an open interval's branch
     steps up just past each of them.  The image interval must avoid every
-    closure point except at its ends.  On a rational affine branch with a
-    nonzero slope the map is continuous and strictly monotone, so a closure
-    point has a preimage strictly inside the interval exactly when it lies
-    strictly between the image's ends: the ends, unreduced integer pairs
-    from the interval ends' integers, are searched by :func:`find_pair`,
-    and the first such point is the first one past the lower end.  Other
-    branches are checked through exact preimage queries, one per closure
-    point inside the image, and their midpoint's image must miss the
-    closure points.  A straddle raises PartitionInvarianceError: the
-    closure was truncated or the parameters are degenerate.
+    closure point except at its ends.  Every branch map is continuous and
+    monotone (see :mod:`pcdyn.maps`), so a closure point has a preimage
+    strictly inside the interval exactly when it lies strictly between the
+    image's ends, and the first such point is the first past the lower end.
+    A rational affine branch with a nonzero slope gives its ends as
+    unreduced integer pairs for :func:`find_pair`; any other branch gives
+    ``image`` for :func:`find_exact`, and must have no plateau on an end
+    that is a closure point (lower end, straddle, upper end: the order of
+    the checks).  A straddle or a plateau raises PartitionInvarianceError:
+    the closure was truncated or the parameters are degenerate.
     """
     if not qset.is_complete:
         raise ValueError("partition requires a complete backward closure")
@@ -296,7 +296,7 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
     transition: list[int] = []
     for j, (iv, d) in enumerate(zip(intervals, branch), start=1):
         ints = steps[d - 1]
-        if ints:
+        if ints:  # the image ends as unreduced integer pairs
             A, B, D = ints
             lo, hi = iv.lo, iv.hi
             ld, hd = lo._denominator, hi._denominator
@@ -304,42 +304,39 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
             vn, vd = A * hi._numerator + B * hd, D * hd
             if A < 0:
                 un, ud, vn, vd = vn, vd, un, ud
-            first, hit = find_pair(cuts, keys, un, ud, un / ud)
-            first += hit  # the first cut past the image's lower end
-            if first < find_pair(cuts, keys, vn, vd, vn / vd)[0]:
-                raise PartitionInvarianceError(
-                    f"image of interval {j} straddles closure point {cuts[first]}"
-                )
-            # no cut lies strictly inside the image: it is in interval first + 1
-            transition.append(first + 1)
-            continue
-        phi = maps[d - 1]
-        img = phi.image(iv)
-        lo_idx, _ = find_exact(cuts, keys, img.lo, _key(img.lo))
-        hi_idx, hit = find_exact(cuts, keys, img.hi, _key(img.hi))
-        for q in cuts[lo_idx:hi_idx + hit]:
-            try:
-                hits = phi.preimages(q, iv)
-            except NonDiscretePreimageError as exc:
-                raise PartitionInvarianceError(
-                    f"interval {j} has a plateau on closure point {q}"
-                ) from exc
-            if any(iv.lo < p < iv.hi for p in hits):
-                raise PartitionInvarianceError(
-                    f"image of interval {j} straddles closure point {q}"
-                )
-        y = phi._eval(iv.midpoint())
-        target, hit = find_exact(cuts, keys, y, _key(y))
-        if hit:
+            first, lo_hit = find_pair(cuts, keys, un, ud, un / ud)
+            last, hi_hit = find_pair(cuts, keys, vn, vd, vn / vd)
+        else:
+            phi = maps[d - 1]
+            img = phi.image(iv)
+            first, lo_hit = find_exact(cuts, keys, img.lo, _key(img.lo))
+            last, hi_hit = find_exact(cuts, keys, img.hi, _key(img.hi))
+            if lo_hit:
+                _plateau_check(phi, iv, cuts[first], j)
+        first += lo_hit  # the first cut past the image's lower end
+        if first < last:
             raise PartitionInvarianceError(
-                f"image midpoint of interval {j} lies on a closure point"
+                f"image of interval {j} straddles closure point {cuts[first]}"
             )
-        transition.append(target + 1)
+        if not ints and hi_hit:  # phi is this interval's branch
+            _plateau_check(phi, iv, cuts[last], j)
+        # no cut lies strictly inside the image: it is in interval first + 1
+        transition.append(first + 1)
     part = QuasiPartition(
         qset, cuts, intervals, tuple(transition), tuple(branch)
     )
     object.__setattr__(part, "_at", (f.breakpoints.points, at))
     return part
+
+
+def _plateau_check(phi: MapDescriptor, iv: Interval, q: Scalar, j: int) -> None:
+    """Raise when phi is constant at q over a nondegenerate part of iv."""
+    try:
+        phi.preimages(q, iv)
+    except NonDiscretePreimageError as exc:
+        raise PartitionInvarianceError(
+            f"interval {j} has a plateau on closure point {q}"
+        ) from exc
 
 
 def _breakpoint_positions(

@@ -337,6 +337,23 @@ class TestCommands:
         assert code == 2
         assert err.strip() == f"config error: {message}"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("sideways", "line 4: unknown closure flag 'sideways'"),
+            ("left-open right-open",
+             "line 4: one closure flag per breakpoint required"),
+        ],
+    )
+    def test_closure_errors_name_the_closures_line(
+        self, tmp_path, capsys, flags, message
+    ):
+        # both used to name line 1, the first map line
+        text = BOUNDARY.replace("backend exact\n", "") + f"closures {flags}\n"
+        code = main(["partition", "--config", self.write(tmp_path, text)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+
     @pytest.mark.parametrize("value", ["0", "-1e-10", "inf", "-inf"])
     def test_tolerances_must_be_finite_and_positive(self, value):
         for key in ("eps_fp", "eps_orbit"):

@@ -10,12 +10,14 @@ from pcdyn import (
     Clamped,
     Composed,
     Interval,
+    IterationCapError,
     NonDiscretePreimageError,
     Quadratic,
     compose,
 )
 from _support import (
     affine_check_error,
+    float_descriptor,
     fraction_compose,
     rand_affine,
     rand_descriptor,
@@ -202,22 +204,24 @@ class TestImage:
         assert (img.lo, img.hi) == (F(13, 50), F(13, 50))
 
     def test_matches_grid_sample(self):
+        # every descriptor is monotone and continuous on [0, 1], so the
+        # image is the range of the values on a grid holding both ends
         rng = random.Random(23)
-        for _ in range(10):
-            m = rand_descriptor(rng)
-            iv = Interval(F(1, 8), F(7, 8))
-            img = m.image(iv)
-            values = [
-                m(iv.lo + (iv.hi - iv.lo) * F(i, 1000)) for i in range(1001)
-            ]
-            assert img.lo <= min(values) and max(values) <= img.hi
-            # the extrema are attained at endpoints or clamp breakpoints
-            candidates = {m(iv.lo), m(iv.hi)}
-            candidates.update(
-                m(b) for b in m._domain_breakpoints() if iv.lo < b < iv.hi
-            )
-            assert img.lo == min(candidates)
-            assert img.hi == max(candidates)
+        iv = Interval(F(1, 8), F(7, 8))
+        grid = [iv.lo + (iv.hi - iv.lo) * F(i, 1000) for i in range(1001)]
+        maps = [rand_descriptor(rng, d) for d in (1, 2) for _ in range(10)]
+        assert {Composed, Clamped, Quadratic} <= {type(m) for m in maps}
+        for m in maps:
+            values = [m(x) for x in grid]
+            assert m.image(iv) == Interval(min(values), max(values))
+        # a float copy: a decreasing inner map with a plateau on each side
+        m = float_descriptor(
+            Clamped(Affine(F(-2, 5), F(3, 5)), F(3, 10), F(7, 10))
+        )
+        iv = Interval(0.125, 0.875)
+        values = [m(0.125 + 0.75 * i / 1000) for i in range(1001)]
+        assert m.image(iv) == Interval(min(values), max(values))
+        assert m.image(iv) == Interval(m(0.7), m(0.3))
 
 
 class TestPreimages:
@@ -295,6 +299,36 @@ class TestFixedPoint:
         z = m.fixed_point()
         assert z == m(F(2, 5)) == F(21, 50)
         assert m(z) == z
+
+    def test_plateau_then_quadratic_iterates_on_floats(self, monkeypatch):
+        # the plateau's exact value 29/50 must not carry into the next step:
+        # through the quadratic, an exact iterate squares its denominator
+        m = Composed((
+            Clamped(Affine(F(4, 5), F(1, 10)), F(3, 5), F(1)),
+            Quadratic(F(1, 10), F(1, 2), F(3, 10)),
+        ))
+        inputs = []
+        real = Composed._eval
+        monkeypatch.setattr(
+            Composed, "_eval", lambda self, x: inputs.append(x) or real(self, x)
+        )
+        with pytest.raises(IterationCapError):
+            m.fixed_point(eps_fp=0.0, cap=6)
+        assert [type(x) for x in inputs] == [float] * 6
+        monkeypatch.undo()
+        z = m.fixed_point()
+        assert type(z) is float and abs(m(z) - z) < 1e-12
+        assert math.isclose(z, 0.646886223080652, rel_tol=1e-12)
+
+    def test_plateau_fixed_point_stays_exact(self):
+        # the word map is constant 53/100 near its fixed point: the exact
+        # value comes back from a float iterate
+        m = Composed((
+            Clamped(Affine(F(4, 5), F(1, 10)), F(7, 10), F(1)),
+            Affine(F(1, 2), F(1, 5)),
+        ))
+        z = m.fixed_point()
+        assert z == F(53, 100) and type(z) is F
 
     def test_quadratic_closed_form(self):
         m = Quadratic(F(1, 4), F(1, 4), F(1, 5))

@@ -794,20 +794,20 @@ class TestDigitAgainstExactBisect:
 
 
 def _walk_pc(rng: random.Random):
-    """A seeded system of affine branches mixed with clamped or with
-    quadratic ones, each kind also composed after an affine map, with
-    random closures, and its float copy.  Half of the systems put a
-    breakpoint on, or 2^-70 beside, a branch's exact fixed point, so a
-    cycle point shares its float with a breakpoint.  Clamped and quadratic
-    branches never share a system: a word through both iterates its fixed
-    point on Fractions (a plateau's value) whose size doubles per step."""
+    """A seeded system of affine branches mixed with clamped and quadratic
+    ones, each kind also composed after an affine map, with random
+    closures, and its float copy.  Half of the systems put a breakpoint on,
+    or 2^-70 beside, a branch's exact fixed point, so a cycle point shares
+    its float with a breakpoint.  A word through a plateau and then a
+    quadratic iterates its fixed point from the plateau's exact value."""
     n = rng.randint(2, 4)
-    other = rng.choice((rand_clamped, rand_quadratic))
     kinds = (
         rand_affine,
-        other,
-        other,
-        lambda r: Composed((rand_affine(r), other(r))),
+        rand_clamped,
+        rand_quadratic,
+        lambda r: Composed(
+            (rand_affine(r), r.choice((rand_clamped, rand_quadratic))(r))
+        ),
     )
     maps = [rng.choice(kinds)(rng) for _ in range(n)]
     cuts = {rand_fraction(rng, F(1, 20), F(19, 20), 2**8) for _ in range(n - 1)}
@@ -889,6 +889,11 @@ class TestSingleWalk:
                     got = pcmap._refine_candidate(g, w, backend, 1e-10, 1e-13)
                     want = generic_cycle_orbit(g, w, backend, 1e-10, 1e-13)
                     assert got == want, (g, w, backend)
+                    letters = [g.ifs.maps[d - 1] for d in w]
+                    kinds = {
+                        type(c) for m in letters for c in getattr(m, "chain", (m,))
+                    }
+                    seen["clamped and quadratic"] += {Clamped, Quadratic} <= kinds
                     if got is None:
                         seen["none"] += 1
                         continue
@@ -901,3 +906,5 @@ class TestSingleWalk:
         assert seen["converged"] >= 30 and seen["none"] >= 1500
         assert seen["orbit"] >= 300 and seen["float"] >= 200
         assert seen["mixed word"] >= 80 and seen["tie"] >= 15
+        # words through a plateau and a quadratic: fixed_point on floats
+        assert seen["clamped and quadratic"] >= 300

@@ -945,17 +945,30 @@ class TestBackwardWalkAgainstFractionOracles:
         assert _outcome(fraction_preimage_set, f) == want
         assert _outcome(preimage_set, f) == want
 
-    def test_incomplete_closures_straddle_where_the_oracle_does(self):
-        rng = random.Random(1664)
+    def _fake_closures(self, rng, draw, count, keep=0.5, on_images=False):
+        """build_partition against its oracle on ``count`` complete closures
+        of drawn systems, each point past the breakpoints kept with
+        probability ``keep``, random points added (and, ``on_images``,
+        images of 0, 1 and closure points under random branches, which put
+        cuts on plateau values); counts the errors by kind."""
         raised = Counter()
         checked = 0
-        while checked < 150:
-            f = _steep_pc(rng)
-            q = None if f is None else preimage_set(f, size_cap=400)
+        while checked < count:
+            f = draw(rng)
+            try:
+                q = None if f is None else preimage_set(f, size_cap=400)
+            except (InexactPreimageError, NonDiscretePreimageError):
+                continue
             if q is None or not q.is_complete or len(q.entries) < 4:
                 continue
-            kept = [e for e in q.entries if e.depth == 0 or rng.random() < 0.5]
+            kept = [e for e in q.entries if e.depth == 0 or rng.random() < keep]
             extra = [QPoint(rand_fraction(rng, F(0), F(1)), 1, 1) for _ in range(rng.randint(0, 2))]
+            if on_images:
+                points = [F(0), F(1)] + [e.point for e in kept]
+                extra += [
+                    QPoint(rng.choice(f.ifs.maps)(rng.choice(points)), 1, 1)
+                    for _ in range(rng.randint(0, 3))
+                ]
             entries = sorted(
                 {e.point: e for e in kept + extra if e.point < 1}.values(),
                 key=lambda e: e.point,
@@ -963,9 +976,48 @@ class TestBackwardWalkAgainstFractionOracles:
             fake = PreimageSet(tuple(entries), q.depth_reached, COMPLETE)
             want = _assert_same_partition(f, fake)
             if isinstance(want, tuple):
-                raised["straddles" in want[1]] += 1
+                raised["plateau" if "plateau" in want[1] else "straddles"] += 1
             checked += 1
-        assert raised[True] >= 50
+        return raised
+
+    def test_incomplete_closures_straddle_where_the_oracle_does(self):
+        raised = self._fake_closures(random.Random(1664), _steep_pc, 150)
+        assert raised["straddles"] >= 50
+        # quadratic, clamped and constant branches: their image ends, and a
+        # plateau on an end, decide in the oracle's order
+        rng = random.Random(1666)
+        raised = self._fake_closures(rng, _mixed_pc, 300, 0.9, on_images=True)
+        assert raised["straddles"] >= 100 and raised["plateau"] >= 15
+
+    def test_plateau_and_straddle_in_ascending_cut_order(self):
+        def check(inner, cuts):
+            f = PiecewiseContraction(
+                IteratedFunctionSystem(
+                    (Clamped(inner, F(0), F(1, 4)), Affine(F(1, 2), F(1, 4)))
+                ),
+                Breakpoints((F(1, 2),)),
+            )
+            fake = PreimageSet(tuple(QPoint(c, 1, 1) for c in cuts), 1, COMPLETE)
+            return _assert_same_partition(f, fake)
+
+        # -2x/5 + 9/10 clamped at 1/4 maps (0, 1/2) onto [4/5, 9/10], with
+        # the plateau 4/5 at the lower end and the cut 17/20 inside
+        inner = Affine(F(-2, 5), F(9, 10))
+        assert check(inner, (F(1, 2), F(4, 5), F(17, 20))) == (
+            PartitionInvarianceError,
+            "interval 1 has a plateau on closure point 4/5",
+        )
+        # 2x/5 + 1/2 clamped at 1/4 maps (0, 1/2) onto [1/2, 3/5], with the
+        # cut 11/20 inside and the plateau 3/5 at the upper end
+        inner = Affine(F(2, 5), F(1, 2))
+        assert check(inner, (F(1, 2), F(11, 20), F(3, 5))) == (
+            PartitionInvarianceError,
+            "image of interval 1 straddles closure point 11/20",
+        )
+        assert check(inner, (F(1, 2), F(3, 5))) == (
+            PartitionInvarianceError,
+            "interval 1 has a plateau on closure point 3/5",
+        )
 
     def test_cycle_solve_takes_no_word_map_and_digit_only_on_ties(
         self, monkeypatch
