@@ -79,16 +79,18 @@ def check_sampling(
 ) -> None:
     """Reject survey bounds under which the random draws cannot succeed.
 
-    ``draw_breakpoints`` fits n - 1 points eps_range apart inside
-    (eps_range, 1 - eps_range), which needs n*eps_range < 1, and
-    ``draw_affine`` needs 0 <= kappa_max < 1 - 2*eps_range (so not NaN)
-    to leave room for an intercept.  ``lines`` (parsed config lines)
-    locate the key.
+    A system needs n >= 2 maps.  ``draw_breakpoints`` fits n - 1 points
+    eps_range apart inside (eps_range, 1 - eps_range), which needs
+    n*eps_range < 1, and ``draw_affine`` needs 0 <= kappa_max <
+    1 - 2*eps_range (so not NaN) to leave room for an intercept.
+    ``lines`` (parsed config lines) locate the key.
     """
 
     def line(key: str) -> Optional[int]:
         return next((no for no, t in lines if t[0] == key), None)
 
+    if cfg.n < 2:
+        raise ConfigError(line("n"), f"n {cfg.n} must be >= 2")
     eps = format_scalar(cfg.eps_range)
     if math.isnan(cfg.kappa_max):
         raise ConfigError(
@@ -163,20 +165,22 @@ def descriptor_tokens(m: MapDescriptor) -> str:
     raise ValueError(f"cannot serialize {type(m).__name__}")
 
 
+# integer keys and the least value each accepts (None: any); ``n`` is
+# bounded in check_sampling
 _INT_KEYS = {
-    "seed",
-    "max_iter",
-    "q_depth_cap",
-    "q_size_cap",
-    "composition_cap",
-    "power_cap",
-    "generic_depth",
-    "k",
-    "k_max",
-    "samples",
-    "n",
-    "grid",
-    "jobs",
+    "seed": None,
+    "max_iter": 1,
+    "q_depth_cap": None,
+    "q_size_cap": None,
+    "composition_cap": None,
+    "power_cap": None,
+    "generic_depth": 1,
+    "k": 1,
+    "k_max": 0,
+    "samples": None,
+    "n": None,
+    "grid": None,
+    "jobs": None,
 }
 _TOLERANCES = {"eps_orbit", "eps_fp"}
 _FLOAT_KEYS = _TOLERANCES | {"kappa_max"}
@@ -242,9 +246,9 @@ def parse_config(
                 cfg, closures_line = replace(cfg, closures=tuple(args)), no
             elif key == "x0":
                 x0 = backend.number(args[0])
-                if x0 == 1:
+                if not 0 <= x0 < 1:
                     raise ConfigError(
-                        no, "initial condition 1 is outside [0, 1)"
+                        no, f"initial condition {args[0]} is outside [0, 1)"
                     )
                 cfg = replace(cfg, x0=x0)
             elif key == "eps_range":
@@ -254,7 +258,10 @@ def parse_config(
                     raise ConfigError(no, "expected true or false")
                 cfg = replace(cfg, fail_on_breakpoint_hit=args[0] == "true")
             elif key in _INT_KEYS:
-                cfg = replace(cfg, **{key: int(args[0])})
+                value, least = int(args[0]), _INT_KEYS[key]
+                if least is not None and value < least:
+                    raise ConfigError(no, f"{key} {args[0]} must be >= {least}")
+                cfg = replace(cfg, **{key: value})
             elif key in _FLOAT_KEYS:
                 value = float(args[0])
                 if key in _TOLERANCES and not 0 < value < math.inf:

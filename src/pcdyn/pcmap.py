@@ -377,13 +377,14 @@ def orbit(
 ) -> OrbitRecord:
     """Iterate x0 and detect an eventual cycle.
 
-    Exact backend: a repeated exact point closes a cycle immediately; for
-    orbits that only converge to a cycle, a candidate period is read off
-    the itinerary (three consecutive repeats of the digit word, with a
-    float-shadow closeness trigger) and confirmed by solving the composed
-    word map's fixed point exactly.  Float backend: closeness within
-    eps_orbit plus the same three-period itinerary confirmation, then the
-    cycle is refined through the word map's fixed point.  With
+    Exact backend: a repeated exact point closes a cycle at once.  Both
+    backends: each point t of a float shadow picks the earliest earlier
+    point s within the trigger width (eps_orbit, or ``_SHADOW_EPS`` under
+    the exact backend), a candidate of period p = t - s.  At step
+    s + 3p = 3t - 2s it is confirmed when the digit word of s, ..., s+p-1
+    has repeated three times and :func:`_refine_candidate` solves and
+    verifies the word's cycle; the preperiod then backs off to the first
+    step from which the digits repeat with period p.  With
     ``fail_on_breakpoint_hit`` an orbit point equal to a breakpoint (within
     ``eps_cmp`` under the float backend) ends the run as "breakpoint-hit".
     """
@@ -391,80 +392,57 @@ def orbit(
         raise ValueError("max_iter must be >= 1")
     if not 0 <= x0 < 1:
         raise ValueError(f"initial condition {x0} outside [0, 1)")
-
     eps_trigger = eps_orbit if not backend.is_exact else _SHADOW_EPS
-
     pts: list[Scalar] = [x0]
     shadow: list[float] = [float(x0)]
     digits: list[int] = []
     seen: dict[Scalar, int] = {x0: 0} if backend.is_exact else {}
     buckets: dict[int, list[int]] = {int(shadow[0] // eps_trigger): [0]}
-    pending: list[tuple[int, int, int]] = []  # (s, p, due)
-    failure = "iteration-cap"
-
-    def finish(orb: Optional[PeriodicOrbit], preperiod, period) -> OrbitRecord:
-        itin = Itinerary(tuple(digits), preperiod, period)
-        return OrbitRecord(
-            x0, tuple(pts), itin, orb, None if orb else failure
-        )
-
-    for t in range(max_iter):
-        x = pts[t]
+    due: dict[int, list[tuple[int, int]]] = {}  # step -> [(s, p), ...]
+    orb, preperiod, failure = None, None, "iteration-cap"
+    for t in range(1, max_iter + 1):
+        x = pts[-1]
         d = f.digit(x)
         digits.append(d)
         if fail_on_breakpoint_hit and any(
             backend.eq(x, p) for p in f.breakpoints
         ):
             failure = "breakpoint-hit"
-            return finish(None, None, None)
+            break
         nxt = f.ifs.maps[d - 1]._eval(x)
         pts.append(nxt)
-        t1 = t + 1
-
         if backend.is_exact:
-            s = seen.get(nxt)
-            if s is not None:
-                p = t1 - s
-                return finish(rotate_to_min(pts[s:t1], digits[s:t1]), s, p)
-            seen[nxt] = t1
-
+            s = seen.setdefault(nxt, t)
+            if s < t:
+                orb, preperiod = rotate_to_min(pts[s:t], digits[s:t]), s
+                break
         fx = float(nxt)
         shadow.append(fx)
         key = int(fx // eps_trigger)
-        hit = None
-        for k in (key - 1, key, key + 1):
-            for s in buckets.get(k, ()):
-                if abs(shadow[s] - fx) <= eps_trigger:
-                    if hit is None or s < hit:
-                        hit = s
-        buckets.setdefault(key, []).append(t1)
-        if hit is not None and t1 - hit >= 1:
-            pending.append((hit, t1 - hit, hit + 3 * (t1 - hit)))
+        near = [
+            s for k in (key - 1, key, key + 1) for s in buckets.get(k, ())
+            if abs(shadow[s] - fx) <= eps_trigger
+        ]
+        buckets.setdefault(key, []).append(t)
+        if near:
+            s = min(near)
+            due.setdefault(3 * t - 2 * s, []).append((s, t - s))
 
-        matured = [c for c in pending if c[2] <= t1]
-        if matured:
-            pending = [c for c in pending if c[2] > t1]
-            for s, p, _ in matured:
-                if len(digits) < s + 3 * p:
-                    continue
-                w = digits[s : s + p]
-                if (
-                    digits[s + p : s + 2 * p] != w
-                    or digits[s + 2 * p : s + 3 * p] != w
-                ):
-                    continue
-                if abs(shadow[s + p] - shadow[s]) > eps_trigger:
-                    continue
+        for s, p in due.pop(t, ()):
+            w = digits[s : s + p]
+            if digits[s + p :] == w * 2:
                 orb = _refine_candidate(f, w, backend, eps_orbit, eps_fp)
-                if orb is None:
-                    continue
-                # earliest step from which the digits are already periodic
-                s0 = s
-                while s0 > 0 and digits[s0 - 1] == digits[s0 - 1 + orb.period]:
-                    s0 -= 1
-                return finish(orb, s0, orb.period)
+                if orb is not None:
+                    break
+        if orb is not None:
+            # earliest step from which the digits are already periodic
+            while s > 0 and digits[s - 1] == digits[s - 1 + p]:
+                s -= 1
+            preperiod = s
+            break
 
-    return finish(None, None, None)
+    itin = Itinerary(tuple(digits), preperiod, orb.period if orb else None)
+    return OrbitRecord(x0, tuple(pts), itin, orb, None if orb else failure)
 
 
 def is_generic(

@@ -201,7 +201,8 @@ def run_survey(cfg: RunConfig) -> SurveyReport:
     check_sampling(cfg)
     indices = range(cfg.samples)
     if cfg.jobs > 1 and cfg.samples > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool may start every worker at once: no more than the samples
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.samples)) as pool:
             records = tuple(pool.map(partial(run_sample, cfg), indices))
     else:
         records = tuple(run_sample(cfg, i) for i in indices)

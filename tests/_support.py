@@ -23,7 +23,19 @@ from pcdyn import (
     Quadratic,
     ifs_image,
 )
-from pcdyn.pcmap import RIGHT_OPEN, _generic_forward, _word_map, rotate_to_min
+from pcdyn import pcmap
+from pcdyn.maps import DEFAULT_EPS_FP
+from pcdyn.pcmap import (
+    DEFAULT_EPS_ORBIT,
+    DEFAULT_MAX_ITER,
+    RIGHT_OPEN,
+    _SHADOW_EPS,
+    Itinerary,
+    OrbitRecord,
+    _generic_forward,
+    _word_map,
+    rotate_to_min,
+)
 from pcdyn.quasipartition import (
     COMPLETE,
     TRUNCATED,
@@ -289,6 +301,100 @@ def fraction_periodic_orbits(f: PiecewiseContraction, part: QuasiPartition):
             )
         orbits.append(orb)
     return orbits
+
+
+def pending_list_orbit(
+    f: PiecewiseContraction,
+    x0,
+    max_iter: int = DEFAULT_MAX_ITER,
+    backend=EXACT,
+    eps_orbit: float = DEFAULT_EPS_ORBIT,
+    eps_fp: float = DEFAULT_EPS_FP,
+    fail_on_breakpoint_hit: bool = False,
+) -> OrbitRecord:
+    """orbit() with every cycle candidate in one pending list that each
+    step rescans for the candidates that have matured, each re-checked for
+    three periods of digits and for its shadow's closeness, and three
+    exits through one ``finish`` closure.  It looks ``_refine_candidate``
+    up in pcdyn.pcmap at each call, so a patch there sees both loops."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not 0 <= x0 < 1:
+        raise ValueError(f"initial condition {x0} outside [0, 1)")
+
+    eps_trigger = eps_orbit if not backend.is_exact else _SHADOW_EPS
+
+    pts = [x0]
+    shadow = [float(x0)]
+    digits = []
+    seen = {x0: 0} if backend.is_exact else {}
+    buckets = {int(shadow[0] // eps_trigger): [0]}
+    pending = []  # (s, p, due)
+    failure = "iteration-cap"
+
+    def finish(orb, preperiod, period) -> OrbitRecord:
+        itin = Itinerary(tuple(digits), preperiod, period)
+        return OrbitRecord(
+            x0, tuple(pts), itin, orb, None if orb else failure
+        )
+
+    for t in range(max_iter):
+        x = pts[t]
+        d = f.digit(x)
+        digits.append(d)
+        if fail_on_breakpoint_hit and any(
+            backend.eq(x, p) for p in f.breakpoints
+        ):
+            failure = "breakpoint-hit"
+            return finish(None, None, None)
+        nxt = f.ifs.maps[d - 1]._eval(x)
+        pts.append(nxt)
+        t1 = t + 1
+
+        if backend.is_exact:
+            s = seen.get(nxt)
+            if s is not None:
+                p = t1 - s
+                return finish(rotate_to_min(pts[s:t1], digits[s:t1]), s, p)
+            seen[nxt] = t1
+
+        fx = float(nxt)
+        shadow.append(fx)
+        key = int(fx // eps_trigger)
+        hit = None
+        for k in (key - 1, key, key + 1):
+            for s in buckets.get(k, ()):
+                if abs(shadow[s] - fx) <= eps_trigger:
+                    if hit is None or s < hit:
+                        hit = s
+        buckets.setdefault(key, []).append(t1)
+        if hit is not None and t1 - hit >= 1:
+            pending.append((hit, t1 - hit, hit + 3 * (t1 - hit)))
+
+        matured = [c for c in pending if c[2] <= t1]
+        if matured:
+            pending = [c for c in pending if c[2] > t1]
+            for s, p, _ in matured:
+                if len(digits) < s + 3 * p:
+                    continue
+                w = digits[s : s + p]
+                if (
+                    digits[s + p : s + 2 * p] != w
+                    or digits[s + 2 * p : s + 3 * p] != w
+                ):
+                    continue
+                if abs(shadow[s + p] - shadow[s]) > eps_trigger:
+                    continue
+                orb = pcmap._refine_candidate(f, w, backend, eps_orbit, eps_fp)
+                if orb is None:
+                    continue
+                # earliest step from which the digits are already periodic
+                s0 = s
+                while s0 > 0 and digits[s0 - 1] == digits[s0 - 1 + orb.period]:
+                    s0 -= 1
+                return finish(orb, s0, orb.period)
+
+    return finish(None, None, None)
 
 
 # --- Fraction oracles for the backward walks ------------------------------------

@@ -163,6 +163,35 @@ class TestCommands:
         assert code == 1
         assert out[-1].startswith("iteration-cap")
 
+    @pytest.mark.parametrize(
+        "text, code, digest",
+        [
+            (P3, 0, "4ecf93fcb343122f128b8e80d7a4b16c"
+             "deeb343bc55b7220f824c2bec750f930"),
+            (P3.replace("x0 0", "x0 2/7"), 0, "df9e0428f211997e9cc7a670b7601eaf"
+             "5930955047946cb8625d57855c701a69"),
+            (P3.replace("x0 0", "x0 1/10") + "fail_on_breakpoint_hit true\n",
+             1, "322b82db52567bd69c9e7961cea15b12"
+             "d89799f29d33bb914e476350ebff6640"),
+            (P3 + "max_iter 3\n", 1, "3a5cfeec48efa2b10ee8ceb10a3fe392"
+             "871a54e6b6f207e4de2f485063f67548"),
+            (P3.replace("exact", "float"), 0, "0a70e8a092d1d51c62ff791d6c9d3f76"
+             "4c5d719513b1bf827a8acec5c2b9bf15"),
+            ("backend float\neps_orbit 0.05\nmap affine -0.1 0.69\n"
+             "map affine 0.7 0.07\nbreakpoints 0.3\nx0 0\nmax_iter 2000\n", 0,
+             "97d474113cee75651eedd4a213199970970e90277f7506f6151ce7d73abb7a09"),
+        ],
+        ids=["candidate", "exact-repeat", "breakpoint-hit", "iteration-cap",
+             "float", "float-refine-rejected"],
+    )
+    def test_orbit_csv_pinned(self, tmp_path, text, code, digest):
+        # pinned from the output of the orbit loop that rescanned a list of
+        # pending candidates at every step
+        out = tmp_path / "orbit.csv"
+        path = self.write(tmp_path, text)
+        assert main(["orbit", "--config", path, "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_partition_blocks(self, tmp_path, capsys):
         code = main(["partition", "--config", self.write(tmp_path, P3)])
         out = capsys.readouterr().out
@@ -353,6 +382,30 @@ class TestCommands:
         code = main(["partition", "--config", self.write(tmp_path, text)])
         assert code == 2
         assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("orbit", "x0 3/2", "initial condition 3/2 is outside [0, 1)"),
+            ("orbit", "x0 -1/10", "initial condition -1/10 is outside [0, 1)"),
+            ("orbit", "x0 1", "initial condition 1 is outside [0, 1)"),
+            ("orbit", "max_iter 0", "max_iter 0 must be >= 1"),
+            ("power", "k 0", "k 0 must be >= 1"),
+            ("aks", "k_max -1", "k_max -1 must be >= 0"),
+            ("survey", "generic_depth 0", "generic_depth 0 must be >= 1"),
+            ("survey", "n 1", "n 1 must be >= 2"),
+        ],
+    )
+    def test_range_errors_name_their_line(
+        self, tmp_path, capsys, command, line, message
+    ):
+        # each used to reach the library's ValueError, which names no line
+        text = P3.replace("x0 0\n", "") + line + "\n"
+        code = main([command, "--config", self.write(tmp_path, text)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            f"config error: line 6: {message}"
+        )
 
     @pytest.mark.parametrize("value", ["0", "-1e-10", "inf", "-inf"])
     def test_tolerances_must_be_finite_and_positive(self, value):

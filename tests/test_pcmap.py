@@ -43,6 +43,7 @@ from _support import (
     generic_cycle_orbit,
     generic_digit_word,
     generic_value,
+    pending_list_orbit,
     period3_pc,
     rand_affine,
     rand_clamped,
@@ -346,6 +347,43 @@ class TestPreimages:
         assert F(3, 10) in f.preimages(y)
 
 
+def _record(fn, *args):
+    """fn's OrbitRecord, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _float_pc(f: PiecewiseContraction) -> PiecewiseContraction:
+    """f with every coefficient and breakpoint as a float."""
+    return PiecewiseContraction(
+        IteratedFunctionSystem(tuple(map(float_descriptor, f.ifs.maps))),
+        Breakpoints(tuple(map(float, f.breakpoints))),
+        f.closures,
+    )
+
+
+def _ghost_pc(rng: random.Random) -> PiecewiseContraction:
+    """Two float affine branches, each with its fixed point inside the
+    other branch: a run of steps inside one branch makes a candidate whose
+    fixed point leaves the branch, so its cycle fails to verify."""
+    c = rand_fraction(rng, F(1, 5), F(4, 5), 2**8)
+    maps = []
+    for lo, hi in ((c, F(1)), (F(0), c)):
+        a = rand_fraction(rng, F(1, 2), F(9, 10), 2**8)
+        z = rand_fraction(rng, lo + F(1, 100), hi - F(1, 100), 2**8)
+        maps.append(Affine(float(a), float(z * (1 - a))))
+    return _pc(maps, (float(c),))
+
+
+def _starts(rng: random.Random, f: PiecewiseContraction) -> list:
+    """Two random exact starts and one breakpoint of f."""
+    xs = [F(rng.randrange(2**12), 2**12) for _ in range(2)]
+    return xs + [rng.choice(f.breakpoints.points)]
+
+
+
 class TestOrbit:
     def test_exact_cycle_from_periodic_point(self):
         rec = orbit(period3_pc(), F(2, 7), 100)
@@ -418,6 +456,62 @@ class TestOrbit:
         rec = orbit(f, F(5, 17), 50)
         for x, y in zip(rec.points, rec.points[1:]):
             assert f(x) == y
+
+    def test_matches_the_pending_list_loop(self, monkeypatch):
+        """Every OrbitRecord field, or the exception's type and message,
+        and the words passed to _refine_candidate, in order, equal the
+        pending-list loop's (tests/_support.py) over exact affine and
+        clamped systems, exact quadratic ones for a few steps, and float
+        copies at coarse trigger widths."""
+        refine, calls = pcmap._refine_candidate, []
+
+        def logged(f, word, *args):
+            orb = refine(f, word, *args)
+            calls.append((word, orb))
+            return orb
+
+        monkeypatch.setattr(pcmap, "_refine_candidate", logged)
+        seen = Counter()
+
+        def check(g, x0, max_iter, backend=EXACT, eps_orbit=1e-10):
+            args = (g, x0, max_iter, backend, eps_orbit, 1e-13, hit)
+            got = _record(orbit, *args)
+            mine = calls[:]
+            calls.clear()
+            assert got == _record(pending_list_orbit, *args), args
+            # the same candidates are solved, in the same order
+            assert mine == calls, args
+            calls.clear()
+            if isinstance(got, tuple):
+                seen["raised"] += 1
+            elif got.converged:
+                repeat = got.points[-1] in got.points[:-1]
+                seen["exact repeat" if repeat else "candidate"] += 1
+                seen["rejected"] += any(orb is None for _, orb in mine)
+            else:
+                seen[got.failure] += 1
+
+        rng = random.Random(1601)
+        widths = (1e-10, 0.01, 0.03, 0.1)
+        for _ in range(120):
+            hit = rng.random() < 0.5
+            f = _mixed_pc(rng)
+            fl = _float_pc(f)
+            for x0 in _starts(rng, f):
+                check(f, x0, rng.choice((5, 50, 3000)))
+                check(fl, float(x0), rng.choice((5, 50, 3000)), FLOAT,
+                      rng.choice(widths))
+            pair = _walk_pc(rng)
+            if pair is not None:  # quadratic denominators square each step
+                for x0 in _starts(rng, pair[0]):
+                    check(pair[0], x0, rng.choice((5, 10)))
+                    check(pair[1], float(x0), rng.choice((5, 50, 3000)),
+                          FLOAT, rng.choice(widths))
+            g = _ghost_pc(rng)  # refine rejections come early
+            for x0 in _starts(rng, g):
+                check(g, float(x0), 50, FLOAT, rng.choice(widths[1:]))
+        assert seen["exact repeat"] >= 50 and seen["candidate"] >= 200
+        assert seen["breakpoint-hit"] >= 10 and seen["rejected"] >= 20
 
 
 class TestIsGeneric:

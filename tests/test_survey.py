@@ -164,6 +164,30 @@ class TestRunSurvey:
         b = survey_csv(run_survey(small_cfg(jobs=3)))
         assert a == b
 
+    def test_no_more_workers_than_samples(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process;
+        # no real process is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+        report = run_survey(small_cfg(jobs=10**6, samples=3))
+        assert sizes == [3]
+        assert report == run_survey(small_cfg(jobs=1, samples=3))
+        run_survey(small_cfg(jobs=2, samples=3))
+        assert sizes == [3, 2]
+
     def test_criterion_6_csv_pinned_across_versions(self):
         # the criterion-6 survey's CSV as first recorded (CPython 3.11.7);
         # a change to any stage of the pipeline that alters a row shows here
@@ -206,6 +230,7 @@ class TestSamplingBounds:
              dict(samples=1, n=3, kappa_max=-0.5)),
             ("n 3\nsamples 2\nkappa_max nan\n",
              dict(samples=2, n=3, kappa_max=float("nan"))),
+            ("samples 3\nn 1\n", dict(samples=3, n=1)),
         ],
     )
     def test_same_error_as_parse_config(self, text, fields):
