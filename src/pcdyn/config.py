@@ -217,6 +217,10 @@ def parse_config(
                 eps_cmp = float(toks[1])
             except (IndexError, ValueError) as exc:
                 raise ConfigError(no, "eps_cmp needs a float value") from exc
+            if not 0 < eps_cmp < math.inf:
+                raise ConfigError(
+                    no, f"eps_cmp {toks[1]} must be finite and positive"
+                )
     if backend_name in (None, "exact"):
         backend = Backend.exact()
     else:

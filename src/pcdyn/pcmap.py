@@ -238,11 +238,26 @@ def rotate_to_min(
     home_cycle: Optional[Sequence[int]] = None,
 ) -> PeriodicOrbit:
     """The orbit of a cycle, rotated to start at its smallest point; the
-    word and the home cycle, if any, rotate by the same shift."""
-    k = min(range(len(points)), key=lambda i: points[i])
+    word and the home cycle, if any, rotate by the same shift.
+
+    Rounding to float is monotone, so the smallest point has the lowest
+    float key; points tied on that key are compared by their exact integer
+    ratios, and the first of equal points is taken, as ``min`` would.
+    """
+    k = 0
+    if len(points) > 1:
+        keys = float_keys(points)
+        low = min(keys)
+        k = keys.index(low)
+        kn, kd = _ratio(points[k]) or points[k].as_integer_ratio()
+        for i in range(k + 1, len(keys)):
+            if keys[i] == low:
+                n, d = _ratio(points[i]) or points[i].as_integer_ratio()
+                if n * kd < kn * d:
+                    k, kn, kd = i, n, d
 
     def rot(seq):
-        return tuple(seq[k:]) + tuple(seq[:k])
+        return tuple(seq[k:]) + tuple(seq[:k]) if k else tuple(seq)
 
     return PeriodicOrbit(
         rot(points),

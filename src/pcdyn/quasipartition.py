@@ -14,7 +14,9 @@ rounding error, and the finiteness argument is an exact one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -66,7 +68,6 @@ class QPoint:
     depth: int   # 0 for the breakpoint itself
 
 
-@dataclass(frozen=True)
 class PreimageSet:
     """All backward iterates of the breakpoints, with provenance.
 
@@ -74,20 +75,60 @@ class PreimageSet:
     points, "truncated" when the depth or size cap was hit first.
     ``depth_reached`` counts backward levels computed, including the
     terminal one that stabilized.  ``entries`` hold distinct points in
-    ascending order, as :func:`preimage_set` emits them.
+    ascending order, as :func:`preimage_set` emits them.  A set from
+    :func:`preimage_set` holds its sorted points and each point's
+    (source, depth) instead, and builds ``entries`` on their first read.
     """
 
-    entries: tuple[QPoint, ...]
-    depth_reached: int
-    status: str
+    def __init__(
+        self, entries: tuple[QPoint, ...], depth_reached: int, status: str
+    ):
+        self.entries = entries
+        self.depth_reached = depth_reached
+        self.status = status
 
-    @property
-    def is_complete(self) -> bool:
-        return self.status == COMPLETE
+    @staticmethod
+    def _from_closure(
+        points: tuple, pairs: list, found: dict, depth_reached: int, status: str
+    ) -> "PreimageSet":
+        """``points`` ascending, ``pairs`` their (num, den) pairs, and
+        ``found`` each pair's (source, depth)."""
+        s = object.__new__(PreimageSet)
+        s.points, s._pairs, s._found = points, pairs, found
+        s.depth_reached, s.status = depth_reached, status
+        return s
+
+    @cached_property
+    def entries(self) -> tuple[QPoint, ...]:
+        found = self._found
+        return tuple(
+            QPoint(p, *found[x]) for p, x in zip(self.points, self._pairs)
+        )
 
     @cached_property
     def points(self) -> tuple[Scalar, ...]:
         return tuple(e.point for e in self.entries)
+
+    def _fields(self) -> tuple:
+        return self.entries, self.depth_reached, self.status
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PreimageSet):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"PreimageSet(entries={self.entries!r}, depth_reached="
+            f"{self.depth_reached!r}, status={self.status!r})"
+        )
+
+    @property
+    def is_complete(self) -> bool:
+        return self.status == COMPLETE
 
 
 def preimage_set(
@@ -147,10 +188,9 @@ def preimage_set(
         if len(found) > size_cap:
             status = TRUNCATED
             break
-    entries = tuple(
-        QPoint(_raw_fraction(*x), *found[x]) for x in sort_pairs(found)[0]
-    )
-    return PreimageSet(entries, depth, status)
+    pairs = sort_pairs(found)[0]
+    points = tuple(_raw_fraction(*x) for x in pairs)
+    return PreimageSet._from_closure(points, pairs, found, depth, status)
 
 
 def _walk_order_error(f: PiecewiseContraction, level: list, depth: int):
@@ -183,14 +223,18 @@ class QuasiPartition:
     ``intervals[l-1]`` is the l-th open interval (stored as its closure),
     ``transition[l-1]`` the index of the interval containing its image, and
     ``branch[l-1]`` the piecewise-contraction branch the interval sits in.
+    The intervals are built from the cut points when first read.
     """
 
     qset: PreimageSet
     cut_points: tuple[Scalar, ...]
-    intervals: tuple[Interval, ...]
     transition: tuple[int, ...]
     branch: tuple[int, ...]
     _orbits: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    # eps_fp -> the orbit each interval's points tend to, by interval
+    _limits: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
     # (breakpoints, index of each among cut_points), set by build_partition
@@ -200,7 +244,12 @@ class QuasiPartition:
 
     @property
     def m(self) -> int:
-        return len(self.intervals)
+        return len(self.transition)
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        bounds = (EXACT.zero,) + self.cut_points + (EXACT.one,)
+        return tuple(Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
     @cached_property
     def basins(self) -> tuple[tuple[int, ...], ...]:
@@ -246,8 +295,21 @@ class QuasiPartition:
             self._orbits[eps_fp] = orbits
         return self._orbits[eps_fp]
 
+    def _limit_table(
+        self, f: PiecewiseContraction, eps_fp: float
+    ) -> tuple[PeriodicOrbit, ...]:
+        """``_limit_table(f, eps_fp)[l-1]`` is the orbit of interval l's
+        basin, from :meth:`cycle_orbits`, built once per ``eps_fp``."""
+        table = self._limits.get(eps_fp)
+        if table is None:
+            orbits = self.cycle_orbits(f, eps_fp)
+            table = tuple(map(orbits.__getitem__, self.basins))
+            self._limits[eps_fp] = table
+        return table
+
     @cached_property
     def _cut_keys(self) -> tuple[float, ...]:
+        # build_partition sets this from the keys it already computed
         return float_keys(self.cut_points)
 
     def locate(self, x: Scalar) -> Optional[int]:
@@ -284,9 +346,6 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
     keys = float_keys(cuts)
     at = _breakpoint_positions(f, cuts, keys)
     bounds = (EXACT.zero,) + cuts + (EXACT.one,)
-    intervals = tuple(
-        Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:])
-    )
     branch: list[int] = []
     for d, last in enumerate(at + [len(cuts)], start=1):
         branch += [d] * (last + 1 - len(branch))  # intervals up to cut `last`
@@ -294,11 +353,10 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
     maps = f.ifs.maps
     steps = [_strict_affine(m) for m in maps]
     transition: list[int] = []
-    for j, (iv, d) in enumerate(zip(intervals, branch), start=1):
+    for j, (lo, hi, d) in enumerate(zip(bounds, bounds[1:], branch), start=1):
         ints = steps[d - 1]
         if ints:  # the image ends as unreduced integer pairs
             A, B, D = ints
-            lo, hi = iv.lo, iv.hi
             ld, hd = lo._denominator, hi._denominator
             un, ud = A * lo._numerator + B * ld, D * ld
             vn, vd = A * hi._numerator + B * hd, D * hd
@@ -307,7 +365,7 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
             first, lo_hit = find_pair(cuts, keys, un, ud, un / ud)
             last, hi_hit = find_pair(cuts, keys, vn, vd, vn / vd)
         else:
-            phi = maps[d - 1]
+            phi, iv = maps[d - 1], Interval(lo, hi)
             img = phi.image(iv)
             first, lo_hit = find_exact(cuts, keys, img.lo, _key(img.lo))
             last, hi_hit = find_exact(cuts, keys, img.hi, _key(img.hi))
@@ -322,10 +380,9 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
             _plateau_check(phi, iv, cuts[last], j)
         # no cut lies strictly inside the image: it is in interval first + 1
         transition.append(first + 1)
-    part = QuasiPartition(
-        qset, cuts, intervals, tuple(transition), tuple(branch)
-    )
+    part = QuasiPartition(qset, cuts, tuple(transition), tuple(branch))
     object.__setattr__(part, "_at", (f.breakpoints.points, at))
+    object.__setattr__(part, "_cut_keys", keys)
     return part
 
 
@@ -377,8 +434,17 @@ def omega_limit(
 
     If x sits on a closure point (or at 0) it is iterated through that
     finite set until it either enters an open interval or closes a cycle
-    inside the set; otherwise it is the orbit of its interval's basin.
+    inside the set; otherwise it is the orbit of its interval's basin.  A
+    Fraction whose key lies inside (0, 1) and ties no cut key is inside
+    the interval its key bisects to: one lookup in the limit table.
     """
+    if type(x) is Fraction:  # one lookup for a point inside an interval
+        fx = _key(x)
+        if 0.0 < fx < 1.0:
+            keys = part._cut_keys
+            i = bisect_left(keys, fx)
+            if i == len(keys) or keys[i] != fx:
+                return part._limit_table(f, eps_fp)[i]
     visited: list[Scalar] = []
     while (start := part.locate(x)) is None:
         if x in visited:  # a cycle inside the finite set {0} and the cuts
@@ -386,7 +452,7 @@ def omega_limit(
             return rotate_to_min(cyc_pts, [f.digit(p) for p in cyc_pts])
         visited.append(x)
         x = f(x)
-    return part.cycle_orbits(f, eps_fp)[part.basins[start - 1]]
+    return part._limit_table(f, eps_fp)[start - 1]
 
 
 @dataclass(frozen=True)

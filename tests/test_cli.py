@@ -356,6 +356,8 @@ class TestCommands:
              "line 6: eps_fp nan must be finite and positive"),
             ("orbit", _NAN_ORBIT + "eps_orbit nan\n",
              "line 6: eps_orbit nan must be finite and positive"),
+            ("orbit", _NAN_ORBIT + "eps_cmp nan\n",
+             "line 6: eps_cmp nan must be finite and positive"),
         ],
     )
     def test_nan_settings_are_config_errors(
@@ -409,13 +411,16 @@ class TestCommands:
 
     @pytest.mark.parametrize("value", ["0", "-1e-10", "inf", "-inf"])
     def test_tolerances_must_be_finite_and_positive(self, value):
-        for key in ("eps_fp", "eps_orbit"):
+        # eps_cmp 0 ran with 1e-12, and a negative one named no line
+        for key in ("eps_fp", "eps_orbit", "eps_cmp"):
             with pytest.raises(
                 ConfigError,
                 match=f"^line 2: {key} {value} must be finite and positive$",
             ):
                 parse_config(f"backend float\n{key} {value}\n")
         assert parse_config("eps_fp 1e-300\neps_orbit 0.5\n").eps_fp == 1e-300
+        cfg = parse_config("backend float\neps_cmp 1e-300\n")
+        assert cfg.backend.eps_cmp == 1e-300
 
     def test_survey_kappa_max_checked_after_every_key(self):
         # eps_range comes after kappa_max and moves the bound below it

@@ -514,6 +514,41 @@ class TestOrbit:
         assert seen["breakpoint-hit"] >= 10 and seen["rejected"] >= 20
 
 
+def _min_rotation(points, word, home_cycle=None):
+    """rotate_to_min through the generic ``min`` over the points."""
+    k = min(range(len(points)), key=lambda i: points[i])
+
+    def rot(seq):
+        return tuple(seq[k:]) + tuple(seq[:k])
+
+    cyc = None if home_cycle is None else rot(home_cycle)
+    return pcmap.PeriodicOrbit(rot(points), len(points), rot(word), cyc)
+
+
+class TestRotateToMin:
+    def test_matches_the_generic_min(self):
+        # points in clusters 2^-70 apart share a float key, so the choice
+        # among them rests on the exact tie-break; repeats keep the first
+        rng = random.Random(1717)
+        tiny = F(1, 2**70)
+        tied = 0
+        for _ in range(400):
+            bases = [rand_fraction(rng, F(0), F(1)) for _ in range(3)]
+            pool = [b + k * tiny for b in bases for k in range(-2, 3)]
+            pts = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.3:
+                pts = [float(p) for p in pts]
+            word = [rng.randint(1, 3) for _ in pts]
+            cyc = [rng.randint(1, 9) for _ in pts] if rng.random() < 0.5 else None
+            got = pcmap.rotate_to_min(pts, word, cyc)
+            want = _min_rotation(pts, word, cyc)
+            assert got == want
+            assert got.points == want.points and got.home_cycle == want.home_cycle
+            low = min(map(float, pts))
+            tied += sum(float(p) == low for p in set(pts)) > 1
+        assert tied >= 100
+
+
 class TestIsGeneric:
     def test_true_at_shallow_depth(self):
         assert is_generic(period3_pc(), 3)

@@ -195,8 +195,12 @@ class TestPeriodicOrbits:
             match="^the fixed point of index cycle 1 does not follow its word 1$",
         ):
             periodic_orbits(f, part)
-        with pytest.raises(BoundaryOrbitError):
-            omega_limit(f, F(1, 8), part)
+        for x in (F(1, 8), F(0)):  # one table lookup, then the walk from 0
+            with pytest.raises(
+                BoundaryOrbitError,
+                match="^the fixed point of index cycle 1 does not follow its word 1$",
+            ):
+                omega_limit(f, x, part)
         # owned by the left branch, 1/2 is a fixed point of f
         g = PiecewiseContraction(maps, f.breakpoints, ("left-open",))
         part = build_partition(g, preimage_set(g))
@@ -481,8 +485,7 @@ class TestBasinIndexAgainstOracles:
             m = rng.randint(1, 30)
             transition = tuple(rng.randint(1, m) for _ in range(m))
             part = QuasiPartition(
-                PreimageSet((), 0, COMPLETE), (), (Interval(F(0), F(1)),) * m,
-                transition, (1,) * m,
+                PreimageSet((), 0, COMPLETE), (), transition, (1,) * m
             )
             assert list(dict.fromkeys(part.basins)) == _oracle_cycles(transition)
             for start in range(1, m + 1):
@@ -513,6 +516,79 @@ class TestBasinIndexAgainstOracles:
             checked += 1
             multi += len(want_orbits) > 1
         assert multi >= 30
+
+
+class TestBuiltWhenRead:
+    """An open-interval point's limit is one table lookup, and closure
+    records and intervals are built on first read: each against its oracle
+    or its eager form on random partitions."""
+
+    def test_limits_at_every_kind_of_point(self):
+        rng = random.Random(1417)
+        tiny = F(1, 2**70)
+        grid = [F(g, 64) for g in range(64)]
+        checked = ties = 0
+        while checked < 100:
+            built = _random_partition(rng)
+            if built is None:
+                continue
+            f, part = built
+            xs = grid + [F(0), 0, 0.0, 0.5, 0.25] + list(part.cut_points)
+            for c in part.cut_points:
+                xs += [c - tiny, c + tiny]
+                ties += float(c - tiny) == float(c) == float(c + tiny)
+            for x in xs:
+                assert omega_limit(f, x, part) == _oracle_omega_limit(f, x, part), x
+            checked += 1
+        assert ties >= 200  # a cut's neighbours share its key
+
+    def test_one_table_per_eps_fp(self):
+        f = period3_pc()
+        part = build_partition(f, preimage_set(f))
+        x = F(1, 4)
+        for eps_fp in (1e-13, 1e-9, 1e-13):
+            lim = omega_limit(f, x, part, eps_fp)
+            assert lim is part.cycle_orbits(f, eps_fp)[part.basins[2]]
+        assert list(part._limits) == [1e-13, 1e-9]
+        for eps_fp, table in part._limits.items():
+            orbits = part.cycle_orbits(f, eps_fp)
+            assert table == tuple(orbits[c] for c in part.basins)
+
+    def test_closure_records(self):
+        rng = random.Random(1418)
+        checked = 0
+        while checked < 100:
+            built = _random_partition(rng)
+            if built is None:
+                continue
+            f, part = built
+            want = fraction_preimage_set(f, size_cap=2000)
+            q = part.qset  # entries read last: the partition read the points
+            assert q.points == want.points
+            assert q.entries == want.entries
+            q = preimage_set(f, size_cap=2000)  # entries read first
+            assert q.entries == want.entries
+            assert q.points == tuple(e.point for e in want.entries)
+            assert q == want and hash(q) == hash(want)
+            assert repr(q) == repr(want)
+            checked += 1
+
+    def test_intervals_from_the_cut_points(self):
+        rng = random.Random(1419)
+        checked = 0
+        while checked < 100:
+            built = _random_partition(rng)
+            if built is None:
+                continue
+            f, part = built
+            assert "_cut_keys" in vars(part)  # handed over by build_partition
+            assert part._cut_keys == tuple(map(float, part.cut_points))
+            bounds = (F(0),) + part.cut_points + (F(1),)
+            assert part.intervals == tuple(
+                Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:])
+            )
+            assert part.m == len(part.intervals) == len(part.branch)
+            checked += 1
 
 
 class TestOrbitsWithoutDedup:
@@ -607,8 +683,7 @@ class TestLookupsAgainstExactBisect:
             cuts = tuple(sorted(cuts))
             m = len(cuts) + 1
             part = QuasiPartition(
-                PreimageSet((), 0, COMPLETE), cuts,
-                (Interval(F(0), F(1)),) * m, (1,) * m, (1,) * m,
+                PreimageSet((), 0, COMPLETE), cuts, (1,) * m, (1,) * m
             )
             xs = [F(0), 0, 0.0, F(1, 2**1100), F(1) - F(1, 2**60), F(1), 1]
             xs += [-F(1, 2**1100), 0.5]
@@ -648,11 +723,9 @@ class TestLookupsAgainstExactBisect:
 
 def _hand_partition(cuts, transition):
     """A QuasiPartition on the given cut points with the given index map."""
-    bounds = (F(0),) + tuple(cuts) + (F(1),)
     return QuasiPartition(
         PreimageSet((), 0, COMPLETE),
         tuple(cuts),
-        tuple(Interval(lo, hi) for lo, hi in zip(bounds, bounds[1:])),
         tuple(transition),
         (1,) * (len(cuts) + 1),
     )
