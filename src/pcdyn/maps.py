@@ -28,7 +28,6 @@ from .numerics import (
     _key,
     _ratio,
     _raw_fraction,
-    affine_preimages,
 )
 
 DEFAULT_EPS_FP = 1e-13
@@ -159,11 +158,6 @@ class Affine(MapDescriptor):
         return abs(self.a)
 
     def preimages(self, y, domain):
-        ints, ends = self._ints, (_ratio(domain.lo), _ratio(domain.hi))
-        if ints and ints[0] and type(y) is Fraction and None not in ends:
-            window = ends[0] + ends[1] + (True, True)
-            _, xs = affine_preimages(ints, window, [_ratio(y)], [_key(y)])
-            return [_raw_fraction(*x) for x in xs]
         if self.a == 0:
             if y == self.b:
                 if domain.lo == domain.hi:

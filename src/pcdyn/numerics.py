@@ -12,7 +12,7 @@ function, :func:`find_pair`, bisects the points' floats and compares
 exactly, in integers, only where the floats tie.  The one preimage step,
 :func:`affine_preimages`, solves a rational affine map for a whole level
 of reduced integer pairs, searched the same way: the backward walks pass
-a level, ``Affine.preimages`` a single point.
+it a whole level at a time.
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ class Backend:
 
     @staticmethod
     def floating(eps_cmp: float = DEFAULT_EPS_CMP) -> "Backend":
-        if eps_cmp <= 0:
-            raise ValueError("eps_cmp must be positive for the float backend")
+        if not 0 < eps_cmp < math.inf:
+            raise ValueError(
+                "eps_cmp must be finite and positive for the float backend"
+            )
         return Backend("float", eps_cmp)
 
     @property

@@ -14,7 +14,7 @@ rounding error, and the finiteness argument is an exact one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -68,62 +68,27 @@ class QPoint:
     depth: int   # 0 for the breakpoint itself
 
 
+@dataclass(frozen=True)
 class PreimageSet:
     """All backward iterates of the breakpoints, with provenance.
 
-    ``status`` is "complete" when one full backward level produced no new
-    points, "truncated" when the depth or size cap was hit first.
+    ``points`` are the distinct points in ascending order, and
+    ``provenance[i]`` is the (source, depth) of ``points[i]``.  ``status``
+    is "complete" when one full backward level produced no new points,
+    "truncated" when the depth or size cap was hit first.
     ``depth_reached`` counts backward levels computed, including the
-    terminal one that stabilized.  ``entries`` hold distinct points in
-    ascending order, as :func:`preimage_set` emits them.  A set from
-    :func:`preimage_set` holds its sorted points and each point's
-    (source, depth) instead, and builds ``entries`` on their first read.
+    terminal one that stabilized.
     """
 
-    def __init__(
-        self, entries: tuple[QPoint, ...], depth_reached: int, status: str
-    ):
-        self.entries = entries
-        self.depth_reached = depth_reached
-        self.status = status
+    points: tuple[Scalar, ...]
+    provenance: tuple[tuple[int, int], ...]
+    depth_reached: int
+    status: str
 
-    @staticmethod
-    def _from_closure(
-        points: tuple, pairs: list, found: dict, depth_reached: int, status: str
-    ) -> "PreimageSet":
-        """``points`` ascending, ``pairs`` their (num, den) pairs, and
-        ``found`` each pair's (source, depth)."""
-        s = object.__new__(PreimageSet)
-        s.points, s._pairs, s._found = points, pairs, found
-        s.depth_reached, s.status = depth_reached, status
-        return s
-
-    @cached_property
+    @property
     def entries(self) -> tuple[QPoint, ...]:
-        found = self._found
         return tuple(
-            QPoint(p, *found[x]) for p, x in zip(self.points, self._pairs)
-        )
-
-    @cached_property
-    def points(self) -> tuple[Scalar, ...]:
-        return tuple(e.point for e in self.entries)
-
-    def _fields(self) -> tuple:
-        return self.entries, self.depth_reached, self.status
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PreimageSet):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"PreimageSet(entries={self.entries!r}, depth_reached="
-            f"{self.depth_reached!r}, status={self.status!r})"
+            QPoint(p, *sd) for p, sd in zip(self.points, self.provenance)
         )
 
     @property
@@ -190,7 +155,9 @@ def preimage_set(
             break
     pairs = sort_pairs(found)[0]
     points = tuple(_raw_fraction(*x) for x in pairs)
-    return PreimageSet._from_closure(points, pairs, found, depth, status)
+    return PreimageSet(
+        points, tuple(map(found.__getitem__, pairs)), depth, status
+    )
 
 
 def _walk_order_error(f: PiecewiseContraction, level: list, depth: int):
@@ -230,16 +197,9 @@ class QuasiPartition:
     cut_points: tuple[Scalar, ...]
     transition: tuple[int, ...]
     branch: tuple[int, ...]
+    # eps_fp -> (each cycle's orbit in basins order, each interval's orbit)
     _orbits: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
-    )
-    # eps_fp -> the orbit each interval's points tend to, by interval
-    _limits: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    # (breakpoints, index of each among cut_points), set by build_partition
-    _at: tuple = field(
-        default=(None, None), init=False, compare=False, repr=False
     )
 
     @property
@@ -273,14 +233,16 @@ class QuasiPartition:
                 cycle_of[v] = cycle_of[node]
         return tuple(cycle_of[1:])
 
-    def cycle_orbits(
-        self, f: PiecewiseContraction, eps_fp: float = DEFAULT_EPS_FP
-    ) -> dict[tuple[int, ...], PeriodicOrbit]:
-        """Each cycle's orbit in ``basins`` order, computed once per
-        ``eps_fp``; f is the map the partition was built from.  An orbit is
-        the fixed point of the branch maps composed along its cycle, and
-        BoundaryOrbitError says that fixed point does not follow the word."""
-        if eps_fp not in self._orbits:
+    def _limits(
+        self, f: PiecewiseContraction, eps_fp: float
+    ) -> tuple[tuple[PeriodicOrbit, ...], tuple[PeriodicOrbit, ...]]:
+        """Each cycle's orbit in ``basins`` order, and the orbit of each
+        interval's basin, computed once per ``eps_fp``; f is the map the
+        partition was built from.  An orbit is the fixed point of the branch
+        maps composed along its cycle, and BoundaryOrbitError says that
+        fixed point does not follow the word."""
+        got = self._orbits.get(eps_fp)
+        if got is None:
             orbits = {}
             for cyc in dict.fromkeys(self.basins):
                 word = tuple(self.branch[l - 1] for l in cyc)
@@ -292,20 +254,9 @@ class QuasiPartition:
                         f"the fixed point of index cycle {';'.join(map(str, cyc))}"
                         f" does not follow its word {';'.join(map(str, word))}"
                     )
-            self._orbits[eps_fp] = orbits
-        return self._orbits[eps_fp]
-
-    def _limit_table(
-        self, f: PiecewiseContraction, eps_fp: float
-    ) -> tuple[PeriodicOrbit, ...]:
-        """``_limit_table(f, eps_fp)[l-1]`` is the orbit of interval l's
-        basin, from :meth:`cycle_orbits`, built once per ``eps_fp``."""
-        table = self._limits.get(eps_fp)
-        if table is None:
-            orbits = self.cycle_orbits(f, eps_fp)
             table = tuple(map(orbits.__getitem__, self.basins))
-            self._limits[eps_fp] = table
-        return table
+            got = self._orbits[eps_fp] = (tuple(orbits.values()), table)
+        return got
 
     @cached_property
     def _cut_keys(self) -> tuple[float, ...]:
@@ -344,11 +295,15 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
     # closure points are Fractions: compare their integers
     cuts = tuple(p for p in qset.points if 0 < p._numerator < p._denominator)
     keys = float_keys(cuts)
-    at = _breakpoint_positions(f, cuts, keys)
-    bounds = (EXACT.zero,) + cuts + (EXACT.one,)
     branch: list[int] = []
-    for d, last in enumerate(at + [len(cuts)], start=1):
-        branch += [d] * (last + 1 - len(branch))  # intervals up to cut `last`
+    for d, (x, fx) in enumerate(zip(f.breakpoints.points, f._bp_keys), start=1):
+        num, den = _ratio(x) or x.as_integer_ratio()
+        pos, hit = find_pair(cuts, keys, num, den, fx)
+        if not hit:
+            raise ValueError("breakpoint missing from the closure points")
+        branch += [d] * (pos + 1 - len(branch))  # intervals up to cut `pos`
+    branch += [f.n] * (len(cuts) + 1 - len(branch))
+    bounds = (EXACT.zero,) + cuts + (EXACT.one,)
 
     maps = f.ifs.maps
     steps = [_strict_affine(m) for m in maps]
@@ -381,7 +336,6 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
         # no cut lies strictly inside the image: it is in interval first + 1
         transition.append(first + 1)
     part = QuasiPartition(qset, cuts, tuple(transition), tuple(branch))
-    object.__setattr__(part, "_at", (f.breakpoints.points, at))
     object.__setattr__(part, "_cut_keys", keys)
     return part
 
@@ -396,20 +350,6 @@ def _plateau_check(phi: MapDescriptor, iv: Interval, q: Scalar, j: int) -> None:
         ) from exc
 
 
-def _breakpoint_positions(
-    f: PiecewiseContraction, cuts: tuple, keys: tuple
-) -> list[int]:
-    """The index of each breakpoint of f among the cut points."""
-    at = []
-    for x, fx in zip(f.breakpoints.points, f._bp_keys):
-        n, d = _ratio(x) or x.as_integer_ratio()
-        pos, hit = find_pair(cuts, keys, n, d, fx)
-        if not hit:
-            raise ValueError("breakpoint missing from the closure points")
-        at.append(pos)
-    return at
-
-
 def periodic_orbits(
     f: PiecewiseContraction,
     part: QuasiPartition,
@@ -421,7 +361,7 @@ def periodic_orbits(
     orbit: a point in an open interval names its interval, and a
     breakpoint on the orbit names the adjacent interval of its branch.
     """
-    return list(part.cycle_orbits(f, eps_fp).values())
+    return list(part._limits(f, eps_fp)[0])
 
 
 def omega_limit(
@@ -444,7 +384,9 @@ def omega_limit(
             keys = part._cut_keys
             i = bisect_left(keys, fx)
             if i == len(keys) or keys[i] != fx:
-                return part._limit_table(f, eps_fp)[i]
+                # the cache is read here: a call per point costs more
+                got = part._orbits.get(eps_fp) or part._limits(f, eps_fp)
+                return got[1][i]
     visited: list[Scalar] = []
     while (start := part.locate(x)) is None:
         if x in visited:  # a cycle inside the finite set {0} and the cuts
@@ -452,7 +394,7 @@ def omega_limit(
             return rotate_to_min(cyc_pts, [f.digit(p) for p in cyc_pts])
         visited.append(x)
         x = f(x)
-    return part._limit_table(f, eps_fp)[start - 1]
+    return part._limits(f, eps_fp)[1][start - 1]
 
 
 @dataclass(frozen=True)
@@ -490,10 +432,9 @@ def equivalence_classes(
     ``periodic_orbits(f, part, eps_fp)`` when the caller already holds it.
     """
     n = f.n
-    pts, at = part._at
-    if pts != f.breakpoints.points:  # a partition built by hand or for another f
-        at = _breakpoint_positions(f, part.cut_points, part._cut_keys)
-    adjacency = [(pos + 1, pos + 2) for pos in at]
+    # the branch steps up exactly at each breakpoint i, past interval k
+    ks = (bisect_right(part.branch, i) for i in range(1, n))
+    adjacency = [(k, k + 1) for k in ks]
     members = list(dict.fromkeys(idx for pair in adjacency for idx in pair))
     grouped: dict[tuple[int, ...], list[int]] = {}
     for idx in members:

@@ -458,7 +458,17 @@ def fraction_preimage_set(
             break
         frontier = level
     entries.sort(key=lambda e: e.point)
-    return PreimageSet(tuple(entries), depth, status)
+    return preimage_set_of(entries, depth, status)
+
+
+def preimage_set_of(entries, depth_reached=1, status=COMPLETE) -> PreimageSet:
+    """A PreimageSet holding the given QPoints, in the given order."""
+    return PreimageSet(
+        tuple(e.point for e in entries),
+        tuple((e.source, e.depth) for e in entries),
+        depth_reached,
+        status,
+    )
 
 
 def fraction_build_partition(

@@ -3,11 +3,23 @@
 ``bench/spans.py`` wraps module-level functions of pcdyn (and
 ``PiecewiseContraction.__call__``) for ``bench/run.py --trace 1``.  A name
 removed or renamed in pcdyn makes ``install`` raise, so this test fails
-instead of only the traced benchmark run.
+instead of only the traced benchmark run.  The counters it applies to
+results read fields of pcdyn's records, and run here on real results.
 """
 
 import sys
+from fractions import Fraction as F
 from pathlib import Path
+
+from pcdyn import (
+    Affine,
+    IteratedFunctionSystem,
+    attractor_sequence,
+    build_partition,
+    power_map,
+    preimage_set,
+)
+from _support import period3_pc
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -27,3 +39,18 @@ def test_install_patches_every_traced_name_and_restore_undoes_it():
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+def test_result_counts_read_real_pcdyn_results():
+    # the counters that --trace 1 applies to results, on results pcdyn
+    # returns, so a record that changes shape fails here
+    f = period3_pc()
+    q = preimage_set(f)
+    assert spans._q_points(q) == {"quasipartition.q_points": 6}
+    part = build_partition(f, q)
+    assert spans._intervals(part) == {"quasipartition.intervals": 7}
+    ifs = IteratedFunctionSystem((Affine(F(1, 4), F(1, 10)), Affine(F(1, 4), F(13, 20))))
+    seq = attractor_sequence(ifs, 2)  # 1, 2 and 4 components
+    assert spans._components(seq) == {"ifs.components": 7}
+    g = power_map(f, 2)  # breakpoints 1/10, 3/10 and 7/20
+    assert spans._branches(g) == {"pcmap.power_map.branches": 4}

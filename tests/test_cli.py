@@ -37,6 +37,16 @@ map affine 1/2 1/8
 breakpoints 1/2
 """
 
+# three decreasing branches whose closure takes 12 backward levels: 14
+# points from both breakpoints, two orbits, two classes
+STEEP = """\
+backend exact
+map affine -3582911237/4294967296 2021578479/2147483648
+map affine -1744420223/2147483648 3598163031/4294967296
+map affine -521705371/4294967296 301682787/2147483648
+breakpoints 2683486193/4294967296 3162818053/4294967296
+"""
+
 
 _NAN_ORBIT = (
     "map quadratic 1/10 1/5 1/4\nmap affine 1/3 1/2\nbreakpoints 1/2\n"
@@ -190,6 +200,25 @@ class TestCommands:
         out = tmp_path / "orbit.csv"
         path = self.write(tmp_path, text)
         assert main(["orbit", "--config", path, "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (P3, "ecf03b73aa010055c6ffd2aaefeedd27"
+             "956dcb602a3ec61b1f327591d4643b89"),
+            (BOUNDARY + "closures left-open\n", "e114f1b756e6e81fdcb380788cea538d"
+             "960976e8de53fefd72d67ad6c9292c75"),
+            (STEEP, "d42bec209729a73ffcbd075ff4444b32"
+             "0a6a492e856c2677060bc4982d75b763"),
+        ],
+        ids=["period-3", "boundary-left-open", "steep-12-levels"],
+    )
+    def test_partition_csv_pinned(self, tmp_path, text, digest):
+        # every block is pinned, the q_points provenance rows included
+        out = tmp_path / "partition.csv"
+        path = self.write(tmp_path, text)
+        assert main(["partition", "--config", path, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_partition_blocks(self, tmp_path, capsys):

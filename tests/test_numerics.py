@@ -162,6 +162,12 @@ class TestContainsSet:
         assert not outer.contains_set(inner)
 
 
+@pytest.mark.parametrize("eps_cmp", [0.0, -1e-12, math.nan, math.inf, -math.inf])
+def test_float_backend_needs_a_finite_positive_tolerance(eps_cmp):
+    with pytest.raises(ValueError, match="^eps_cmp must be finite and positive"):
+        Backend.floating(eps_cmp)
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(F(1, 2), F(1, 4))

@@ -45,6 +45,7 @@ from _support import (
     fraction_periodic_orbits,
     fraction_preimage_set,
     period3_pc,
+    preimage_set_of,
     rand_affine,
     rand_clamped,
     rand_fraction,
@@ -130,7 +131,7 @@ class TestBuildPartition:
     def test_breakpoint_missing_from_a_complete_closure(self):
         # without 3/10 among the cuts, the one interval (0, 1) would span
         # both branches
-        fake = PreimageSet((), 1, COMPLETE)
+        fake = PreimageSet((), (), 1, COMPLETE)
         for build in (build_partition, fraction_build_partition):
             with pytest.raises(
                 ValueError, match="^breakpoint missing from the closure points$"
@@ -140,9 +141,30 @@ class TestBuildPartition:
     def test_straddle_detected(self):
         # a hand-built closure that wrongly omits the backward iterates:
         # the image of (0, 3/10) then straddles the breakpoint
-        fake = PreimageSet((QPoint(F(3, 10), 1, 0),), 1, COMPLETE)
+        fake = preimage_set_of([QPoint(F(3, 10), 1, 0)])
         with pytest.raises(PartitionInvarianceError):
             build_partition(period3_pc(), fake)
+
+    def test_breakpoint_found_among_float_tied_cut_points(self):
+        # constant branches map every interval inside one interval, so any
+        # cut points that hold the breakpoints make a partition
+        x, eps = F(1, 3), F(1, 2**80)
+        cuts = (x - eps, x, x + eps, F(2, 3))
+        assert len(set(float(c) for c in cuts[:3])) == 1
+        fake = preimage_set_of([QPoint(c, 1, 1) for c in cuts])
+        maps = IteratedFunctionSystem(
+            (Affine(F(0), F(1, 5)), Affine(F(0), F(1, 2)), Affine(F(0), F(4, 5)))
+        )
+        f = PiecewiseContraction(maps, Breakpoints((x, F(2, 3))))
+        part = _assert_same_partition(f, fake)
+        assert part.branch == (1, 1, 2, 2, 3)
+        assert part.transition == (1, 1, 4, 4, 5)
+        assert equivalence_classes(f, part, orbits=[]).adjacency == ((2, 3), (4, 5))
+        for missing in (x + eps / 2, x - 2 * eps, F(1, 2)):
+            g = PiecewiseContraction(maps, Breakpoints((missing, F(2, 3))))
+            assert _assert_same_partition(g, fake) == (
+                ValueError, "breakpoint missing from the closure points"
+            )
 
     def test_locate(self):
         f = period3_pc()
@@ -485,7 +507,7 @@ class TestBasinIndexAgainstOracles:
             m = rng.randint(1, 30)
             transition = tuple(rng.randint(1, m) for _ in range(m))
             part = QuasiPartition(
-                PreimageSet((), 0, COMPLETE), (), transition, (1,) * m
+                PreimageSet((), (), 0, COMPLETE), (), transition, (1,) * m
             )
             assert list(dict.fromkeys(part.basins)) == _oracle_cycles(transition)
             for start in range(1, m + 1):
@@ -519,9 +541,10 @@ class TestBasinIndexAgainstOracles:
 
 
 class TestBuiltWhenRead:
-    """An open-interval point's limit is one table lookup, and closure
-    records and intervals are built on first read: each against its oracle
-    or its eager form on random partitions."""
+    """An open-interval point's limit is one table lookup, a closure's
+    ``entries`` are built from its points and provenance when read, and the
+    intervals from the cut points: each against its oracle or its eager
+    form on random partitions."""
 
     def test_limits_at_every_kind_of_point(self):
         rng = random.Random(1417)
@@ -548,11 +571,14 @@ class TestBuiltWhenRead:
         x = F(1, 4)
         for eps_fp in (1e-13, 1e-9, 1e-13):
             lim = omega_limit(f, x, part, eps_fp)
-            assert lim is part.cycle_orbits(f, eps_fp)[part.basins[2]]
-        assert list(part._limits) == [1e-13, 1e-9]
-        for eps_fp, table in part._limits.items():
-            orbits = part.cycle_orbits(f, eps_fp)
-            assert table == tuple(orbits[c] for c in part.basins)
+            assert lim is part._orbits[eps_fp][1][2]
+            assert lim.home_cycle == part.basins[2]
+            assert periodic_orbits(f, part, eps_fp) == [lim]
+        assert list(part._orbits) == [1e-13, 1e-9]
+        for orbits, table in part._orbits.values():
+            by_cycle = {o.home_cycle: o for o in orbits}
+            assert list(by_cycle) == list(dict.fromkeys(part.basins))
+            assert table == tuple(by_cycle[c] for c in part.basins)
 
     def test_closure_records(self):
         rng = random.Random(1418)
@@ -563,12 +589,9 @@ class TestBuiltWhenRead:
                 continue
             f, part = built
             want = fraction_preimage_set(f, size_cap=2000)
-            q = part.qset  # entries read last: the partition read the points
-            assert q.points == want.points
-            assert q.entries == want.entries
-            q = preimage_set(f, size_cap=2000)  # entries read first
-            assert q.entries == want.entries
+            q = part.qset
             assert q.points == tuple(e.point for e in want.entries)
+            assert q.entries == want.entries
             assert q == want and hash(q) == hash(want)
             assert repr(q) == repr(want)
             checked += 1
@@ -633,10 +656,10 @@ class TestCutPointCertificate:
             orbits = periodic_orbits(f, part)
             missed = next((o for o in limits if o not in orbits), None)
             assert cut_cycle(f, part, orbits, 1e-13) == missed
+            by_cycle = {o.home_cycle: o for o in orbits}
             bounds = special + (F(1),)
             for l, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
-                want = part.cycle_orbits(f)[part.basins[l - 1]]
-                assert want in orbits
+                want = by_cycle[part.basins[l - 1]]
                 for _ in range(3):
                     x = lo + (hi - lo) * F(rng.randrange(1, 2**16), 2**16)
                     assert omega_limit(f, x, part) == want
@@ -683,7 +706,7 @@ class TestLookupsAgainstExactBisect:
             cuts = tuple(sorted(cuts))
             m = len(cuts) + 1
             part = QuasiPartition(
-                PreimageSet((), 0, COMPLETE), cuts, (1,) * m, (1,) * m
+                PreimageSet((), (), 0, COMPLETE), cuts, (1,) * m, (1,) * m
             )
             xs = [F(0), 0, 0.0, F(1, 2**1100), F(1) - F(1, 2**60), F(1), 1]
             xs += [-F(1, 2**1100), 0.5]
@@ -721,16 +744,6 @@ class TestLookupsAgainstExactBisect:
             checked += 1
 
 
-def _hand_partition(cuts, transition):
-    """A QuasiPartition on the given cut points with the given index map."""
-    return QuasiPartition(
-        PreimageSet((), 0, COMPLETE),
-        tuple(cuts),
-        tuple(transition),
-        (1,) * (len(cuts) + 1),
-    )
-
-
 def _three_branch_pc(bps):
     maps = (Affine(F(1, 2), F(1, 4)), Affine(F(1, 3), F(1, 3)), Affine(0, F(1, 2)))
     return PiecewiseContraction(IteratedFunctionSystem(maps), Breakpoints(bps))
@@ -766,40 +779,14 @@ class TestEquivalenceClassesInputs:
             equivalence_classes(f, part, orbits=orbs * 2)
         # four adjacency intervals, each its own fixed cycle, for n = 3
         f3 = _three_branch_pc((F(1, 4), F(3, 4)))
-        part = _hand_partition((F(1, 4), F(1, 2), F(3, 4)), (1, 2, 3, 4))
+        part = QuasiPartition(
+            PreimageSet((), (), 0, COMPLETE),
+            (F(1, 4), F(1, 2), F(3, 4)), (1, 2, 3, 4), (1, 2, 2, 3),
+        )
         with pytest.raises(
             BoundViolationError, match="^4 equivalence classes exceed branch count 3$"
         ):
             equivalence_classes(f3, part, orbits=[])
-
-    def test_breakpoints_are_those_of_the_given_map(self):
-        # build_partition keeps f's breakpoint positions; another map's
-        # breakpoints are looked up among the cut points again
-        f = period3_pc()
-        part = build_partition(f, preimage_set(f))
-        assert equivalence_classes(f, part, orbits=[]).adjacency == ((3, 4),)
-        g = PiecewiseContraction(f.ifs, Breakpoints((F(7, 20),)))
-        assert equivalence_classes(g, part, orbits=[]).adjacency == ((4, 5),)
-        h = PiecewiseContraction(f.ifs, Breakpoints((F(1, 3),)))
-        with pytest.raises(
-            ValueError, match="^breakpoint missing from the closure points$"
-        ):
-            equivalence_classes(h, part, orbits=[])
-
-    def test_breakpoint_found_among_float_tied_cut_points(self):
-        x, eps = F(1, 3), F(1, 2**80)
-        cuts = (x - eps, x, x + eps, F(2, 3))
-        assert len(set(float(c) for c in cuts[:3])) == 1
-        part = _hand_partition(cuts, (1,) * 5)
-        ec = equivalence_classes(_three_branch_pc((x, F(2, 3))), part, orbits=[])
-        assert ec.adjacency == ((2, 3), (4, 5))
-        for missing in (x + eps / 2, x - 2 * eps, F(1, 2)):
-            with pytest.raises(
-                ValueError, match="^breakpoint missing from the closure points$"
-            ):
-                equivalence_classes(
-                    _three_branch_pc((missing, F(2, 3))), part, orbits=[]
-                )
 
 
 # --- the integer backward walk against the Fraction oracles ----------------
@@ -1046,7 +1033,7 @@ class TestBackwardWalkAgainstFractionOracles:
                 {e.point: e for e in kept + extra if e.point < 1}.values(),
                 key=lambda e: e.point,
             )
-            fake = PreimageSet(tuple(entries), q.depth_reached, COMPLETE)
+            fake = preimage_set_of(entries, q.depth_reached)
             want = _assert_same_partition(f, fake)
             if isinstance(want, tuple):
                 raised["plateau" if "plateau" in want[1] else "straddles"] += 1
@@ -1070,7 +1057,7 @@ class TestBackwardWalkAgainstFractionOracles:
                 ),
                 Breakpoints((F(1, 2),)),
             )
-            fake = PreimageSet(tuple(QPoint(c, 1, 1) for c in cuts), 1, COMPLETE)
+            fake = preimage_set_of([QPoint(c, 1, 1) for c in cuts])
             return _assert_same_partition(f, fake)
 
         # -2x/5 + 9/10 clamped at 1/4 maps (0, 1/2) onto [4/5, 9/10], with
@@ -1144,9 +1131,7 @@ class TestBackwardWalkAgainstFractionOracles:
     def test_straddle_found_at_the_second_cut(self):
         # interval (0, 1/4) maps onto (1/4, 3/8): the cut 1/4 is its lower
         # end, the breakpoint 3/10 lies strictly inside
-        fake = PreimageSet(
-            (QPoint(F(1, 4), 1, 1), QPoint(F(3, 10), 1, 0)), 1, COMPLETE
-        )
+        fake = preimage_set_of([QPoint(F(1, 4), 1, 1), QPoint(F(3, 10), 1, 0)])
         f = period3_pc()
         want = _assert_same_partition(f, fake)
         assert want == (
@@ -1159,7 +1144,7 @@ class TestBackwardWalkAgainstFractionOracles:
             Breakpoints((F(3, 10),)),
         )
         cuts = (F(1, 8), F(1, 4), F(3, 10), F(1, 2), F(17, 32))
-        fake = PreimageSet(tuple(QPoint(c, 1, 1) for c in cuts), 1, COMPLETE)
+        fake = preimage_set_of([QPoint(c, 1, 1) for c in cuts])
         assert _assert_same_partition(g, fake) == (
             PartitionInvarianceError,
             "image of interval 2 straddles closure point 17/32",
