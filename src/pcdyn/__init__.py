@@ -12,6 +12,7 @@ from .errors import (
     BoundaryOrbitError,
     BoundViolationError,
     CapExceededError,
+    InconclusiveError,
     InexactPreimageError,
     IterationCapError,
     NonDiscretePreimageError,
@@ -75,6 +76,7 @@ __all__ = [
     "Composed",
     "EXACT",
     "EquivalenceClasses",
+    "InconclusiveError",
     "InexactPreimageError",
     "Interval",
     "IntervalSet",

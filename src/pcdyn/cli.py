@@ -3,9 +3,10 @@
 Subcommands: ``aks`` (attractor sets), ``orbit``, ``partition``, ``power``,
 ``cap``, ``survey``.  Each reads a plain-text config (see config.py for the
 schema), writes CSV to --out (default stdout), and exits 0 on success, 1 on
-an inconclusive outcome (with a reason row in the output), 2 on a config
-error.  ``partition``, ``power`` and ``survey`` accept only the exact
-backend.
+an inconclusive outcome (the rows written so far, then a reason row), 2 on
+a config error.  Any :class:`~pcdyn.errors.InconclusiveError` gives the row
+``reason,<Type>: <message>``.  ``partition``, ``power`` and ``survey``
+accept only the exact backend.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .config import ConfigError, RunConfig, descriptor_tokens, parse_config
-from .errors import (
-    BoundaryOrbitError,
-    CapExceededError,
-    InexactPreimageError,
-    NonDiscretePreimageError,
-    PartitionInvarianceError,
-)
+from .errors import InconclusiveError
 from .ifs import attractor_sequence, cap_ifs, highly_contractive_bound
 from .numerics import format_scalar
 from .pcmap import power_map
@@ -41,19 +36,19 @@ OK, INCONCLUSIVE, CONFIG_ERROR = 0, 1, 2
 _EXACT_ONLY = ("partition", "power", "survey")
 
 
-def emit_aks(cfg: RunConfig) -> tuple[str, int]:
+def emit_aks(cfg: RunConfig, rows: list[str]) -> int:
     seq = attractor_sequence(cfg.ifs(), cfg.k_max, cfg.backend)
-    rows = ["k,component_index,lo,hi,measure_total"]
+    rows.append("k,component_index,lo,hi,measure_total")
     for k, s in enumerate(seq):
         total = format_scalar(s.measure())
         for ci, iv in enumerate(s, start=1):
             rows.append(
                 f"{k},{ci},{format_scalar(iv.lo)},{format_scalar(iv.hi)},{total}"
             )
-    return "\n".join(rows) + "\n", OK
+    return OK
 
 
-def emit_orbit(cfg: RunConfig) -> tuple[str, int]:
+def emit_orbit(cfg: RunConfig, rows: list[str]) -> int:
     if cfg.x0 is None:
         raise ConfigError(None, "orbit needs an x0 line")
     rec = run_orbit(
@@ -65,72 +60,54 @@ def emit_orbit(cfg: RunConfig) -> tuple[str, int]:
         cfg.eps_fp,
         cfg.fail_on_breakpoint_hit,
     )
-    rows = ["step,x,digit"]
+    rows.append("step,x,digit")
     for step, d in enumerate(rec.itinerary.digits):
         rows.append(f"{step},{format_scalar(rec.points[step])},{d}")
     rows.append("outcome,preperiod,period,orbit_points")
-    if rec.converged:
-        pts = ";".join(format_scalar(p) for p in rec.orbit.points)
-        rows.append(
-            f"converged,{rec.itinerary.preperiod},{rec.orbit.period},{pts}"
-        )
-        code = OK
-    else:
+    if not rec.converged:
         rows.append(f"{rec.failure},,,")
-        code = INCONCLUSIVE
-    return "\n".join(rows) + "\n", code
+        return INCONCLUSIVE
+    pts = ";".join(format_scalar(p) for p in rec.orbit.points)
+    rows.append(f"converged,{rec.itinerary.preperiod},{rec.orbit.period},{pts}")
+    return OK
 
 
-def emit_partition(cfg: RunConfig) -> tuple[str, int]:
+def emit_partition(cfg: RunConfig, rows: list[str]) -> int:
     f = cfg.pc()
-    rows: list[str] = []
-    try:
-        q = preimage_set(f, cfg.q_depth_cap, cfg.q_size_cap)
-        rows.append("q_points")
-        rows.append("point,source,depth")
-        for e in q.entries:
-            rows.append(f"{format_scalar(e.point)},{e.source},{e.depth}")
-        if not q.is_complete:
-            rows.append("reason,q-truncated")
-            return "\n".join(rows) + "\n", INCONCLUSIVE
-        part = build_partition(f, q)
-        rows.append("intervals")
-        rows.append("index,lo,hi,tau,eta")
-        for j, iv in enumerate(part.intervals, start=1):
-            rows.append(
-                f"{j},{format_scalar(iv.lo)},{format_scalar(iv.hi)},"
-                f"{part.transition[j - 1]},{part.branch[j - 1]}"
-            )
-        orbs = periodic_orbits(f, part, cfg.eps_fp)
-        rows.append("orbits")
-        rows.append("id,period,points,word")
-        for i, o in enumerate(orbs, start=1):
-            pts = ";".join(format_scalar(p) for p in o.points)
-            word = ";".join(str(d) for d in o.word)
-            rows.append(f"{i},{o.period},{pts},{word}")
-        ec = equivalence_classes(f, part, cfg.eps_fp, orbs)
-        rows.append("classes")
-        rows.append("id,members")
-        for i, cls in enumerate(ec.classes, start=1):
-            rows.append(f"{i},{';'.join(str(m) for m in cls)}")
-        return "\n".join(rows) + "\n", OK
-    except (
-        NonDiscretePreimageError,
-        InexactPreimageError,
-        PartitionInvarianceError,
-        BoundaryOrbitError,
-    ) as exc:
-        rows.append(f"reason,{type(exc).__name__}: {exc}")
-        return "\n".join(rows) + "\n", INCONCLUSIVE
+    q = preimage_set(f, cfg.q_depth_cap, cfg.q_size_cap)
+    rows.append("q_points")
+    rows.append("point,source,depth")
+    for e in q.entries:
+        rows.append(f"{format_scalar(e.point)},{e.source},{e.depth}")
+    if not q.is_complete:
+        rows.append("reason,q-truncated")
+        return INCONCLUSIVE
+    part = build_partition(f, q)
+    rows.append("intervals")
+    rows.append("index,lo,hi,tau,eta")
+    for j, iv in enumerate(part.intervals, start=1):
+        rows.append(
+            f"{j},{format_scalar(iv.lo)},{format_scalar(iv.hi)},"
+            f"{part.transition[j - 1]},{part.branch[j - 1]}"
+        )
+    orbs = periodic_orbits(f, part, cfg.eps_fp)
+    rows.append("orbits")
+    rows.append("id,period,points,word")
+    for i, o in enumerate(orbs, start=1):
+        pts = ";".join(format_scalar(p) for p in o.points)
+        word = ";".join(str(d) for d in o.word)
+        rows.append(f"{i},{o.period},{pts},{word}")
+    ec = equivalence_classes(f, part)
+    rows.append("classes")
+    rows.append("id,members")
+    for i, cls in enumerate(ec.classes, start=1):
+        rows.append(f"{i},{';'.join(str(m) for m in cls)}")
+    return OK
 
 
-def emit_power(cfg: RunConfig) -> tuple[str, int]:
-    f = cfg.pc()
-    try:
-        g = power_map(f, cfg.k, cfg.power_cap)
-    except (NonDiscretePreimageError, InexactPreimageError, CapExceededError) as exc:
-        return f"reason,{type(exc).__name__}: {exc}\n", INCONCLUSIVE
-    rows = ["breakpoints", "index,y"]
+def emit_power(cfg: RunConfig, rows: list[str]) -> int:
+    g = power_map(cfg.pc(), cfg.k, cfg.power_cap)
+    rows += ["breakpoints", "index,y"]
     for i, y in enumerate(g.breakpoints, start=1):
         rows.append(f"{i},{format_scalar(y)}")
     rows.append("branches")
@@ -139,13 +116,13 @@ def emit_power(cfg: RunConfig) -> tuple[str, int]:
     for j, (lo, hi, w) in enumerate(zip(bounds, bounds[1:], g.words), 1):
         word = ";".join(map(str, w))
         rows.append(f"{j},{format_scalar(lo)},{format_scalar(hi)},{word}")
-    return "\n".join(rows) + "\n", OK
+    return OK
 
 
-def emit_cap(cfg: RunConfig) -> tuple[str, int]:
+def emit_cap(cfg: RunConfig, rows: list[str]) -> int:
     plan = cap_ifs(cfg.ifs(), cfg.breakpoints)
     rho = highly_contractive_bound(plan.capped)
-    rows = [
+    rows += [
         f"delta,{format_scalar(plan.delta)}",
         f"rho,{format_scalar(rho)}",
         "maps",
@@ -153,13 +130,13 @@ def emit_cap(cfg: RunConfig) -> tuple[str, int]:
     ]
     for i, m in enumerate(plan.capped, start=1):
         rows.append(f"{i},{descriptor_tokens(m)}")
-    return "\n".join(rows) + "\n", OK
+    return OK
 
 
-def emit_survey(cfg: RunConfig) -> tuple[str, int]:
+def emit_survey(cfg: RunConfig, rows: list[str]) -> int:
     report = run_survey(cfg)
-    code = INCONCLUSIVE if report.bound_violated() else OK
-    return survey_csv(report), code
+    rows += survey_csv(report).splitlines()
+    return INCONCLUSIVE if report.bound_violated() else OK
 
 
 _COMMANDS = {
@@ -196,16 +173,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    rows: list[str] = []
     try:
         cfg = parse_config(text, args.backend, args.seed)
         if args.jobs is not None:
             cfg = replace(cfg, jobs=args.jobs)
         if args.command in _EXACT_ONLY and not cfg.backend.is_exact:
             raise ConfigError(None, f"{args.command} requires the exact backend")
-        output, code = _COMMANDS[args.command](cfg)
+        code = _COMMANDS[args.command](cfg, rows)
+    except InconclusiveError as exc:  # after the rows written so far
+        rows.append(f"reason,{type(exc).__name__}: {exc}")
+        code = INCONCLUSIVE
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
+    output = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(output)

@@ -1,12 +1,21 @@
 """Exception types shared across the package."""
 
 
-class NonDiscretePreimageError(Exception):
+class InconclusiveError(Exception):
+    """The pipeline could not decide this input; ``reason`` names why in a
+    survey row, and the CLI reports it in a reason row with exit 1."""
+
+    reason = "inconclusive"
+
+
+class NonDiscretePreimageError(InconclusiveError):
     """A plateau attains the queried value, so the preimage is an interval.
 
     Carries the plateau interval endpoints so callers can report the
     offending range.
     """
+
+    reason = "non-discrete-preimage"
 
     def __init__(self, lo, hi, value):
         self.lo = lo
@@ -17,33 +26,44 @@ class NonDiscretePreimageError(Exception):
         )
 
 
-class InexactPreimageError(Exception):
+class InexactPreimageError(InconclusiveError):
     """An exact-backend computation hit a preimage that is not rational.
 
     Raised by consumers that require exact points (backward closures)
     when a quadratic solve had to fall back to floating point.
     """
 
+    reason = "inexact-preimage"
 
-class IterationCapError(Exception):
+
+class IterationCapError(InconclusiveError):
     """An iterative solve exceeded its iteration budget."""
 
+    reason = "iteration-cap"
 
-class CapExceededError(Exception):
+
+class CapExceededError(InconclusiveError):
     """An enumeration grew past its configured size cap."""
 
+    reason = "cap-exceeded"
 
-class PartitionInvarianceError(Exception):
+
+class PartitionInvarianceError(InconclusiveError):
     """The image of a partition interval straddles a cut point.
 
     Signals an incomplete backward closure or a degenerate parameter
     choice; the partition cannot be trusted.
     """
 
+    reason = "partition-straddle"
 
-class BoundaryOrbitError(Exception):
+
+class BoundaryOrbitError(InconclusiveError):
     """A partition cycle's word-map fixed point leaves the word on a cut."""
+
+    reason = "boundary-orbit"
 
 
 class BoundViolationError(Exception):
-    """A certified combinatorial bound failed on a concrete instance."""
+    """A certified combinatorial bound failed on a concrete instance: the
+    input was decided, so this is a failed certificate, not inconclusive."""

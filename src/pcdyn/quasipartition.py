@@ -190,9 +190,12 @@ class QuasiPartition:
     ``intervals[l-1]`` is the l-th open interval (stored as its closure),
     ``transition[l-1]`` the index of the interval containing its image, and
     ``branch[l-1]`` the piecewise-contraction branch the interval sits in.
-    The intervals are built from the cut points when first read.
+    ``f`` is the map it was built from, and the functions below take no
+    other (ValueError).  The intervals are built from the cut points when
+    first read.
     """
 
+    f: PiecewiseContraction
     qset: PreimageSet
     cut_points: tuple[Scalar, ...]
     transition: tuple[int, ...]
@@ -233,21 +236,24 @@ class QuasiPartition:
                 cycle_of[v] = cycle_of[node]
         return tuple(cycle_of[1:])
 
+    def _own(self, f: PiecewiseContraction) -> None:
+        if f is not self.f and f != self.f:
+            raise ValueError("the partition was built from another map")
+
     def _limits(
-        self, f: PiecewiseContraction, eps_fp: float
+        self, eps_fp: float
     ) -> tuple[tuple[PeriodicOrbit, ...], tuple[PeriodicOrbit, ...]]:
         """Each cycle's orbit in ``basins`` order, and the orbit of each
-        interval's basin, computed once per ``eps_fp``; f is the map the
-        partition was built from.  An orbit is the fixed point of the branch
-        maps composed along its cycle, and BoundaryOrbitError says that
-        fixed point does not follow the word."""
+        interval's basin, computed once per ``eps_fp``.  An orbit is the
+        fixed point of the branch maps composed along its cycle, and
+        BoundaryOrbitError says that fixed point does not follow the word."""
         got = self._orbits.get(eps_fp)
         if got is None:
             orbits = {}
             for cyc in dict.fromkeys(self.basins):
                 word = tuple(self.branch[l - 1] for l in cyc)
                 orbits[cyc] = _refine_candidate(
-                    f, word, EXACT, DEFAULT_EPS_ORBIT, eps_fp, cyc
+                    self.f, word, EXACT, DEFAULT_EPS_ORBIT, eps_fp, cyc
                 )
                 if orbits[cyc] is None:
                     raise BoundaryOrbitError(
@@ -335,7 +341,7 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
             _plateau_check(phi, iv, cuts[last], j)
         # no cut lies strictly inside the image: it is in interval first + 1
         transition.append(first + 1)
-    part = QuasiPartition(qset, cuts, tuple(transition), tuple(branch))
+    part = QuasiPartition(f, qset, cuts, tuple(transition), tuple(branch))
     object.__setattr__(part, "_cut_keys", keys)
     return part
 
@@ -361,7 +367,8 @@ def periodic_orbits(
     orbit: a point in an open interval names its interval, and a
     breakpoint on the orbit names the adjacent interval of its branch.
     """
-    return list(part._limits(f, eps_fp)[0])
+    part._own(f)
+    return list(part._limits(eps_fp)[0])
 
 
 def omega_limit(
@@ -378,15 +385,16 @@ def omega_limit(
     Fraction whose key lies inside (0, 1) and ties no cut key is inside
     the interval its key bisects to: one lookup in the limit table.
     """
-    if type(x) is Fraction:  # one lookup for a point inside an interval
+    if type(x) is Fraction and f is part.f:  # a lookup inside an interval
         fx = _key(x)
         if 0.0 < fx < 1.0:
             keys = part._cut_keys
             i = bisect_left(keys, fx)
             if i == len(keys) or keys[i] != fx:
                 # the cache is read here: a call per point costs more
-                got = part._orbits.get(eps_fp) or part._limits(f, eps_fp)
+                got = part._orbits.get(eps_fp) or part._limits(eps_fp)
                 return got[1][i]
+    part._own(f)
     visited: list[Scalar] = []
     while (start := part.locate(x)) is None:
         if x in visited:  # a cycle inside the finite set {0} and the cuts
@@ -394,7 +402,7 @@ def omega_limit(
             return rotate_to_min(cyc_pts, [f.digit(p) for p in cyc_pts])
         visited.append(x)
         x = f(x)
-    return part._limits(f, eps_fp)[1][start - 1]
+    return part._limits(eps_fp)[1][start - 1]
 
 
 @dataclass(frozen=True)
@@ -416,10 +424,7 @@ class EquivalenceClasses:
 
 
 def equivalence_classes(
-    f: PiecewiseContraction,
-    part: QuasiPartition,
-    eps_fp: float = DEFAULT_EPS_FP,
-    orbits: Optional[list[PeriodicOrbit]] = None,
+    f: PiecewiseContraction, part: QuasiPartition
 ) -> EquivalenceClasses:
     """Group the breakpoint-adjacent intervals by shared forward orbits.
 
@@ -428,9 +433,11 @@ def equivalence_classes(
     stay inside single intervals, this matches the definition through a
     common absorbing interval.  Two forward index orbits meet exactly when
     they end in one cycle, so the classes group the adjacency intervals by
-    basin, ordered by their smallest member.  ``orbits`` is
-    ``periodic_orbits(f, part, eps_fp)`` when the caller already holds it.
+    basin, ordered by their smallest member.  Each index cycle gives one
+    periodic orbit (:func:`periodic_orbits` raises otherwise), so the
+    orbit count is the number of distinct basins.
     """
+    part._own(f)
     n = f.n
     # the branch steps up exactly at each breakpoint i, past interval k
     ks = (bisect_right(part.branch, i) for i in range(1, n))
@@ -441,19 +448,18 @@ def equivalence_classes(
         grouped.setdefault(part.basins[idx - 1], []).append(idx)
     classes = tuple(tuple(v) for v in sorted(grouped.values(), key=min))
 
-    if orbits is None:
-        orbits = periodic_orbits(f, part, eps_fp)
+    orbit_count = len(set(part.basins))
     if len(classes) > n:
         raise BoundViolationError(
             f"{len(classes)} equivalence classes exceed branch count {n}"
         )
-    if len(orbits) > len(classes):
+    if orbit_count > len(classes):
         raise BoundViolationError(
-            f"{len(orbits)} periodic orbits exceed class count {len(classes)}"
+            f"{orbit_count} periodic orbits exceed class count {len(classes)}"
         )
     return EquivalenceClasses(
         adjacency=tuple(adjacency),
         members=tuple(members),
         classes=classes,
-        orbit_count=len(orbits),
+        orbit_count=orbit_count,
     )

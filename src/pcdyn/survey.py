@@ -16,15 +16,7 @@ from collections import Counter
 from typing import Optional
 
 from .config import RunConfig, check_sampling, descriptor_tokens
-from .errors import (
-    BoundaryOrbitError,
-    BoundViolationError,
-    CapExceededError,
-    InexactPreimageError,
-    IterationCapError,
-    NonDiscretePreimageError,
-    PartitionInvarianceError,
-)
+from .errors import BoundViolationError, InconclusiveError
 from .numerics import format_scalar
 from .pcmap import (
     Breakpoints,
@@ -50,15 +42,15 @@ class SampleRecord:
     index: int
     breakpoints: tuple
     maps: tuple
-    generic: bool
-    q_status: str
-    q_size: int
-    m: int
-    orbit_count: int
-    class_count: int
-    grid_converged: bool  # every forward limit certified (see cut_cycle)
-    reason: str  # empty when the pipeline ran to completion
-    violation: bool  # a certified bound failed (never expected)
+    generic: bool = False
+    q_status: str = ""
+    q_size: int = 0
+    m: int = 0
+    orbit_count: int = 0
+    class_count: int = 0
+    grid_converged: bool = False  # every forward limit certified (see cut_cycle)
+    reason: str = ""  # empty when the pipeline ran to completion
+    violation: bool = False  # a certified bound failed (never expected)
 
     @property
     def conclusive(self) -> bool:
@@ -133,62 +125,29 @@ def run_sample(cfg: RunConfig, index: int) -> SampleRecord:
     ifs = draw_ifs(rng, cfg.n, cfg.kappa_max, cfg.eps_range)
     f = PiecewiseContraction(ifs, Breakpoints(bps))
 
-    generic = False
-    q_status = ""
-    q_size = 0
-    m = 0
-    orbit_count = 0
-    class_count = 0
-    grid_converged = False
-    reason = ""
-    violation = False
+    got: dict = {}  # the record's fields past maps that this sample sets
     try:
-        generic = is_generic(f, cfg.generic_depth, cap=cfg.composition_cap)
+        got["generic"] = is_generic(f, cfg.generic_depth, cap=cfg.composition_cap)
         q = preimage_set(f, cfg.q_depth_cap, cfg.q_size_cap)
-        q_status = q.status
-        q_size = len(q.points)
+        got.update(q_status=q.status, q_size=len(q.points))
         if not q.is_complete:
-            reason = "q-truncated"
+            got["reason"] = "q-truncated"
         else:
             part = build_partition(f, q)
-            m = part.m
+            got["m"] = part.m
             orbits = periodic_orbits(f, part, cfg.eps_fp)
-            orbit_count = len(orbits)
+            got["orbit_count"] = len(orbits)
             try:
-                ec = equivalence_classes(f, part, cfg.eps_fp, orbits)
-                class_count = len(ec.classes)
+                got["class_count"] = len(equivalence_classes(f, part).classes)
             except BoundViolationError:
-                violation = True
+                got["violation"] = True
             if cut_cycle(f, part, orbits, cfg.eps_fp) is None:
-                grid_converged = True
+                got["grid_converged"] = True
             else:
-                reason = "cut-cycle"
-    except NonDiscretePreimageError:
-        reason = "non-discrete-preimage"
-    except InexactPreimageError:
-        reason = "inexact-preimage"
-    except PartitionInvarianceError:
-        reason = "partition-straddle"
-    except BoundaryOrbitError:
-        reason = "boundary-orbit"
-    except IterationCapError:
-        reason = "iteration-cap"
-    except CapExceededError:
-        reason = "cap-exceeded"
-    return SampleRecord(
-        index=index,
-        breakpoints=bps,
-        maps=ifs.maps,
-        generic=generic,
-        q_status=q_status,
-        q_size=q_size,
-        m=m,
-        orbit_count=orbit_count,
-        class_count=class_count,
-        grid_converged=grid_converged,
-        reason=reason,
-        violation=violation,
-    )
+                got["reason"] = "cut-cycle"
+    except InconclusiveError as exc:
+        got["reason"] = exc.reason
+    return SampleRecord(index, bps, ifs.maps, **got)
 
 
 def run_survey(cfg: RunConfig) -> SurveyReport:

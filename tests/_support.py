@@ -510,4 +510,4 @@ def fraction_build_partition(
             )
         transition.append(sum(c < y for c in cuts) + 1)
         branch.append(d)
-    return QuasiPartition(qset, cuts, tuple(transition), tuple(branch))
+    return QuasiPartition(f, qset, cuts, tuple(transition), tuple(branch))

@@ -10,7 +10,9 @@ results read fields of pcdyn's records, and run here on real results.
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
+import pcdyn.quasipartition as qp
 from pcdyn import (
     Affine,
     IteratedFunctionSystem,
@@ -54,3 +56,22 @@ def test_result_counts_read_real_pcdyn_results():
     assert spans._components(seq) == {"ifs.components": 7}
     g = power_map(f, 2)  # breakpoints 1/10, 3/10 and 7/20
     assert spans._branches(g) == {"pcmap.power_map.branches": 4}
+
+
+def test_a_partition_item_computes_its_orbits_once():
+    # a partition-steep item on period3_pc, traced as the benchmark traces
+    # it, with a stub for the clock's item list and segment
+    tracer = spans.Tracer(SimpleNamespace(items=[], open_segment=0))
+    try:
+        tracer.install()
+        f = period3_pc()
+        part = qp.build_partition(f, qp.preimage_set(f))
+        orbs = qp.periodic_orbits(f, part)
+        ec = qp.equivalence_classes(f, part)
+        lims = [qp.omega_limit(f, F(g, 64), part) for g in range(64)]
+    finally:
+        tracer.restore()
+    assert (len(orbs), len(ec.classes), len(lims)) == (1, 1, 64)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("quasipartition.periodic_orbits") == 1
+    assert names.count("quasipartition.equivalence_classes") == 1

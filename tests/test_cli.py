@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pcdyn.cli
-from pcdyn import Affine, Backend, Clamped, Composed
+from pcdyn import Affine, Backend, Clamped, Composed, MapDescriptor
 from pcdyn.cli import main
 from pcdyn.config import ConfigError, descriptor_tokens, parse_config
 from _support import generic_sequence
@@ -47,6 +47,15 @@ map affine -521705371/4294967296 301682787/2147483648
 breakpoints 2683486193/4294967296 3162818053/4294967296
 """
 
+
+# the quadratic's fixed point is a root of 1e-8 z^2 - 1e-5 z + 7.5e-6 near
+# 3/4, and contraction iteration at slope 0.99999 does not settle within
+# the fixed-point cap
+SLOW_FP = """\
+map affine 1/4 1/2
+map quadratic 1e-8 0.99999 7.5e-6
+breakpoints 1/2
+"""
 
 _NAN_ORBIT = (
     "map quadratic 1/10 1/5 1/4\nmap affine 1/3 1/2\nbreakpoints 1/2\n"
@@ -246,6 +255,35 @@ class TestCommands:
             "id,period,points,word",
             "1,1,1/2,1",
         ]
+
+    def test_partition_iteration_cap_is_a_reason_row(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the iteration cap at 1000 steps, not 10**6: the same outcome, sooner
+        solve = MapDescriptor.fixed_point
+        monkeypatch.setattr(
+            MapDescriptor, "fixed_point",
+            lambda m, eps_fp, cap: solve(m, eps_fp, 1000),
+        )
+        code = main(["partition", "--config", self.write(tmp_path, SLOW_FP)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "q_points" in out and "intervals" in out and "orbits" not in out
+        assert out[-1] == (
+            "reason,IterationCapError: fixed-point iteration did not settle "
+            "within 1000 steps"
+        )
+
+    def test_float_orbit_iteration_cap_is_a_reason_row(self, tmp_path, capsys):
+        text = SLOW_FP + "x0 3/4\nmax_iter 200\neps_orbit 1e-3\n"
+        path = self.write(tmp_path, text)
+        code = main(["orbit", "--backend", "float", "--config", path])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == (
+            "reason,IterationCapError: fixed-point iteration did not settle "
+            "within 1000000 steps\n"
+        )
 
     def test_power_echiose_k1(self, tmp_path, capsys):
         cfg = P3.replace("k 2", "k 1")

@@ -159,7 +159,7 @@ class TestBuildPartition:
         part = _assert_same_partition(f, fake)
         assert part.branch == (1, 1, 2, 2, 3)
         assert part.transition == (1, 1, 4, 4, 5)
-        assert equivalence_classes(f, part, orbits=[]).adjacency == ((2, 3), (4, 5))
+        assert equivalence_classes(f, part).adjacency == ((2, 3), (4, 5))
         for missing in (x + eps / 2, x - 2 * eps, F(1, 2)):
             g = PiecewiseContraction(maps, Breakpoints((missing, F(2, 3))))
             assert _assert_same_partition(g, fake) == (
@@ -228,6 +228,33 @@ class TestPeriodicOrbits:
         part = build_partition(g, preimage_set(g))
         assert periodic_orbits(g, part) == [PeriodicOrbit((F(1, 2),), 1, (1,))]
         assert g(F(1, 2)) == F(1, 2)
+
+    def test_a_partition_serves_only_its_own_map(self):
+        # the left-open partition's orbit 1/2 is no orbit of right-open f
+        maps = IteratedFunctionSystem(
+            (Affine(F(1, 2), F(1, 4)), Affine(F(1, 2), F(1, 8)))
+        )
+        f = PiecewiseContraction(maps, Breakpoints((F(1, 2),)), (LEFT_OPEN,))
+        g = PiecewiseContraction(maps, f.breakpoints)
+        part = build_partition(f, preimage_set(f))
+        assert periodic_orbits(f, part) == [PeriodicOrbit((F(1, 2),), 1, (1,))]
+        assert omega_limit(f, F(1, 8), part).points == (F(1, 2),)
+        for call in (
+            lambda: periodic_orbits(g, part),
+            lambda: omega_limit(g, F(1, 8), part),  # the lookup's input
+            lambda: omega_limit(g, F(0), part),  # the walk's input
+            lambda: equivalence_classes(g, part),
+        ):
+            with pytest.raises(
+                ValueError, match="^the partition was built from another map$"
+            ):
+                call()
+        # an equal map built apart is the same map
+        twin = PiecewiseContraction(maps, Breakpoints((F(1, 2),)), (LEFT_OPEN,))
+        assert twin is not f
+        assert periodic_orbits(twin, part) == periodic_orbits(f, part)
+        assert omega_limit(twin, F(1, 8), part) == omega_limit(f, F(1, 8), part)
+        assert equivalence_classes(twin, part) == equivalence_classes(f, part)
 
 
 class TestOmegaLimit:
@@ -507,7 +534,7 @@ class TestBasinIndexAgainstOracles:
             m = rng.randint(1, 30)
             transition = tuple(rng.randint(1, m) for _ in range(m))
             part = QuasiPartition(
-                PreimageSet((), (), 0, COMPLETE), (), transition, (1,) * m
+                None, PreimageSet((), (), 0, COMPLETE), (), transition, (1,) * m
             )
             assert list(dict.fromkeys(part.basins)) == _oracle_cycles(transition)
             for start in range(1, m + 1):
@@ -706,7 +733,7 @@ class TestLookupsAgainstExactBisect:
             cuts = tuple(sorted(cuts))
             m = len(cuts) + 1
             part = QuasiPartition(
-                PreimageSet((), (), 0, COMPLETE), cuts, (1,) * m, (1,) * m
+                None, PreimageSet((), (), 0, COMPLETE), cuts, (1,) * m, (1,) * m
             )
             xs = [F(0), 0, 0.0, F(1, 2**1100), F(1) - F(1, 2**60), F(1), 1]
             xs += [-F(1, 2**1100), 0.5]
@@ -750,7 +777,8 @@ def _three_branch_pc(bps):
 
 
 class TestEquivalenceClassesInputs:
-    def test_given_orbits_are_not_recomputed(self, monkeypatch):
+    def test_orbits_are_never_computed(self, monkeypatch):
+        # one orbit per index cycle: the count is read off the basins
         rng = random.Random(1409)
         checked = 0
         while checked < 20:
@@ -758,35 +786,42 @@ class TestEquivalenceClassesInputs:
             if built is None:
                 continue
             f, part = built
-            orbs = periodic_orbits(f, part)
             want = _oracle_equivalence_classes(f, part)
 
             def refuse(*args):
-                raise AssertionError("periodic_orbits recomputed")
+                raise AssertionError("periodic_orbits called")
 
             with monkeypatch.context() as m:
                 m.setattr(pcdyn.quasipartition, "periodic_orbits", refuse)
-                assert equivalence_classes(f, part, orbits=orbs) == want
+                m.setattr(QuasiPartition, "_limits", refuse)
+                assert equivalence_classes(f, part) == want
             checked += 1
 
     def test_bound_checks_keep_their_messages(self):
-        f = period3_pc()
-        part = build_partition(f, preimage_set(f))
-        orbs = periodic_orbits(f, part)
+        # cycles (1), (2) and (4); breakpoint 1 joins intervals 2 and 3,
+        # which both end in cycle (2): one class
+        f = PiecewiseContraction(
+            IteratedFunctionSystem((Affine(F(1, 2), F(1, 4)), Affine(F(1, 2), F(1, 8)))),
+            Breakpoints((F(1, 2),)),
+        )
+        part = QuasiPartition(
+            f, PreimageSet((), (), 0, COMPLETE),
+            (F(1, 4), F(1, 2), F(3, 4)), (1, 2, 2, 4), (1, 1, 2, 2),
+        )
         with pytest.raises(
-            BoundViolationError, match="^2 periodic orbits exceed class count 1$"
+            BoundViolationError, match="^3 periodic orbits exceed class count 1$"
         ):
-            equivalence_classes(f, part, orbits=orbs * 2)
+            equivalence_classes(f, part)
         # four adjacency intervals, each its own fixed cycle, for n = 3
         f3 = _three_branch_pc((F(1, 4), F(3, 4)))
         part = QuasiPartition(
-            PreimageSet((), (), 0, COMPLETE),
+            f3, PreimageSet((), (), 0, COMPLETE),
             (F(1, 4), F(1, 2), F(3, 4)), (1, 2, 3, 4), (1, 2, 2, 3),
         )
         with pytest.raises(
             BoundViolationError, match="^4 equivalence classes exceed branch count 3$"
         ):
-            equivalence_classes(f3, part, orbits=[])
+            equivalence_classes(f3, part)
 
 
 # --- the integer backward walk against the Fraction oracles ----------------

@@ -6,8 +6,15 @@ import pytest
 import pcdyn.quasipartition
 from pcdyn import (
     Backend,
+    BoundaryOrbitError,
+    BoundViolationError,
     Breakpoints,
+    CapExceededError,
+    InconclusiveError,
     InexactPreimageError,
+    IterationCapError,
+    NonDiscretePreimageError,
+    PartitionInvarianceError,
     IteratedFunctionSystem,
     PeriodicOrbit,
     PiecewiseContraction,
@@ -136,6 +143,40 @@ class TestBoundaryOrbit:
         report = SurveyReport(2, (rec,))
         assert report.reason_counts() == {"boundary-orbit": 1}
         assert "\nreason,count\nboundary-orbit,1\n" in survey_csv(report)
+
+
+class TestInconclusiveReasons:
+    def test_each_error_names_its_survey_reason(self):
+        assert {
+            cls: cls.reason
+            for cls in (
+                NonDiscretePreimageError,
+                InexactPreimageError,
+                PartitionInvarianceError,
+                BoundaryOrbitError,
+                IterationCapError,
+                CapExceededError,
+            )
+            if issubclass(cls, InconclusiveError)
+        } == {
+            NonDiscretePreimageError: "non-discrete-preimage",
+            InexactPreimageError: "inexact-preimage",
+            PartitionInvarianceError: "partition-straddle",
+            BoundaryOrbitError: "boundary-orbit",
+            IterationCapError: "iteration-cap",
+            CapExceededError: "cap-exceeded",
+        }
+        # a failed certificate is not an undecided input
+        assert not issubclass(BoundViolationError, InconclusiveError)
+
+    def test_a_raised_error_is_its_reason(self, monkeypatch):
+        def cap(*args, **kw):
+            raise IterationCapError("no fixed point")
+
+        monkeypatch.setattr(survey, "periodic_orbits", cap)
+        rec = run_sample(small_cfg(), 0)
+        assert rec.reason == "iteration-cap" and rec.m >= 1
+        assert (rec.orbit_count, rec.class_count) == (0, 0)
 
 
 class TestRunSurvey:
