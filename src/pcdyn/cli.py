@@ -82,7 +82,7 @@ def emit_partition(cfg: RunConfig, rows: list[str]) -> int:
     if not q.is_complete:
         rows.append("reason,q-truncated")
         return INCONCLUSIVE
-    part = build_partition(f, q)
+    part = build_partition(f, q, cfg.eps_fp)
     rows.append("intervals")
     rows.append("index,lo,hi,tau,eta")
     for j, iv in enumerate(part.intervals, start=1):
@@ -90,7 +90,7 @@ def emit_partition(cfg: RunConfig, rows: list[str]) -> int:
             f"{j},{format_scalar(iv.lo)},{format_scalar(iv.hi)},"
             f"{part.transition[j - 1]},{part.branch[j - 1]}"
         )
-    orbs = periodic_orbits(f, part, cfg.eps_fp)
+    orbs = periodic_orbits(f, part)
     rows.append("orbits")
     rows.append("id,period,points,word")
     for i, o in enumerate(orbs, start=1):

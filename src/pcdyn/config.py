@@ -168,16 +168,16 @@ def descriptor_tokens(m: MapDescriptor) -> str:
 # integer keys and the least value each accepts (None: any); ``n`` is
 # bounded in check_sampling
 _INT_KEYS = {
-    "seed": None,
+    "seed": 0,
     "max_iter": 1,
-    "q_depth_cap": None,
-    "q_size_cap": None,
-    "composition_cap": None,
-    "power_cap": None,
+    "q_depth_cap": 0,
+    "q_size_cap": 0,
+    "composition_cap": 0,
+    "power_cap": 0,
     "generic_depth": 1,
     "k": 1,
     "k_max": 0,
-    "samples": None,
+    "samples": 0,
     "n": None,
     "grid": None,
     "jobs": None,
@@ -281,6 +281,8 @@ def parse_config(
             raise ConfigError(no, f"{key}: {exc}") from exc
     cfg = replace(cfg, maps=tuple(maps))
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError(None, f"seed {seed_override} must be >= 0")
         cfg = replace(cfg, seed=seed_override)
 
     # invariants that span several keys

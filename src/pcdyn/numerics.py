@@ -438,14 +438,14 @@ class IntervalSet:
             raise ValueError("hull of an empty set")
         return Interval(self.components[0].lo, self.components[-1].hi)
 
-    def contains_set(self, other: "IntervalSet", backend: Backend = EXACT) -> bool:
+    def contains_set(self, other: "IntervalSet") -> bool:
         """True iff every component of ``other`` lies inside a component.
 
         Two integer-backed sets are walked together in integers, each
         scaled to the lcm of the two denominators.
         """
         outer, inner = self._runs, other._runs
-        if outer is not None and inner is not None and backend.is_exact:
+        if outer is not None and inner is not None:
             g = math.gcd(self._q, other._q)
             up_outer, up_inner = other._q // g, self._q // g
             j, m = 0, len(outer)
@@ -465,7 +465,7 @@ class IntervalSet:
             for j in (i - 1, i):
                 if 0 <= j < len(self.components):
                     c = self.components[j]
-                    if backend.le(c.lo, iv.lo) and backend.le(iv.hi, c.hi):
+                    if c.lo <= iv.lo and iv.hi <= c.hi:
                         ok = True
                         break
             if not ok:

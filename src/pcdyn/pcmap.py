@@ -335,15 +335,16 @@ def _refine_candidate(
 ) -> Optional[PeriodicOrbit]:
     """Solve the fixed point z of the composed word map and verify the cycle.
 
-    The orbit of z is walked once (:func:`_walk`): it must follow the word
-    and the last letter must send it back to z.  Exact backend, every
-    letter's map a rational ``Affine``: the integer forms fold into
-    z = B/(D - A), and the cycle closes by cross-multiplication.  Otherwise
-    z is the word map's ``fixed_point``; a Fraction z closes exactly under
-    the exact backend, anything else within max(eps_orbit, 10*eps_fp).
-    Returns None when verification fails (a spurious candidate).  The
-    orbit search passes an itinerary's repeated word; a quasi-partition
-    passes each index cycle's word, with the cycle as ``home_cycle``.
+    The orbit of z is walked once (:func:`_walk`) and must follow the word.
+    Exact backend, every letter a rational ``Affine``: the integer forms
+    fold into z = B/(D - A), in (0, 1) as each letter maps [0, 1] into
+    (0, 1), and the walk applies the word map exactly, so it closes.
+    Otherwise z is the word map's ``fixed_point``, and the last letter must
+    send the walk back to z: exactly for a Fraction z under the exact
+    backend, within max(eps_orbit, 10*eps_fp) otherwise.  Returns None when
+    verification fails (a spurious candidate).  The orbit search passes an
+    itinerary's repeated word; a quasi-partition passes each index cycle's
+    word, with the cycle as ``home_cycle``.
     """
     maps = f.ifs.maps
     # each letter's (A, B, D), the integer form only a rational Affine has
@@ -353,8 +354,6 @@ def _refine_candidate(
         A, B, D = 1, 0, 1
         for a, b, dd in forms:
             A, B, D = a * A, a * B + b * D, dd * D
-        if not 0 <= B < D - A:  # D > |A|: z lies in [0, 1)
-            return None
         z = _raw_fraction(B, D - A)
     else:
         try:
@@ -368,17 +367,15 @@ def _refine_candidate(
     if walked is None:
         return None
     pts, digits = walked
-    if fold:  # (a*x + b)/dd == z at the last point x
-        a, b, dd = forms[-1]
-        xn, xd = pts[-1]._numerator, pts[-1]._denominator
-        closes = (a * xn + b * xd) * z._denominator == z._numerator * dd * xd
-    else:
+    if not fold:
         y = maps[word[-1] - 1]._eval(pts[-1])
         if backend.is_exact and isinstance(z, Fraction):
             closes = y == z
         else:
             closes = abs(y - z) <= max(eps_orbit, 10 * eps_fp)
-    return rotate_to_min(pts, digits, home_cycle) if closes else None
+        if not closes:
+            return None
+    return rotate_to_min(pts, digits, home_cycle)
 
 
 def orbit(

@@ -15,7 +15,7 @@ rounding error, and the finiteness argument is an exact one.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -191,7 +191,8 @@ class QuasiPartition:
     ``transition[l-1]`` the index of the interval containing its image, and
     ``branch[l-1]`` the piecewise-contraction branch the interval sits in.
     ``f`` is the map it was built from, and the functions below take no
-    other (ValueError).  The intervals are built from the cut points when
+    other (ValueError); ``eps_fp`` is the fixed-point tolerance its orbits
+    are solved with.  The intervals are built from the cut points when
     first read.
     """
 
@@ -200,10 +201,7 @@ class QuasiPartition:
     cut_points: tuple[Scalar, ...]
     transition: tuple[int, ...]
     branch: tuple[int, ...]
-    # eps_fp -> (each cycle's orbit in basins order, each interval's orbit)
-    _orbits: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    eps_fp: float = DEFAULT_EPS_FP
 
     @property
     def m(self) -> int:
@@ -240,29 +238,25 @@ class QuasiPartition:
         if f is not self.f and f != self.f:
             raise ValueError("the partition was built from another map")
 
-    def _limits(
-        self, eps_fp: float
-    ) -> tuple[tuple[PeriodicOrbit, ...], tuple[PeriodicOrbit, ...]]:
+    @cached_property
+    def _limits(self) -> tuple[tuple[PeriodicOrbit, ...], ...]:
         """Each cycle's orbit in ``basins`` order, and the orbit of each
-        interval's basin, computed once per ``eps_fp``.  An orbit is the
-        fixed point of the branch maps composed along its cycle, and
-        BoundaryOrbitError says that fixed point does not follow the word."""
-        got = self._orbits.get(eps_fp)
-        if got is None:
-            orbits = {}
-            for cyc in dict.fromkeys(self.basins):
-                word = tuple(self.branch[l - 1] for l in cyc)
-                orbits[cyc] = _refine_candidate(
-                    self.f, word, EXACT, DEFAULT_EPS_ORBIT, eps_fp, cyc
+        interval's basin.  An orbit is the fixed point of the branch maps
+        composed along its cycle, and BoundaryOrbitError says that fixed
+        point does not follow the word."""
+        orbits = {}
+        for cyc in dict.fromkeys(self.basins):
+            word = tuple(self.branch[l - 1] for l in cyc)
+            orbits[cyc] = _refine_candidate(
+                self.f, word, EXACT, DEFAULT_EPS_ORBIT, self.eps_fp, cyc
+            )
+            if orbits[cyc] is None:
+                raise BoundaryOrbitError(
+                    f"the fixed point of index cycle {';'.join(map(str, cyc))}"
+                    f" does not follow its word {';'.join(map(str, word))}"
                 )
-                if orbits[cyc] is None:
-                    raise BoundaryOrbitError(
-                        f"the fixed point of index cycle {';'.join(map(str, cyc))}"
-                        f" does not follow its word {';'.join(map(str, word))}"
-                    )
-            table = tuple(map(orbits.__getitem__, self.basins))
-            got = self._orbits[eps_fp] = (tuple(orbits.values()), table)
-        return got
+        table = tuple(map(orbits.__getitem__, self.basins))
+        return tuple(orbits.values()), table
 
     @cached_property
     def _cut_keys(self) -> tuple[float, ...]:
@@ -279,7 +273,9 @@ class QuasiPartition:
         return None if hit else i + 1
 
 
-def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartition:
+def build_partition(
+    f: PiecewiseContraction, qset: PreimageSet, eps_fp: float = DEFAULT_EPS_FP
+) -> QuasiPartition:
     """Build the invariant partition and verify it is respected exactly.
 
     The breakpoints are closure points: each is found once among the cut
@@ -341,7 +337,7 @@ def build_partition(f: PiecewiseContraction, qset: PreimageSet) -> QuasiPartitio
             _plateau_check(phi, iv, cuts[last], j)
         # no cut lies strictly inside the image: it is in interval first + 1
         transition.append(first + 1)
-    part = QuasiPartition(f, qset, cuts, tuple(transition), tuple(branch))
+    part = QuasiPartition(f, qset, cuts, tuple(transition), tuple(branch), eps_fp)
     object.__setattr__(part, "_cut_keys", keys)
     return part
 
@@ -357,9 +353,7 @@ def _plateau_check(phi: MapDescriptor, iv: Interval, q: Scalar, j: int) -> None:
 
 
 def periodic_orbits(
-    f: PiecewiseContraction,
-    part: QuasiPartition,
-    eps_fp: float = DEFAULT_EPS_FP,
+    f: PiecewiseContraction, part: QuasiPartition
 ) -> list[PeriodicOrbit]:
     """One periodic orbit per transition cycle, in ``basins`` order.
 
@@ -368,14 +362,11 @@ def periodic_orbits(
     breakpoint on the orbit names the adjacent interval of its branch.
     """
     part._own(f)
-    return list(part._limits(eps_fp)[0])
+    return list(part._limits[0])
 
 
 def omega_limit(
-    f: PiecewiseContraction,
-    x: Scalar,
-    part: QuasiPartition,
-    eps_fp: float = DEFAULT_EPS_FP,
+    f: PiecewiseContraction, x: Scalar, part: QuasiPartition
 ) -> PeriodicOrbit:
     """The periodic orbit attracting x.
 
@@ -391,9 +382,7 @@ def omega_limit(
             keys = part._cut_keys
             i = bisect_left(keys, fx)
             if i == len(keys) or keys[i] != fx:
-                # the cache is read here: a call per point costs more
-                got = part._orbits.get(eps_fp) or part._limits(eps_fp)
-                return got[1][i]
+                return part._limits[1][i]
     part._own(f)
     visited: list[Scalar] = []
     while (start := part.locate(x)) is None:
@@ -402,7 +391,7 @@ def omega_limit(
             return rotate_to_min(cyc_pts, [f.digit(p) for p in cyc_pts])
         visited.append(x)
         x = f(x)
-    return part._limits(eps_fp)[1][start - 1]
+    return part._limits[1][start - 1]
 
 
 @dataclass(frozen=True)

@@ -103,17 +103,18 @@ def cut_cycle(
     f: PiecewiseContraction,
     part: QuasiPartition,
     orbits: list[PeriodicOrbit],
-    eps_fp: float,
 ) -> Optional[PeriodicOrbit]:
-    """The first ω-limit of 0 or a cut point that is a cycle inside that
-    finite set and missing from ``orbits``; None when there is none.
+    """The first ω-limit of 0 or a breakpoint that is a cycle among the cut
+    points and missing from ``orbits``; None when there is none.
 
     Each open interval of the partition is in the basin of one of
-    ``orbits``, and every other x in [0, 1) is 0 or a cut point, so None
-    certifies that the ω-limit of every x is one of ``orbits``.
+    ``orbits``, and every other x in [0, 1) is 0 or a cut point q, whose
+    provenance (s, depth) gives f^depth(q) = x_s, the s-th breakpoint, so
+    ω(q) = ω(x_s).  None thus certifies that the ω-limit of every x is one
+    of ``orbits``.
     """
-    for x in (0,) + part.cut_points:
-        lim = omega_limit(f, x, part, eps_fp)
+    for x in (0,) + f.breakpoints.points:
+        lim = omega_limit(f, x, part)
         if lim.home_cycle is None and lim not in orbits:
             return lim
     return None
@@ -133,15 +134,15 @@ def run_sample(cfg: RunConfig, index: int) -> SampleRecord:
         if not q.is_complete:
             got["reason"] = "q-truncated"
         else:
-            part = build_partition(f, q)
+            part = build_partition(f, q, cfg.eps_fp)
             got["m"] = part.m
-            orbits = periodic_orbits(f, part, cfg.eps_fp)
+            orbits = periodic_orbits(f, part)
             got["orbit_count"] = len(orbits)
             try:
                 got["class_count"] = len(equivalence_classes(f, part).classes)
             except BoundViolationError:
                 got["violation"] = True
-            if cut_cycle(f, part, orbits, cfg.eps_fp) is None:
+            if cut_cycle(f, part, orbits) is None:
                 got["grid_converged"] = True
             else:
                 got["reason"] = "cut-cycle"

@@ -13,8 +13,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pcdyn.quasipartition as qp
+import pcdyn.survey
+from pcdyn.config import RunConfig
 from pcdyn import (
     Affine,
+    Backend,
     IteratedFunctionSystem,
     attractor_sequence,
     build_partition,
@@ -75,3 +78,25 @@ def test_a_partition_item_computes_its_orbits_once():
     names = [span[0] for span in tracer.spans]
     assert names.count("quasipartition.periodic_orbits") == 1
     assert names.count("quasipartition.equivalence_classes") == 1
+
+
+def test_a_survey_sample_certifies_from_0_and_the_breakpoints():
+    # criterion-6 samples, traced as the benchmark traces survey-n3: the
+    # certificate follows 0 and the n - 1 breakpoints, never a deeper cut
+    cfg = RunConfig(backend=Backend.exact(), seed=42, samples=20, n=3)
+    tracer = spans.Tracer(SimpleNamespace(items=[], open_segment=0))
+    checked = deep = 0
+    try:
+        tracer.install()
+        for i in range(cfg.samples):
+            start = len(tracer.spans)
+            rec = pcdyn.survey.run_sample(cfg, i)
+            names = [span[0] for span in tracer.spans[start:]]
+            if rec.conclusive:
+                assert names.count("quasipartition.omega_limit") == 3, i
+                assert names.count("quasipartition.periodic_orbits") == 1, i
+                checked += 1
+                deep += rec.q_size > cfg.n - 1
+    finally:
+        tracer.restore()
+    assert checked >= 10 and deep >= 5

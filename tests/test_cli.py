@@ -110,6 +110,8 @@ class TestParseConfig:
     def test_seed_override(self):
         cfg = parse_config("seed 7\n", None, 99)
         assert cfg.seed == 99
+        with pytest.raises(ConfigError, match="^seed -1 must be >= 0$"):
+            parse_config("seed 7\n", None, -1)
 
     def test_nested_grammar_roundtrip(self):
         m = Clamped(
@@ -463,6 +465,14 @@ class TestCommands:
             ("aks", "k_max -1", "k_max -1 must be >= 0"),
             ("survey", "generic_depth 0", "generic_depth 0 must be >= 1"),
             ("survey", "n 1", "n 1 must be >= 2"),
+            # each of these used to run: an empty survey, numpy's seed
+            # error, a truncated closure, a cap error naming the value
+            ("survey", "samples -5", "samples -5 must be >= 0"),
+            ("survey", "seed -1", "seed -1 must be >= 0"),
+            ("survey", "composition_cap -1", "composition_cap -1 must be >= 0"),
+            ("partition", "q_depth_cap -1", "q_depth_cap -1 must be >= 0"),
+            ("partition", "q_size_cap -1", "q_size_cap -1 must be >= 0"),
+            ("power", "power_cap -1", "power_cap -1 must be >= 0"),
         ],
     )
     def test_range_errors_name_their_line(
@@ -474,6 +484,15 @@ class TestCommands:
         assert code == 2
         assert capsys.readouterr().err.strip() == (
             f"config error: line 6: {message}"
+        )
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        # numpy used to reject it mid-survey, with a message naming no seed
+        cfgp = self.write(tmp_path, "n 3\nsamples 2\n")
+        code = main(["survey", "--config", cfgp, "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "config error: seed -1 must be >= 0"
         )
 
     @pytest.mark.parametrize("value", ["0", "-1e-10", "inf", "-inf"])

@@ -38,6 +38,7 @@ from pcdyn.sampling import (
 from _support import (
     float_descriptor,
     fraction_digit_word,
+    fraction_cycle_orbit,
     fraction_is_generic,
     fraction_word_map,
     generic_cycle_orbit,
@@ -826,6 +827,38 @@ class TestPowerMap:
                     assert (m.a, m.b) == (want.a, want.b)
                     assert m == want and hash(m) == hash(want)
                     assert m._ints == want._ints
+
+    def test_folded_cycles_lie_inside_and_close(self):
+        # the folded solve z = B/(D - A) needs no range test and a walk
+        # that follows the word needs no closing test: both always hold
+        rng = random.Random(1403)
+        seen = Counter()
+        for idx in range(40):
+            f = draw_pc(rng_for_sample(62, idx), 2 + idx % 4, 0.45)
+            words = set(power_map(f, 3).words)
+            words |= {
+                tuple(rng.randint(1, f.n) for _ in range(rng.randint(1, 5)))
+                for _ in range(10)
+            }
+            for w in sorted(words):
+                m = fraction_word_map(f, w)
+                z = m.b / (1 - m.a)
+                assert 0 < z < 1, (f, w)
+                got = pcmap._refine_candidate(f, w, EXACT, 1e-10, 1e-13)
+                assert got == fraction_cycle_orbit(f, w), (f, w)
+                if fraction_digit_word(f, z, len(w)) != w:
+                    assert got is None
+                    seen["left"] += 1
+                    continue
+                x = z
+                for d in w[:-1]:
+                    x = f.ifs.maps[d - 1]._eval(x)
+                a, b, dd = f.ifs.maps[w[-1] - 1]._ints
+                xn, xd = x.numerator, x.denominator
+                assert (a * xn + b * xd) * z.denominator == z.numerator * dd * xd
+                assert got is not None
+                seen["followed"] += 1
+        assert seen["followed"] >= 60 and seen["left"] >= 300
 
     def test_refined_set_matches_manual_preimages(self):
         # brute-force oracle: solve a*x + b = q on each branch directly

@@ -28,6 +28,7 @@ from pcdyn import (
     periodic_orbits,
     preimage_set,
 )
+from pcdyn.maps import DEFAULT_EPS_FP
 from pcdyn.quasipartition import (
     COMPLETE,
     TRUNCATED,
@@ -592,20 +593,31 @@ class TestBuiltWhenRead:
             checked += 1
         assert ties >= 200  # a cut's neighbours share its key
 
-    def test_one_table_per_eps_fp(self):
+    def test_one_table_per_partition(self, monkeypatch):
+        # a partition solves its orbits once, with the eps_fp it was built with
+        refine, solved = pcdyn.quasipartition._refine_candidate, []
+
+        def spy(f, word, backend, eps_orbit, eps_fp, cyc):
+            solved.append(eps_fp)
+            return refine(f, word, backend, eps_orbit, eps_fp, cyc)
+
+        monkeypatch.setattr(pcdyn.quasipartition, "_refine_candidate", spy)
         f = period3_pc()
-        part = build_partition(f, preimage_set(f))
         x = F(1, 4)
-        for eps_fp in (1e-13, 1e-9, 1e-13):
-            lim = omega_limit(f, x, part, eps_fp)
-            assert lim is part._orbits[eps_fp][1][2]
+        for eps_fp in (1e-13, 1e-9):
+            part = build_partition(f, preimage_set(f), eps_fp)
+            assert part.eps_fp == eps_fp
+            lim = omega_limit(f, x, part)
+            assert lim is part._limits[1][2]
             assert lim.home_cycle == part.basins[2]
-            assert periodic_orbits(f, part, eps_fp) == [lim]
-        assert list(part._orbits) == [1e-13, 1e-9]
-        for orbits, table in part._orbits.values():
+            assert omega_limit(f, x, part) is lim
+            assert periodic_orbits(f, part) == [lim]
+            orbits, table = part._limits
             by_cycle = {o.home_cycle: o for o in orbits}
             assert list(by_cycle) == list(dict.fromkeys(part.basins))
             assert table == tuple(by_cycle[c] for c in part.basins)
+        assert solved == [1e-13, 1e-9]
+        assert build_partition(f, preimage_set(f)).eps_fp == DEFAULT_EPS_FP
 
     def test_closure_records(self):
         rng = random.Random(1418)
@@ -666,8 +678,10 @@ class TestOrbitsWithoutDedup:
 
 
 class TestCutPointCertificate:
-    """``cut_cycle`` certifies every forward limit from 0 and the cut
-    points; the open intervals are checked against their basins here."""
+    """``cut_cycle`` certifies every forward limit from 0 and the
+    breakpoints: each cut point reaches its source breakpoint after its
+    depth, so it shares that breakpoint's limit.  The open intervals are
+    checked against their basins here."""
 
     def test_random_partitions(self):
         rng = random.Random(2718)
@@ -681,8 +695,11 @@ class TestCutPointCertificate:
             limits = [omega_limit(f, x, part) for x in special]
             assert limits == [_oracle_omega_limit(f, x, part) for x in special]
             orbits = periodic_orbits(f, part)
-            missed = next((o for o in limits if o not in orbits), None)
-            assert cut_cycle(f, part, orbits, 1e-13) == missed
+            got = cut_cycle(f, part, orbits)
+            assert (got is None) == all(o in orbits for o in limits)
+            limit_of = dict(zip(special, limits))
+            walked = [limit_of[x] for x in (F(0),) + f.breakpoints.points]
+            assert got == next((o for o in walked if o not in orbits), None)
             by_cycle = {o.home_cycle: o for o in orbits}
             bounds = special + (F(1),)
             for l, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
@@ -691,6 +708,24 @@ class TestCutPointCertificate:
                     x = lo + (hi - lo) * F(rng.randrange(1, 2**16), 2**16)
                     assert omega_limit(f, x, part) == want
                     assert _oracle_omega_limit(f, x, part) == want
+            checked += 1
+
+    def test_cut_points_reach_their_breakpoints(self):
+        rng = random.Random(2719)
+        checked = 0
+        while checked < 60:
+            built = _random_partition(rng)
+            if built is None:
+                continue
+            f, part = built
+            for e in part.qset.entries:
+                if not 0 < e.point < 1:
+                    continue
+                x = e.point
+                for _ in range(e.depth):
+                    x = f(x)
+                assert x == f.breakpoints.points[e.source - 1]
+                assert omega_limit(f, e.point, part) == omega_limit(f, x, part)
             checked += 1
 
     def test_cycle_on_cut_points_found_by_the_partition(self):
@@ -704,8 +739,12 @@ class TestCutPointCertificate:
         )
         part = build_partition(f, preimage_set(f))
         orbits = periodic_orbits(f, part)
-        assert omega_limit(f, F(1, 2), part).home_cycle is None
-        assert cut_cycle(f, part, orbits, 1e-13) is None
+        lim = omega_limit(f, F(1, 2), part)
+        assert lim.home_cycle is None
+        assert cut_cycle(f, part, orbits) is None
+        # reported by nobody, it is the breakpoint 1/2's limit (0 enters
+        # an open interval, whose limits cut_cycle skips)
+        assert cut_cycle(f, part, []) == lim
 
 
 def _oracle_locate(part, x):
@@ -793,7 +832,8 @@ class TestEquivalenceClassesInputs:
 
             with monkeypatch.context() as m:
                 m.setattr(pcdyn.quasipartition, "periodic_orbits", refuse)
-                m.setattr(QuasiPartition, "_limits", refuse)
+                # a data descriptor: a table cached on part cannot bypass it
+                m.setattr(QuasiPartition, "_limits", property(refuse))
                 assert equivalence_classes(f, part) == want
             checked += 1
 

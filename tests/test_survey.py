@@ -95,7 +95,7 @@ class TestCutCycle:
         part = build_partition(f, preimage_set(f))
         orbits = periodic_orbits(f, part)
         assert [o.points for o in orbits] == [(F(1, 6),)]
-        missed = cut_cycle(f, part, orbits, 1e-13)
+        missed = cut_cycle(f, part, orbits)
         assert missed == PeriodicOrbit((F(1, 2),), 1, (2,))
 
     def test_is_a_counted_reason(self, monkeypatch):
