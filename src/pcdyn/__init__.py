@@ -12,11 +12,13 @@ from .errors import (
     BoundaryOrbitError,
     BoundViolationError,
     CapExceededError,
+    CutCycleError,
     InconclusiveError,
     InexactPreimageError,
     IterationCapError,
     NonDiscretePreimageError,
     PartitionInvarianceError,
+    TruncatedClosureError,
 )
 from .ifs import (
     CappingPlan,
@@ -58,6 +60,7 @@ from .quasipartition import (
     QPoint,
     QuasiPartition,
     build_partition,
+    certify_limits,
     equivalence_classes,
     omega_limit,
     periodic_orbits,
@@ -74,6 +77,7 @@ __all__ = [
     "CappingPlan",
     "Clamped",
     "Composed",
+    "CutCycleError",
     "EXACT",
     "EquivalenceClasses",
     "InconclusiveError",
@@ -94,9 +98,11 @@ __all__ = [
     "Quadratic",
     "QuasiPartition",
     "Scalar",
+    "TruncatedClosureError",
     "attractor_sequence",
     "build_partition",
     "cap_ifs",
+    "certify_limits",
     "compose",
     "equivalence_classes",
     "format_scalar",

@@ -24,6 +24,7 @@ from .pcmap import power_map
 from .pcmap import orbit as run_orbit
 from .quasipartition import (
     build_partition,
+    certify_limits,
     equivalence_classes,
     periodic_orbits,
     preimage_set,
@@ -79,9 +80,6 @@ def emit_partition(cfg: RunConfig, rows: list[str]) -> int:
     rows.append("point,source,depth")
     for e in q.entries:
         rows.append(f"{format_scalar(e.point)},{e.source},{e.depth}")
-    if not q.is_complete:
-        rows.append("reason,q-truncated")
-        return INCONCLUSIVE
     part = build_partition(f, q, cfg.eps_fp)
     rows.append("intervals")
     rows.append("index,lo,hi,tau,eta")
@@ -102,6 +100,7 @@ def emit_partition(cfg: RunConfig, rows: list[str]) -> int:
     rows.append("id,members")
     for i, cls in enumerate(ec.classes, start=1):
         rows.append(f"{i},{';'.join(str(m) for m in cls)}")
+    certify_limits(f, part)
     return OK
 
 
@@ -177,6 +176,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = parse_config(text, args.backend, args.seed)
         if args.jobs is not None:
+            if args.jobs < 1:
+                raise ConfigError(None, f"jobs {args.jobs} must be >= 1")
             cfg = replace(cfg, jobs=args.jobs)
         if args.command in _EXACT_ONLY and not cfg.backend.is_exact:
             raise ConfigError(None, f"{args.command} requires the exact backend")

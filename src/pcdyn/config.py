@@ -180,7 +180,7 @@ _INT_KEYS = {
     "samples": 0,
     "n": None,
     "grid": None,
-    "jobs": None,
+    "jobs": 1,
 }
 _TOLERANCES = {"eps_orbit", "eps_fp"}
 _FLOAT_KEYS = _TOLERANCES | {"kappa_max"}

@@ -64,6 +64,28 @@ class BoundaryOrbitError(InconclusiveError):
     reason = "boundary-orbit"
 
 
+class TruncatedClosureError(InconclusiveError):
+    """The backward closure hit its depth or size cap before it closed, so
+    no partition can be built from it."""
+
+    reason = "q-truncated"
+
+
+class CutCycleError(InconclusiveError):
+    """A forward limit on the cut points is a periodic orbit that no index
+    cycle of the partition gives; carries the missed ``orbit``."""
+
+    reason = "cut-cycle"
+
+    def __init__(self, start, orbit):
+        self.orbit = orbit
+        pts = ";".join(map(str, orbit.points))
+        super().__init__(
+            f"the forward limit of {start} is the cycle {pts} on the cut "
+            "points, which no index cycle gives"
+        )
+
+
 class BoundViolationError(Exception):
     """A certified combinatorial bound failed on a concrete instance: the
     input was decided, so this is a failed certificate, not inconclusive."""

@@ -23,9 +23,11 @@ from typing import Optional
 from .errors import (
     BoundaryOrbitError,
     BoundViolationError,
+    CutCycleError,
     InexactPreimageError,
     NonDiscretePreimageError,
     PartitionInvarianceError,
+    TruncatedClosureError,
 )
 from .maps import DEFAULT_EPS_FP, MapDescriptor
 from .numerics import (
@@ -290,10 +292,14 @@ def build_partition(
     ``image`` for :func:`find_exact`, and must have no plateau on an end
     that is a closure point (lower end, straddle, upper end: the order of
     the checks).  A straddle or a plateau raises PartitionInvarianceError:
-    the closure was truncated or the parameters are degenerate.
+    the closure was truncated or the parameters are degenerate.  A closure
+    that hit its cap raises TruncatedClosureError.
     """
     if not qset.is_complete:
-        raise ValueError("partition requires a complete backward closure")
+        raise TruncatedClosureError(
+            f"the backward closure hit a cap at depth {qset.depth_reached}, "
+            f"point count {len(qset.points)}"
+        )
     # closure points are Fractions: compare their integers
     cuts = tuple(p for p in qset.points if 0 < p._numerator < p._denominator)
     keys = float_keys(cuts)
@@ -392,6 +398,23 @@ def omega_limit(
         visited.append(x)
         x = f(x)
     return part._limits[1][start - 1]
+
+
+def certify_limits(f: PiecewiseContraction, part: QuasiPartition) -> None:
+    """Certify that the ω-limit of every x in [0, 1) is one of the
+    partition's orbits (:func:`periodic_orbits`).
+
+    Each open interval of the partition is in the basin of one of them,
+    and every other x is 0 or a cut point q, whose provenance (s, depth)
+    gives f^depth(q) = x_s, the s-th breakpoint, so ω(q) = ω(x_s).  The
+    first limit of 0 or a breakpoint that is a cycle among the cut points
+    and not one of the orbits raises CutCycleError.
+    """
+    orbits = part._limits[0]
+    for x in (0,) + f.breakpoints.points:
+        lim = omega_limit(f, x, part)
+        if lim.home_cycle is None and lim not in orbits:
+            raise CutCycleError(x, lim)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Each sample draws breakpoints and affine maps on the rational grid, runs
 the full pipeline (genericity test, backward closure, partition, periodic
 orbits, equivalence classes, a certificate of every forward limit) and
-records one row.  Samples are independent, keyed by (master seed, index),
-so a worker pool produces byte-identical reports for any worker count.
+records one row.  A stage that cannot decide the sample raises an
+InconclusiveError, and the row records its ``reason``.  Samples are
+independent, keyed by (master seed, index), so a worker pool produces
+byte-identical reports for any worker count.
 """
 
 from __future__ import annotations
@@ -13,22 +15,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from collections import Counter
-from typing import Optional
 
 from .config import RunConfig, check_sampling, descriptor_tokens
 from .errors import BoundViolationError, InconclusiveError
 from .numerics import format_scalar
-from .pcmap import (
-    Breakpoints,
-    PeriodicOrbit,
-    PiecewiseContraction,
-    is_generic,
-)
+from .pcmap import Breakpoints, PiecewiseContraction, is_generic
 from .quasipartition import (
-    QuasiPartition,
     build_partition,
+    certify_limits,
     equivalence_classes,
-    omega_limit,
+    omega_limit,  # unused here: bench/spans.py patches it in this module
     periodic_orbits,
     preimage_set,
 )
@@ -48,13 +44,15 @@ class SampleRecord:
     m: int = 0
     orbit_count: int = 0
     class_count: int = 0
-    grid_converged: bool = False  # every forward limit certified (see cut_cycle)
     reason: str = ""  # empty when the pipeline ran to completion
     violation: bool = False  # a certified bound failed (never expected)
 
     @property
     def conclusive(self) -> bool:
         return self.reason == ""
+
+    # every forward limit certified: conclusive samples passed certify_limits
+    grid_converged = conclusive
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,8 @@ class SurveyReport:
 
     @property
     def periodic_fraction(self) -> float:
-        concl = [r for r in self.records if r.conclusive]
-        if not concl:
-            return 0.0
-        return sum(1 for r in concl if r.grid_converged) / len(concl)
+        # a conclusive sample has every forward limit certified periodic
+        return 1.0 if self.conclusive_count else 0.0
 
     def orbit_histogram(self) -> Counter[int]:
         return Counter(
@@ -99,27 +95,6 @@ class SurveyReport:
         return False
 
 
-def cut_cycle(
-    f: PiecewiseContraction,
-    part: QuasiPartition,
-    orbits: list[PeriodicOrbit],
-) -> Optional[PeriodicOrbit]:
-    """The first ω-limit of 0 or a breakpoint that is a cycle among the cut
-    points and missing from ``orbits``; None when there is none.
-
-    Each open interval of the partition is in the basin of one of
-    ``orbits``, and every other x in [0, 1) is 0 or a cut point q, whose
-    provenance (s, depth) gives f^depth(q) = x_s, the s-th breakpoint, so
-    ω(q) = ω(x_s).  None thus certifies that the ω-limit of every x is one
-    of ``orbits``.
-    """
-    for x in (0,) + f.breakpoints.points:
-        lim = omega_limit(f, x, part)
-        if lim.home_cycle is None and lim not in orbits:
-            return lim
-    return None
-
-
 def run_sample(cfg: RunConfig, index: int) -> SampleRecord:
     rng = rng_for_sample(cfg.seed, index)
     bps = draw_breakpoints(rng, cfg.n, cfg.eps_range)
@@ -131,21 +106,14 @@ def run_sample(cfg: RunConfig, index: int) -> SampleRecord:
         got["generic"] = is_generic(f, cfg.generic_depth, cap=cfg.composition_cap)
         q = preimage_set(f, cfg.q_depth_cap, cfg.q_size_cap)
         got.update(q_status=q.status, q_size=len(q.points))
-        if not q.is_complete:
-            got["reason"] = "q-truncated"
-        else:
-            part = build_partition(f, q, cfg.eps_fp)
-            got["m"] = part.m
-            orbits = periodic_orbits(f, part)
-            got["orbit_count"] = len(orbits)
-            try:
-                got["class_count"] = len(equivalence_classes(f, part).classes)
-            except BoundViolationError:
-                got["violation"] = True
-            if cut_cycle(f, part, orbits) is None:
-                got["grid_converged"] = True
-            else:
-                got["reason"] = "cut-cycle"
+        part = build_partition(f, q, cfg.eps_fp)
+        got["m"] = part.m
+        got["orbit_count"] = len(periodic_orbits(f, part))
+        try:
+            got["class_count"] = len(equivalence_classes(f, part).classes)
+        except BoundViolationError:
+            got["violation"] = True
+        certify_limits(f, part)
     except InconclusiveError as exc:
         got["reason"] = exc.reason
     return SampleRecord(index, bps, ifs.maps, **got)

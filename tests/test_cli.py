@@ -37,6 +37,15 @@ map affine 1/2 1/8
 breakpoints 1/2
 """
 
+# both intervals end at the fixed point 1/6, but f(1/2) = 1/2 is a second
+# periodic orbit, on the cut point 1/2
+CUT_CYCLE = """\
+backend exact
+map affine 1/4 1/8
+map affine -1/2 3/4
+breakpoints 1/2
+"""
+
 # three decreasing branches whose closure takes 12 backward levels: 14
 # points from both breakpoints, two orbits, two classes
 STEEP = """\
@@ -258,6 +267,32 @@ class TestCommands:
             "1,1,1/2,1",
         ]
 
+    def test_partition_cut_cycle_is_a_reason_row(self, tmp_path, capsys):
+        code = main(["partition", "--config", self.write(tmp_path, CUT_CYCLE)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert out[out.index("orbits") + 1 :] == [
+            "id,period,points,word",
+            "1,1,1/6,1",
+            "classes",
+            "id,members",
+            "1,1;2",
+            "reason,CutCycleError: the forward limit of 1/2 is the cycle 1/2 "
+            "on the cut points, which no index cycle gives",
+        ]
+
+    def test_partition_truncated_closure_is_a_reason_row(self, tmp_path, capsys):
+        text = CUT_CYCLE + "q_depth_cap 0\n"
+        code = main(["partition", "--config", self.write(tmp_path, text)])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "q_points",
+            "point,source,depth",
+            "1/2,1,0",
+            "reason,TruncatedClosureError: the backward closure hit a cap at "
+            "depth 0, point count 1",
+        ]
+
     def test_partition_iteration_cap_is_a_reason_row(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -473,6 +508,8 @@ class TestCommands:
             ("partition", "q_depth_cap -1", "q_depth_cap -1 must be >= 0"),
             ("partition", "q_size_cap -1", "q_size_cap -1 must be >= 0"),
             ("power", "power_cap -1", "power_cap -1 must be >= 0"),
+            # ran serially and exited 0
+            ("survey", "jobs 0", "jobs 0 must be >= 1"),
         ],
     )
     def test_range_errors_name_their_line(
@@ -493,6 +530,15 @@ class TestCommands:
         assert code == 2
         assert capsys.readouterr().err.strip() == (
             "config error: seed -1 must be >= 0"
+        )
+
+    def test_jobs_flag_below_one_is_config_error(self, tmp_path, capsys):
+        # it used to run serially and exit 0
+        cfgp = self.write(tmp_path, "n 3\nsamples 2\n")
+        code = main(["survey", "--config", cfgp, "--jobs", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "config error: jobs 0 must be >= 1"
         )
 
     @pytest.mark.parametrize("value", ["0", "-1e-10", "inf", "-inf"])

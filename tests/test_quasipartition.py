@@ -11,6 +11,7 @@ from pcdyn import (
     BoundaryOrbitError,
     BoundViolationError,
     Breakpoints,
+    CutCycleError,
     InexactPreimageError,
     Clamped,
     Interval,
@@ -20,7 +21,9 @@ from pcdyn import (
     PeriodicOrbit,
     PiecewiseContraction,
     Quadratic,
+    TruncatedClosureError,
     build_partition,
+    certify_limits,
     equivalence_classes,
     is_generic,
     omega_limit,
@@ -39,7 +42,6 @@ from pcdyn.quasipartition import (
 )
 from pcdyn.pcmap import LEFT_OPEN, RIGHT_OPEN, _word_map, rotate_to_min
 from pcdyn.sampling import draw_pc, rng_for_sample
-from pcdyn.survey import cut_cycle
 from _support import (
     constant_pc,
     fraction_build_partition,
@@ -126,7 +128,10 @@ class TestBuildPartition:
 
     def test_incomplete_closure_rejected(self):
         q = preimage_set(period3_pc(), depth_cap=2)
-        with pytest.raises(ValueError, match="complete"):
+        with pytest.raises(
+            TruncatedClosureError, match="^the backward closure hit a cap at "
+            rf"depth 2, point count {len(q.points)}$",
+        ):
             build_partition(period3_pc(), q)
 
     def test_breakpoint_missing_from_a_complete_closure(self):
@@ -678,7 +683,7 @@ class TestOrbitsWithoutDedup:
 
 
 class TestCutPointCertificate:
-    """``cut_cycle`` certifies every forward limit from 0 and the
+    """``certify_limits`` certifies every forward limit from 0 and the
     breakpoints: each cut point reaches its source breakpoint after its
     depth, so it shares that breakpoint's limit.  The open intervals are
     checked against their basins here."""
@@ -695,7 +700,11 @@ class TestCutPointCertificate:
             limits = [omega_limit(f, x, part) for x in special]
             assert limits == [_oracle_omega_limit(f, x, part) for x in special]
             orbits = periodic_orbits(f, part)
-            got = cut_cycle(f, part, orbits)
+            try:
+                certify_limits(f, part)
+                got = None
+            except CutCycleError as exc:
+                got = exc.orbit
             assert (got is None) == all(o in orbits for o in limits)
             limit_of = dict(zip(special, limits))
             walked = [limit_of[x] for x in (F(0),) + f.breakpoints.points]
@@ -738,13 +747,12 @@ class TestCutPointCertificate:
             Breakpoints((F(1, 2),)),
         )
         part = build_partition(f, preimage_set(f))
-        orbits = periodic_orbits(f, part)
         lim = omega_limit(f, F(1, 2), part)
         assert lim.home_cycle is None
-        assert cut_cycle(f, part, orbits) is None
-        # reported by nobody, it is the breakpoint 1/2's limit (0 enters
-        # an open interval, whose limits cut_cycle skips)
-        assert cut_cycle(f, part, []) == lim
+        # the breakpoint 1/2's limit, a cycle among the cut points, is one
+        # of the partition's own orbits (0 enters an open interval)
+        assert lim in periodic_orbits(f, part)
+        certify_limits(f, part)
 
 
 def _oracle_locate(part, x):

@@ -10,6 +10,7 @@ from pcdyn import (
     BoundViolationError,
     Breakpoints,
     CapExceededError,
+    CutCycleError,
     InconclusiveError,
     InexactPreimageError,
     IterationCapError,
@@ -19,7 +20,9 @@ from pcdyn import (
     PeriodicOrbit,
     PiecewiseContraction,
     Quadratic,
+    TruncatedClosureError,
     build_partition,
+    certify_limits,
     periodic_orbits,
     preimage_set,
 )
@@ -28,7 +31,6 @@ from pcdyn.config import ConfigError, RunConfig, parse_config
 from pcdyn.maps import Affine
 from pcdyn.survey import (
     SurveyReport,
-    cut_cycle,
     run_sample,
     run_survey,
     survey_csv,
@@ -71,6 +73,12 @@ class TestRunSample:
             reached += rec.m > 0
         assert reached >= 5
 
+    def test_truncated_closure_is_a_counted_reason(self):
+        rec = run_sample(small_cfg(q_depth_cap=0), 0)
+        assert (rec.reason, rec.q_status) == ("q-truncated", "truncated")
+        assert (rec.q_size, rec.m) == (1, 0)
+        assert not rec.grid_converged and not rec.conclusive
+
     def test_samples_independent_of_order(self):
         a = [run_sample(small_cfg(), i) for i in range(5)]
         b = [run_sample(small_cfg(), i) for i in reversed(range(5))]
@@ -95,8 +103,9 @@ class TestCutCycle:
         part = build_partition(f, preimage_set(f))
         orbits = periodic_orbits(f, part)
         assert [o.points for o in orbits] == [(F(1, 6),)]
-        missed = cut_cycle(f, part, orbits)
-        assert missed == PeriodicOrbit((F(1, 2),), 1, (2,))
+        with pytest.raises(CutCycleError) as exc:
+            certify_limits(f, part)
+        assert exc.value.orbit == PeriodicOrbit((F(1, 2),), 1, (2,))
 
     def test_is_a_counted_reason(self, monkeypatch):
         f = fixed_breakpoint_pc()
@@ -156,6 +165,8 @@ class TestInconclusiveReasons:
                 BoundaryOrbitError,
                 IterationCapError,
                 CapExceededError,
+                TruncatedClosureError,
+                CutCycleError,
             )
             if issubclass(cls, InconclusiveError)
         } == {
@@ -165,7 +176,15 @@ class TestInconclusiveReasons:
             BoundaryOrbitError: "boundary-orbit",
             IterationCapError: "iteration-cap",
             CapExceededError: "cap-exceeded",
+            TruncatedClosureError: "q-truncated",
+            CutCycleError: "cut-cycle",
         }
+        # every reason of the README's survey contract has one error class
+        assert sorted(c.reason for c in InconclusiveError.__subclasses__()) == [
+            "boundary-orbit", "cap-exceeded", "cut-cycle", "inexact-preimage",
+            "iteration-cap", "non-discrete-preimage", "partition-straddle",
+            "q-truncated",
+        ]
         # a failed certificate is not an undecided input
         assert not issubclass(BoundViolationError, InconclusiveError)
 
