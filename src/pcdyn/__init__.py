@@ -15,7 +15,6 @@ from .errors import (
     CutCycleError,
     InconclusiveError,
     InexactPreimageError,
-    IterationCapError,
     NonDiscretePreimageError,
     PartitionInvarianceError,
     TruncatedClosureError,
@@ -84,7 +83,6 @@ __all__ = [
     "InexactPreimageError",
     "Interval",
     "IntervalSet",
-    "IterationCapError",
     "IteratedFunctionSystem",
     "Itinerary",
     "MapDescriptor",

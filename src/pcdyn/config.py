@@ -21,9 +21,26 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ifs import IteratedFunctionSystem
-from .maps import Affine, Clamped, Composed, MapDescriptor, Quadratic
-from .numerics import Backend, Scalar, format_scalar
-from .pcmap import LEFT_OPEN, RIGHT_OPEN, Breakpoints, PiecewiseContraction
+from .maps import (
+    DEFAULT_EPS_FP,
+    Affine,
+    Clamped,
+    Composed,
+    MapDescriptor,
+    Quadratic,
+)
+from .numerics import DEFAULT_EPS_CMP, Backend, Scalar, format_scalar
+from .pcmap import (
+    DEFAULT_COMPOSITION_CAP,
+    DEFAULT_EPS_ORBIT,
+    DEFAULT_POWER_CAP,
+    LEFT_OPEN,
+    RIGHT_OPEN,
+    Breakpoints,
+    PiecewiseContraction,
+)
+from .quasipartition import DEFAULT_DEPTH_CAP, DEFAULT_SIZE_CAP
+from .sampling import DEFAULT_MARGIN
 
 
 class ConfigError(Exception):
@@ -41,13 +58,13 @@ class RunConfig:
 
     backend: Backend
     seed: int = 0
-    eps_orbit: float = 1e-10
-    eps_fp: float = 1e-13
+    eps_orbit: float = DEFAULT_EPS_ORBIT
+    eps_fp: float = DEFAULT_EPS_FP
     max_iter: int = 10_000
-    q_depth_cap: int = 64
-    q_size_cap: int = 10_000
-    composition_cap: int = 100_000
-    power_cap: int = 10_000
+    q_depth_cap: int = DEFAULT_DEPTH_CAP
+    q_size_cap: int = DEFAULT_SIZE_CAP
+    composition_cap: int = DEFAULT_COMPOSITION_CAP
+    power_cap: int = DEFAULT_POWER_CAP
     generic_depth: int = 5
     maps: tuple[MapDescriptor, ...] = ()
     breakpoints: tuple[Scalar, ...] = ()
@@ -58,7 +75,7 @@ class RunConfig:
     samples: int = 200
     n: int = 3
     kappa_max: float = 0.45
-    eps_range: Fraction = Fraction(1, 64)
+    eps_range: Fraction = DEFAULT_MARGIN
     grid: int = 64  # not read by the survey; bench/checks.py reads it
     jobs: int = 1
     fail_on_breakpoint_hit: bool = False
@@ -204,7 +221,7 @@ def parse_config(
             lines.append((no, stripped.split()))
 
     backend_name = backend_override
-    eps_cmp = None
+    eps_cmp = DEFAULT_EPS_CMP
     if backend_name is None:
         for no, toks in lines:
             if toks[0] == "backend":
@@ -224,7 +241,7 @@ def parse_config(
     if backend_name in (None, "exact"):
         backend = Backend.exact()
     else:
-        backend = Backend.floating(eps_cmp if eps_cmp else 1e-12)
+        backend = Backend.floating(eps_cmp)
 
     cfg = RunConfig(backend=backend)
     maps: list[MapDescriptor] = []

@@ -36,12 +36,6 @@ class InexactPreimageError(InconclusiveError):
     reason = "inexact-preimage"
 
 
-class IterationCapError(InconclusiveError):
-    """An iterative solve exceeded its iteration budget."""
-
-    reason = "iteration-cap"
-
-
 class CapExceededError(InconclusiveError):
     """An enumeration grew past its configured size cap."""
 

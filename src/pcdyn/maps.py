@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import IterationCapError, NonDiscretePreimageError
+from .errors import NonDiscretePreimageError
 from .numerics import (
     Interval,
     Scalar,
@@ -31,7 +31,6 @@ from .numerics import (
 )
 
 DEFAULT_EPS_FP = 1e-13
-DEFAULT_FP_CAP = 10**6
 
 
 def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -58,7 +57,7 @@ class MapDescriptor:
 
     def lipschitz_bound(self) -> Scalar:
         """A certified upper bound for |m(x)-m(y)|/|x-y| on [0, 1]."""
-        raise NotImplementedError
+        return self._slope_bound_on(0, 1)
 
     def image(self, iv: Interval) -> Interval:
         """Exact image of a closed interval: between the end values."""
@@ -78,25 +77,31 @@ class MapDescriptor:
         """
         raise NotImplementedError
 
-    def fixed_point(
-        self, eps_fp: float = DEFAULT_EPS_FP, cap: int = DEFAULT_FP_CAP
-    ) -> Scalar:
+    def fixed_point(self, eps_fp: float = DEFAULT_EPS_FP) -> Scalar:
         """The unique z in (0, 1) with m(z) = z.
 
-        Exact (closed form) for affine and affine-reducible descriptors;
-        otherwise contraction iteration from 1/2 until successive iterates
-        differ by at most ``eps_fp``, each next point rounded to a float
-        (an exact plateau value would make every later step exact).
+        Exact (closed form) for affine and affine-reducible descriptors.
+        Otherwise regula falsi with the Illinois rule on g(z) = m(z) - z in
+        floats over the bracket [0, 1], where g falls from g(0) > 0 to
+        g(1) < 0: an end kept twice in a row has its g halved.  It stops at
+        |float(m(z)) - z| <= ``eps_fp`` or once z is not strictly inside
+        the bracket, and returns m(z), so a plateau value stays exact.
         """
-        z = 0.5
-        for _ in range(cap):
-            nz = self._eval(z)
-            if abs(nz - z) <= eps_fp:
-                return nz
-            z = _key(nz)
-        raise IterationCapError(
-            f"fixed-point iteration did not settle within {cap} steps"
-        )
+        lo, hi = 0.0, 1.0
+        glo, ghi = _key(self._eval(lo)) - lo, _key(self._eval(hi)) - hi
+        side = 0  # 1 after z replaced lo, -1 after it replaced hi
+        while True:
+            z = lo - glo * (hi - lo) / (ghi - glo)
+            mz = self._eval(z)
+            gz = _key(mz) - z
+            if abs(gz) <= eps_fp or not lo < z < hi:
+                return mz
+            if gz > 0:
+                lo, glo, ghi = z, gz, ghi / 2 if side == 1 else ghi
+                side = 1
+            else:
+                hi, ghi, glo = z, gz, glo / 2 if side == -1 else glo
+                side = -1
 
     # --- internals used by the joint-slope certification -----------------
 
@@ -154,9 +159,6 @@ class Affine(MapDescriptor):
             return _raw_fraction(A * x._numerator + B * xd, D * xd)
         return self.a * x + self.b
 
-    def lipschitz_bound(self) -> Scalar:
-        return abs(self.a)
-
     def preimages(self, y, domain):
         if self.a == 0:
             if y == self.b:
@@ -169,7 +171,7 @@ class Affine(MapDescriptor):
             return [x]
         return []
 
-    def fixed_point(self, eps_fp=DEFAULT_EPS_FP, cap=DEFAULT_FP_CAP):
+    def fixed_point(self, eps_fp=DEFAULT_EPS_FP):
         return self.b / (1 - self.a)
 
     def _slope_bound_on(self, lo, hi):
@@ -207,9 +209,6 @@ class Quadratic(MapDescriptor):
     def _eval(self, x: Scalar) -> Scalar:
         return (self.a * x + self.b) * x + self.c
 
-    def lipschitz_bound(self) -> Scalar:
-        return max(abs(self.b), abs(2 * self.a + self.b))
-
     def preimages(self, y, domain):
         if self.a == 0:
             return Affine(self.b, self.c).preimages(y, domain)
@@ -224,9 +223,9 @@ class Quadratic(MapDescriptor):
         )
         return [x for x in sols if domain.lo <= x <= domain.hi]
 
-    def fixed_point(self, eps_fp=DEFAULT_EPS_FP, cap=DEFAULT_FP_CAP):
+    def fixed_point(self, eps_fp=DEFAULT_EPS_FP):
         if self.a == 0:
-            return Affine(self.b, self.c).fixed_point(eps_fp, cap)
+            return Affine(self.b, self.c).fixed_point(eps_fp)
         # m(z) = z is a quadratic with exactly one root in (0, 1); solve it
         # in closed form when the discriminant is a rational square.
         disc = (self.b - 1) ** 2 - 4 * self.a * self.c
@@ -237,7 +236,7 @@ class Quadratic(MapDescriptor):
                           (1 - self.b + root) / (2 * self.a)):
                     if 0 < z < 1:
                         return z
-        return super().fixed_point(eps_fp, cap)
+        return super().fixed_point(eps_fp)
 
     def _slope_bound_on(self, lo, hi):
         return max(abs(2 * self.a * lo + self.b), abs(2 * self.a * hi + self.b))
@@ -274,9 +273,6 @@ class Clamped(MapDescriptor):
             return self._vhi
         return self.inner._eval(x)
 
-    def lipschitz_bound(self) -> Scalar:
-        return self.inner.lipschitz_bound()
-
     def preimages(self, y, domain):
         if domain.lo == domain.hi:
             return [domain.lo] if self._eval(domain.lo) == y else []
@@ -291,8 +287,8 @@ class Clamped(MapDescriptor):
             raise NonDiscretePreimageError(max(domain.lo, self.hi), domain.hi, y)
         return sorted(found)
 
-    def fixed_point(self, eps_fp=DEFAULT_EPS_FP, cap=DEFAULT_FP_CAP):
-        z = self.inner.fixed_point(eps_fp, cap)
+    def fixed_point(self, eps_fp=DEFAULT_EPS_FP):
+        z = self.inner.fixed_point(eps_fp)
         if self.lo <= z <= self.hi:
             return z
         # the inner fixed point sits in a plateau region, where the clamped
@@ -325,12 +321,6 @@ class Composed(MapDescriptor):
             x = m._eval(x)
         return x
 
-    def lipschitz_bound(self) -> Scalar:
-        bound: Scalar = 1
-        for m in self.chain:
-            bound = bound * m.lipschitz_bound()
-        return bound
-
     def preimages(self, y, domain):
         first, rest = self.chain[0], self.chain[1:]
         if not rest:
@@ -342,10 +332,10 @@ class Composed(MapDescriptor):
             found.update(first.preimages(w, domain))
         return sorted(found)
 
-    def fixed_point(self, eps_fp=DEFAULT_EPS_FP, cap=DEFAULT_FP_CAP):
+    def fixed_point(self, eps_fp=DEFAULT_EPS_FP):
         if len(self.chain) == 1:
-            return self.chain[0].fixed_point(eps_fp, cap)
-        return super().fixed_point(eps_fp, cap)
+            return self.chain[0].fixed_point(eps_fp)
+        return super().fixed_point(eps_fp)
 
     def _slope_bound_on(self, lo, hi):
         bound: Scalar = 1

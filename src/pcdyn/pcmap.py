@@ -44,6 +44,7 @@ LEFT_OPEN = "left-open"    # breakpoint belongs to the branch on its left
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_EPS_ORBIT = 1e-10
 DEFAULT_POWER_CAP = 10_000
+DEFAULT_COMPOSITION_CAP = 100_000
 
 # trigger width for the exact backend's float shadow; detection is only a
 # candidate generator there, correctness comes from exact verification
@@ -461,7 +462,7 @@ def is_generic(
     f: PiecewiseContraction,
     depth: int,
     backend: Backend = EXACT,
-    cap: int = 100_000,
+    cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> bool:
     """Finite-depth test that no composition sends a breakpoint (or 0) onto
     a breakpoint.

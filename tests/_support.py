@@ -254,6 +254,19 @@ def generic_cycle_orbit(
     return rotate_to_min(pts, digits, home_cycle)
 
 
+def iterated_fixed_point(m, eps_fp, cap=10**6):
+    """The fixed point by contraction iteration from 1/2, each next point
+    rounded to a float, until successive iterates differ by at most
+    ``eps_fp``: the solve MapDescriptor.fixed_point replaced."""
+    z = 0.5
+    for _ in range(cap):
+        nz = m._eval(z)
+        if abs(nz - z) <= eps_fp:
+            return nz
+        z = float(nz)
+    raise AssertionError(f"iteration did not settle within {cap} steps")
+
+
 def float_descriptor(m):
     """m with every coefficient and window end as a float."""
     if isinstance(m, Affine):

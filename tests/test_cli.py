@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -8,9 +9,20 @@ from pathlib import Path
 import pytest
 
 import pcdyn.cli
-from pcdyn import Affine, Backend, Clamped, Composed, MapDescriptor
+from pcdyn import (
+    Affine,
+    Backend,
+    Clamped,
+    Composed,
+    build_partition,
+    is_generic,
+    orbit,
+    power_map,
+    preimage_set,
+)
 from pcdyn.cli import main
-from pcdyn.config import ConfigError, descriptor_tokens, parse_config
+from pcdyn.config import ConfigError, RunConfig, descriptor_tokens, parse_config
+from pcdyn.sampling import draw_breakpoints, draw_ifs
 from _support import generic_sequence
 
 EX61 = """\
@@ -58,8 +70,7 @@ breakpoints 2683486193/4294967296 3162818053/4294967296
 
 
 # the quadratic's fixed point is a root of 1e-8 z^2 - 1e-5 z + 7.5e-6 near
-# 3/4, and contraction iteration at slope 0.99999 does not settle within
-# the fixed-point cap
+# 3/4, where its slope is about 0.99999
 SLOW_FP = """\
 map affine 1/4 1/2
 map quadratic 1e-8 0.99999 7.5e-6
@@ -121,6 +132,31 @@ class TestParseConfig:
         assert cfg.seed == 99
         with pytest.raises(ConfigError, match="^seed -1 must be >= 0$"):
             parse_config("seed 7\n", None, -1)
+
+    def test_defaults_are_the_library_defaults(self):
+        # each RunConfig default names the library constant that the
+        # library call it feeds takes by default
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        cfg = RunConfig(backend=Backend.exact())
+        pairs = [
+            (cfg.eps_orbit, default(orbit, "eps_orbit")),
+            (cfg.eps_fp, default(orbit, "eps_fp")),
+            (cfg.eps_fp, default(build_partition, "eps_fp")),
+            (cfg.q_depth_cap, default(preimage_set, "depth_cap")),
+            (cfg.q_size_cap, default(preimage_set, "size_cap")),
+            (cfg.composition_cap, default(is_generic, "cap")),
+            (cfg.power_cap, default(power_map, "cap")),
+            (cfg.eps_range, default(draw_breakpoints, "margin")),
+            (cfg.eps_range, default(draw_ifs, "margin")),
+            (
+                parse_config("backend float\n").backend,
+                Backend.floating(),
+            ),
+        ]
+        for got, want in pairs:
+            assert got == want and type(got) is type(want)
 
     def test_nested_grammar_roundtrip(self):
         m = Clamped(
@@ -293,34 +329,35 @@ class TestCommands:
             "depth 0, point count 1",
         ]
 
-    def test_partition_iteration_cap_is_a_reason_row(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # the iteration cap at 1000 steps, not 10**6: the same outcome, sooner
-        solve = MapDescriptor.fixed_point
-        monkeypatch.setattr(
-            MapDescriptor, "fixed_point",
-            lambda m, eps_fp, cap: solve(m, eps_fp, 1000),
-        )
+    def test_partition_slow_contraction_settles(self, tmp_path, capsys):
+        # slope 0.99999 near the fixed point: the bracketed solve settles in
+        # a few evaluations where contraction iteration took over 10**6
         code = main(["partition", "--config", self.write(tmp_path, SLOW_FP)])
         out = capsys.readouterr().out.splitlines()
-        assert code == 1
-        assert "q_points" in out and "intervals" in out and "orbits" not in out
-        assert out[-1] == (
-            "reason,IterationCapError: fixed-point iteration did not settle "
-            "within 1000 steps"
-        )
+        assert code == 0
+        assert out[out.index("orbits") + 1 :] == [
+            "id,period,points,word",
+            "1,1,0.750563345340893,2",
+            "classes",
+            "id,members",
+            "1,1;2",
+        ]
+        # within 1e-8 of the true fixed point: g(z) = m(z) - z changes sign
+        m = parse_config(SLOW_FP).maps[1]
+        z, tol = F("0.750563345340893"), F(1, 10**8)
+        assert m(z - tol) > z - tol and m(z + tol) < z + tol
 
-    def test_float_orbit_iteration_cap_is_a_reason_row(self, tmp_path, capsys):
+    def test_float_orbit_slow_contraction_converges(self, tmp_path, capsys):
         text = SLOW_FP + "x0 3/4\nmax_iter 200\neps_orbit 1e-3\n"
         path = self.write(tmp_path, text)
         code = main(["orbit", "--backend", "float", "--config", path])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert out == (
-            "reason,IterationCapError: fixed-point iteration did not settle "
-            "within 1000000 steps\n"
-        )
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[:2] == ["step,x,digit", "0,0.75,2"]
+        assert out[-2:] == [
+            "outcome,preperiod,period,orbit_points",
+            "converged,0,1,0.750563345340893",
+        ]
 
     def test_power_echiose_k1(self, tmp_path, capsys):
         cfg = P3.replace("k 2", "k 1")
@@ -381,6 +418,24 @@ class TestCommands:
         assert out[1] == "rho,4/5"
         assert out[3] == "index,descriptor"
         assert out[4] == "1,clamped 0 2/5 affine 2/5 1/10"
+
+    def test_cap_composed_and_quadratic(self, tmp_path, capsys):
+        # the joint slope bound walks a clamped composition's chain and a
+        # clamped quadratic's window: 1/4 + 1/3 on (1/3, 2/3)
+        text = (
+            "map composed 2 affine 1/2 1/4 affine 1/2 1/8\n"
+            "map quadratic 1/10 1/5 1/4\nbreakpoints 1/2\n"
+        )
+        code = main(["cap", "--config", self.write(tmp_path, text)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "delta,1/6",
+            "rho,7/12",
+            "maps",
+            "index,descriptor",
+            "1,clamped 0 2/3 composed 2 affine 1/2 1/4 affine 1/2 1/8",
+            "2,clamped 1/3 1 quadratic 1/10 1/5 1/4",
+        ]
 
     def test_cap_precondition_is_config_error(self, tmp_path, capsys):
         text = "map affine 3/5 1/10\nmap affine 2/5 3/10\nbreakpoints 1/2\n"

@@ -10,7 +10,6 @@ from pcdyn import (
     Clamped,
     Composed,
     Interval,
-    IterationCapError,
     NonDiscretePreimageError,
     Quadratic,
     compose,
@@ -19,8 +18,11 @@ from _support import (
     affine_check_error,
     float_descriptor,
     fraction_compose,
+    iterated_fixed_point,
     rand_affine,
     rand_descriptor,
+    rand_fraction,
+    rand_quadratic,
 )
 
 EXACT = Backend.exact()
@@ -124,6 +126,31 @@ class TestLipschitzBound:
     def test_quadratic_endpoint_derivatives(self):
         m = Quadratic(F(1, 4), F(1, 4), F(1, 5))
         assert m.lipschitz_bound() == F(3, 4)  # |2a + b| = 3/4 > |b| = 1/4
+
+    def test_clamped_quadratic_reads_its_window(self):
+        # the slope 2x/4 + 1/4 at most 1/2 on the window [1/10, 1/2]
+        m = Clamped(Quadratic(F(1, 4), F(1, 4), F(1, 5)), F(1, 10), F(1, 2))
+        assert m.lipschitz_bound() == F(1, 2)
+
+    def test_bounds_every_difference_quotient(self):
+        rng = random.Random(41)
+
+        def clamped(inner):
+            lo = rand_fraction(rng, F(0), F(2, 5))
+            return Clamped(inner, lo, rand_fraction(rng, lo + F(1, 10), F(1)))
+
+        grid = [F(i, 256) for i in range(257)]
+        for _ in range(40):
+            quad = rand_quadratic(rng)
+            parts = (quad, clamped(quad), clamped(rand_affine(rng)))
+            chain = tuple(rng.choice(parts) for _ in range(rng.randint(2, 3)))
+            for m in parts + (Composed(chain),):
+                bound = m.lipschitz_bound()
+                assert bound < 1
+                ys = [m(x) for x in grid]
+                # adjacent quotients bound every quotient on the grid
+                steepest = max(abs(v - u) * 256 for u, v in zip(ys, ys[1:]))
+                assert steepest <= bound, m
 
 
 class TestCompose:
@@ -312,9 +339,8 @@ class TestFixedPoint:
         monkeypatch.setattr(
             Composed, "_eval", lambda self, x: inputs.append(x) or real(self, x)
         )
-        with pytest.raises(IterationCapError):
-            m.fixed_point(eps_fp=0.0, cap=6)
-        assert [type(x) for x in inputs] == [float] * 6
+        m.fixed_point(eps_fp=0.0)
+        assert inputs and all(type(x) is float for x in inputs)
         monkeypatch.undo()
         z = m.fixed_point()
         assert type(z) is float and abs(m(z) - z) < 1e-12
@@ -342,6 +368,55 @@ class TestFixedPoint:
         m = Quadratic(0.2, 0.3, 0.2)
         z = m.fixed_point()
         assert abs(m(z) - z) < 1e-12
+
+    def test_matches_the_iteration(self):
+        rng = random.Random(7)
+        solved = 0
+        for _ in range(300):
+            m = Composed((rand_descriptor(rng), rand_descriptor(rng)))
+            for w in (m, float_descriptor(m)):
+                z = w.fixed_point()
+                assert abs(w(z) - z) <= 1e-13
+                assert abs(z - iterated_fixed_point(w, 1e-13)) <= 1e-11
+                solved += 1
+        assert solved == 600
+
+    def test_settles_in_few_evaluations(self):
+        class Counted(Composed):
+            inputs = []
+
+            def _eval(self, x):
+                Counted.inputs.append(x)
+                return super()._eval(x)
+
+        rng = random.Random(11)
+        slow = Quadratic(F(1, 10**8), F(99999, 10**5), F(75, 10**7))
+        words = [(slow, slow), (float_descriptor(slow), slow)]
+        for _ in range(300):
+            words.append(tuple(rand_descriptor(rng) for _ in range(2)))
+        worst = 0
+        for chain in words:
+            for eps_fp in (1e-13, 0.0):
+                Counted.inputs.clear()
+                z = Counted(chain).fixed_point(eps_fp)
+                assert 0 < z < 1
+                assert all(type(x) is float for x in Counted.inputs)
+                assert len(Counted.inputs) <= 50, chain
+                worst = max(worst, len(Counted.inputs))
+        # 12 here; without the Illinois halving, plain regula falsi takes 26
+        assert worst <= 16
+        # the contraction iteration needs over 10**6 steps at this slope
+        class Quad(Quadratic):
+            evals = 0
+
+            def _eval(self, x):
+                Quad.evals += 1
+                return super()._eval(x)
+
+        for eps_fp in (1e-13, 0.0):
+            Quad.evals = 0
+            z = Quad(slow.a, slow.b, slow.c).fixed_point(eps_fp)
+            assert abs(z - 0.75056334533536) < 1e-8 and Quad.evals <= 50
 
     def test_contraction_property(self):
         rng = random.Random(31)
