@@ -24,7 +24,9 @@ report = run_survey(cfg)
 print(f"samples: {len(report.records)}")
 print(f"conclusive: {report.conclusive_count}")
 print(f"inconclusive: {report.inconclusive_count} {dict(report.reason_counts())}")
-print(f"fraction asymptotically periodic: {report.periodic_fraction:.3f}")
+# a conclusive sample has every forward limit certified periodic
+certified = report.conclusive_count / max(len(report.records), 1)
+print(f"fraction certified asymptotically periodic: {certified:.3f}")
 print("orbit-count histogram:")
 for count, freq in sorted(report.orbit_histogram().items()):
     print(f"  {count} orbit(s): {'#' * freq} {freq}")

@@ -346,7 +346,22 @@ class Composed(MapDescriptor):
         return bound
 
     def _domain_breakpoints(self):
-        return self.chain[0]._domain_breakpoints()
+        """Each link's points, pulled back through the links before it.
+        Only exact points are kept: a point met by a plateau or an
+        irrational root is dropped, since any grid gives a sound bound."""
+        pts: tuple = ()
+        unit = Interval(0, 1)
+        for m in reversed(self.chain):
+            back = []
+            for p in pts:
+                try:
+                    back += m.preimages(p, unit)
+                except NonDiscretePreimageError:
+                    pass
+            pts = m._domain_breakpoints() + tuple(
+                x for x in back if not isinstance(x, float)
+            )
+        return pts
 
 
 def compose(outer: MapDescriptor, inner: MapDescriptor) -> MapDescriptor:

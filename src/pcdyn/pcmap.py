@@ -458,6 +458,37 @@ def orbit(
     return OrbitRecord(x0, tuple(pts), itin, orb, None if orb else failure)
 
 
+def _level_preimages(branches, level: list, keys: list):
+    """``(ys, xs, inexact)``: the preimages of one sorted level of reduced
+    (num, den) pairs under every branch, ``xs[i]`` solving ``ys[i]``.
+
+    ``branches`` has the form of ``PiecewiseContraction._domains``.  A
+    branch with a window solves the whole level at once
+    (:func:`affine_preimages`); any other branch solves each y through its
+    map's ``preimages`` on its domain, drops an end its closure flags
+    exclude, and lists in ``inexact`` each y with an irrational root, in
+    branch order then ascending.  A plateau on a y raises that map's
+    NonDiscretePreimageError.
+    """
+    ys, xs, inexact = [], [], []
+    for m, dom, lo_in, hi_in, window in branches:
+        if window is not None:
+            start, solved = affine_preimages(m._ints, window, level, keys)
+            ys += level[start : start + len(solved)]
+            xs += solved
+            continue
+        for y in level:
+            for p in m.preimages(_raw_fraction(*y), dom):
+                if (p == dom.lo and not lo_in) or (p == dom.hi and not hi_in):
+                    continue
+                if isinstance(p, float):
+                    inexact.append(y)
+                else:
+                    ys.append(y)
+                    xs.append(_ratio(p))
+    return ys, xs, inexact
+
+
 def is_generic(
     f: PiecewiseContraction,
     depth: int,
@@ -469,39 +500,31 @@ def is_generic(
 
     A False result is definitive up to the tested depth; a True result is
     depth-limited.  Rational input under the exact backend is searched
-    backwards, through the preimages of the breakpoints under every map,
-    pruned to [0, 1] and to new points; ``cap`` bounds one tree level.
-    Tree points are reduced (num, den) pairs: a rational affine map with
-    a nonzero slope solves a whole sorted level at once
-    (:func:`affine_preimages`), any other map solves each point through
-    its own ``preimages``, whose irrational roots are dropped: no
-    rational source reaches them.  Otherwise (float backend or
-    coefficients, a plateau on a tree point) all n**depth forward images
-    are enumerated, ``cap`` bounding n**depth; a near-collision within the
-    float tolerance counts as a collision.
+    backwards, through the preimages of the breakpoints under every map
+    over [0, 1] (:func:`_level_preimages`), pruned to new points; ``cap``
+    bounds one tree level.  Irrational roots are dropped: no rational
+    source reaches them.  Otherwise (float backend or coefficients, a
+    plateau on a tree point) all n**depth forward images are enumerated,
+    ``cap`` bounding n**depth; a near-collision within the float tolerance
+    counts as a collision.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     targets = f.breakpoints.points
     if not (backend.is_exact and _rational(targets) and _rational(f.ifs.maps)):
         return _generic_forward(f, depth, backend, cap)
-    steps = [_strict_affine(m) for m in f.ifs.maps]
     unit = Interval(backend.zero, backend.one)
+    branches = [
+        (m, unit, True, True, UNIT_WINDOW if _strict_affine(m) else None)
+        for m in f.ifs.maps
+    ]
     level = seen = set(map(_ratio, targets))
     sources = {(0, 1), *seen}
     for _ in range(depth):
-        level, keys = sort_pairs(level)
-        nxt = set()
-        for m, ints in zip(f.ifs.maps, steps):
-            if ints is not None:
-                nxt.update(affine_preimages(ints, UNIT_WINDOW, level, keys)[1])
-                continue
-            for y in level:
-                try:
-                    pre = m.preimages(_raw_fraction(*y), unit)
-                except NonDiscretePreimageError:
-                    return _generic_forward(f, depth, backend, cap)
-                nxt.update(_ratio(p) for p in pre if not isinstance(p, float))
+        try:
+            nxt = set(_level_preimages(branches, *sort_pairs(level))[1])
+        except NonDiscretePreimageError:
+            return _generic_forward(f, depth, backend, cap)
         if not nxt.isdisjoint(sources):
             return False
         nxt -= seen

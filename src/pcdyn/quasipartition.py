@@ -37,7 +37,6 @@ from .numerics import (
     _key,
     _ratio,
     _raw_fraction,
-    affine_preimages,
     find_exact,
     find_pair,
     float_keys,
@@ -48,9 +47,9 @@ from .pcmap import (
     DEFAULT_EPS_ORBIT,
     PeriodicOrbit,
     PiecewiseContraction,
+    _level_preimages,
     _refine_candidate,
     _strict_affine,
-    _walk,
     rotate_to_min,
 )
 
@@ -106,12 +105,13 @@ def preimage_set(
     """Backward breadth-first closure of the breakpoints.
 
     Level 0 is the breakpoints themselves; each later level collects the
-    branchwise preimages of the previous one, as reduced (num, den) pairs:
-    a rational affine branch with a nonzero slope solves the sorted level
-    at once (:func:`affine_preimages` on its domain and closure flags), any
-    other branch solves each point through its own ``preimages``.  A point
-    has one image, so it has one parent and one provenance: the source of
-    the breakpoint its forward orbit reaches first.
+    branchwise preimages of the previous one, as reduced (num, den) pairs,
+    each branch on its domain and closure flags (:func:`_level_preimages`).
+    A plateau on a level point raises its NonDiscretePreimageError;
+    otherwise the first point with an irrational preimage, in branch order
+    then ascending, raises InexactPreimageError.  A point has one image,
+    so it has one parent and one provenance: the source of the breakpoint
+    its forward orbit reaches first.
     """
     found = {}  # point -> (source, depth)
     for i, p in enumerate(f.breakpoints, start=1):
@@ -128,30 +128,15 @@ def preimage_set(
             status = TRUNCATED
             depth = depth_cap
             break
-        level, keys = sort_pairs(frontier)
+        ys, xs, inexact = _level_preimages(f._domains, *sort_pairs(frontier))
+        if inexact:
+            y = _raw_fraction(*inexact[0])
+            raise InexactPreimageError(f"irrational preimage of {y}")
         frontier = []
-        for m, dom, lo_in, hi_in, window in f._domains:
-            if window is not None:
-                start, xs = affine_preimages(m._ints, window, level, keys)
-                for y, x in zip(level[start:], xs):
-                    if x not in found:
-                        found[x] = (found[y][0], depth)
-                        frontier.append(x)
-                continue
-            for y in level:
-                try:
-                    pre = m.preimages(_raw_fraction(*y), dom)
-                except NonDiscretePreimageError:
-                    raise _walk_order_error(f, level, depth) from None
-                for p in pre:
-                    if (p == dom.lo and not lo_in) or (p == dom.hi and not hi_in):
-                        continue
-                    if isinstance(p, float):
-                        raise _walk_order_error(f, level, depth)
-                    x = _ratio(p)
-                    if x not in found:
-                        found[x] = (found[y][0], depth)
-                        frontier.append(x)
+        for y, x in zip(ys, xs):
+            if x not in found:
+                found[x] = (found[y][0], depth)
+                frontier.append(x)
         if len(found) > size_cap:
             status = TRUNCATED
             break
@@ -160,29 +145,6 @@ def preimage_set(
     return PreimageSet(
         points, tuple(map(found.__getitem__, pairs)), depth, status
     )
-
-
-def _walk_order_error(f: PiecewiseContraction, level: list, depth: int):
-    """The error that a point-by-point walk of this level meets first.
-
-    That walk visits a level in discovery order: by source, then by each
-    backward step's branch and point, from the breakpoint down; at each
-    point it solves every branch (a plateau raises there) before it
-    rejects an irrational preimage.
-    """
-
-    def discovery(y):
-        pts, digits = _walk(f, y, depth)  # ends on the breakpoint y reaches
-        steps = list(zip(digits, pts))[:-1]
-        return f.breakpoints.points.index(pts[-1]), steps[::-1]
-
-    for y in sorted((_raw_fraction(*y) for y in level), key=discovery):
-        try:
-            pre = f.preimages(y)
-        except NonDiscretePreimageError as exc:
-            return exc
-        if any(isinstance(p, float) for p in pre):
-            return InexactPreimageError(f"irrational preimage of {y}")
 
 
 @dataclass(frozen=True)

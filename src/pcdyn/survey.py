@@ -51,9 +51,6 @@ class SampleRecord:
     def conclusive(self) -> bool:
         return self.reason == ""
 
-    # every forward limit certified: conclusive samples passed certify_limits
-    grid_converged = conclusive
-
 
 @dataclass(frozen=True)
 class SurveyReport:
@@ -67,11 +64,6 @@ class SurveyReport:
     @property
     def inconclusive_count(self) -> int:
         return len(self.records) - self.conclusive_count
-
-    @property
-    def periodic_fraction(self) -> float:
-        # a conclusive sample has every forward limit certified periodic
-        return 1.0 if self.conclusive_count else 0.0
 
     def orbit_histogram(self) -> Counter[int]:
         return Counter(
@@ -138,7 +130,9 @@ def run_survey(cfg: RunConfig) -> SurveyReport:
 
 
 def survey_csv(report: SurveyReport) -> str:
-    """Render the per-sample rows and the aggregate blocks."""
+    """Render the per-sample rows and the aggregate blocks.  A conclusive
+    sample has every forward limit certified periodic: the conclusive flag
+    fills ``grid_converged``, and ``periodic_fraction`` is 1.0 with one."""
     out = ["samples"]
     out.append(
         "index,generic,q_status,q_size,m,orbits,classes,"
@@ -150,13 +144,14 @@ def survey_csv(report: SurveyReport) -> str:
         out.append(
             f"{r.index},{str(r.generic).lower()},{r.q_status},{r.q_size},"
             f"{r.m},{r.orbit_count},{r.class_count},"
-            f"{str(r.grid_converged).lower()},{r.reason},{bps},{maps}"
+            f"{str(r.conclusive).lower()},{r.reason},{bps},{maps}"
         )
     out.append("aggregate")
     out.append("samples,conclusive,inconclusive,periodic_fraction")
+    conclusive = report.conclusive_count
     out.append(
-        f"{len(report.records)},{report.conclusive_count},"
-        f"{report.inconclusive_count},{report.periodic_fraction!r}"
+        f"{len(report.records)},{conclusive},{report.inconclusive_count},"
+        f"{1.0 if conclusive else 0.0}"
     )
     out.append("histogram")
     out.append("orbits,count")

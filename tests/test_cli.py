@@ -347,6 +347,20 @@ class TestCommands:
         z, tol = F("0.750563345340893"), F(1, 10**8)
         assert m(z - tol) > z - tol and m(z + tol) < z + tol
 
+    def test_partition_quadratic_closed_form(self, tmp_path, capsys):
+        # branch 1's fixed point 1/2 is the quadratic's exact closed form
+        text = (
+            "map quadratic 1/4 1/4 5/16\nmap affine 1/2 1/8\n"
+            "breakpoints 3/4\n"
+        )
+        code = main(["partition", "--config", self.write(tmp_path, text)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[out.index("orbits") + 1 :][:2] == [
+            "id,period,points,word",
+            "1,1,1/2,1",
+        ]
+
     def test_float_orbit_slow_contraction_converges(self, tmp_path, capsys):
         text = SLOW_FP + "x0 3/4\nmax_iter 200\neps_orbit 1e-3\n"
         path = self.write(tmp_path, text)

@@ -11,6 +11,7 @@ from pcdyn import (
     Backend,
     Breakpoints,
     Clamped,
+    Composed,
     Interval,
     IntervalSet,
     IteratedFunctionSystem,
@@ -322,6 +323,36 @@ class TestHighlyContractiveBound:
         assert rho is not None
         assert rho <= F(4, 5)
 
+
+    def test_composed_links_split_the_grid(self):
+        # a fixed prefix x/2 + 1/4 before each clamp: every window, pulled
+        # back through the prefix, is a cell where only its map has slope
+        pre = Affine(F(1, 2), F(1, 4))
+        two = IteratedFunctionSystem((
+            Composed((pre, Clamped(Affine(F(2, 5), F(1, 10)), F(1, 2), F(3, 5)))),
+            Composed((pre, Clamped(Affine(F(2, 5), F(3, 10)), F(1, 4), F(2, 5)))),
+        ))
+        assert two.maps[0]._domain_breakpoints() == (F(1, 2), F(7, 10))
+        assert highly_contractive_bound(two) == F(1, 5)
+        inner = Affine(F(9, 10), F(1, 40))
+        windows = ((F(1, 4), F(2, 5)), (F(1, 2), F(3, 5)), (F(13, 20), F(3, 4)))
+        three = IteratedFunctionSystem(tuple(
+            Composed((pre, Clamped(inner, lo, hi))) for lo, hi in windows
+        ))
+        assert highly_contractive_bound(three) == F(9, 20)
+
+    def test_composed_points_drop_plateaus_and_irrational_roots(self):
+        # the first link is constant 7/20 on [0, 1/5], so the second link's
+        # window end 7/20 pulls back to no point; 1/2 pulls back to 1/2
+        first = Clamped(Affine(F(1, 2), F(1, 4)), F(1, 5), F(4, 5))
+        second = Clamped(Affine(F(1, 2), F(1, 4)), F(7, 20), F(1, 2))
+        assert Composed((first, second))._domain_breakpoints() == (
+            F(1, 5), F(4, 5), F(1, 2)
+        )
+        # neither 7/20 nor 1/2 has a rational preimage under
+        # x^2/4 + x/4 + 1/5: the discriminants are 17/5 and 29/5
+        quad = Quadratic(F(1, 4), F(1, 4), F(1, 5))
+        assert Composed((quad, second))._domain_breakpoints() == ()
 
 def _shared_end_clamps(rng):
     """2-5 ``rand_clamped`` maps, some zero-slope or over [0, 1] with int

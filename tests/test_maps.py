@@ -320,6 +320,18 @@ class TestFixedPoint:
         z = Affine(0.8, 0.1).fixed_point()
         assert math.isclose(z, 0.5)
 
+    def test_quadratic_closed_form(self):
+        # the discriminant (b - 1)^2 - 4ac = 1/4 is a rational square
+        z = Quadratic(F(1, 4), F(1, 4), F(5, 16)).fixed_point()
+        assert type(z) is F and z == F(1, 2)
+        # a == 0 is the affine map x/2 + 1/4
+        z = Quadratic(F(0), F(1, 2), F(1, 4)).fixed_point()
+        assert type(z) is F and z == F(1, 2)
+
+    def test_one_link_composition_solves_its_link(self):
+        z = Composed((Quadratic(F(1, 4), F(1, 4), F(5, 16)),)).fixed_point()
+        assert type(z) is F and z == F(1, 2)
+
     def test_clamped_plateau_fixed_point(self):
         # inner fixed point 1/2 sits above the clamp window [0, 2/5]
         m = Clamped(Affine(F(4, 5), F(1, 10)), F(0), F(2, 5))

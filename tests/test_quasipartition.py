@@ -1059,21 +1059,57 @@ class TestBackwardWalkAgainstFractionOracles:
             assert {p for p in one if p < F(1, 4)} == {F(0), F(1, 4) - 2 * tiny}
 
     def test_mixed_branches_and_their_errors(self):
+        # the closure solves a whole level before it names a failing point,
+        # where the point-by-point oracle names the first it meets: when
+        # the oracle raises, the closure raises on a point of the closure
+        # that really fails
         rng = random.Random(1412)
         outcomes = Counter()
         for _ in range(200):
             f = _mixed_pc(rng)
             if f is None:
                 continue
-            outcomes[_label(self._check(f, 10, 300))] += 1
+            try:
+                fraction_preimage_set(f, 10, 300)
+            except (InexactPreimageError, NonDiscretePreimageError):
+                outcomes[_label(self._check_failing_point(f, 10, 300))] += 1
+            else:
+                outcomes[_label(self._check(f, 10, 300))] += 1
         assert outcomes["InexactPreimageError"] >= 15
         assert outcomes["NonDiscretePreimageError"] >= 20
         assert outcomes[TRUNCATED] + outcomes["QuasiPartition"] >= 20
 
-    def test_irrational_preimages_named_in_walk_order(self):
-        # the decreasing branch 3 sends 17/30 onto 9/20 and 23/45 onto 1/2:
-        # a walk from the breakpoints meets 17/30 first, the larger point;
-        # both have irrational preimages under the quadratic branch 1
+    @staticmethod
+    def _check_failing_point(f, depth_cap, size_cap):
+        """preimage_set's error, checked on the point it names: a plateau
+        there for NonDiscretePreimageError, a float root for
+        InexactPreimageError; the point reaches a breakpoint within the
+        depth cap."""
+        with pytest.raises(
+            (InexactPreimageError, NonDiscretePreimageError)
+        ) as info:
+            preimage_set(f, depth_cap, size_cap)
+        exc = info.value
+        if isinstance(exc, NonDiscretePreimageError):
+            y = exc.value
+            with pytest.raises(NonDiscretePreimageError):
+                f.preimages(y)
+        else:
+            y = F(str(exc).removeprefix("irrational preimage of "))
+            assert any(isinstance(p, float) for p in f.preimages(y))
+        x = y
+        for _ in range(depth_cap):
+            if x in f.breakpoints.points:
+                break
+            x = f(x)
+        assert x in f.breakpoints.points
+        return type(exc), str(exc)
+
+    def test_irrational_preimages_named_in_branch_order(self):
+        # the decreasing branch 3 sends 17/30 onto 9/20 and 23/45 onto 1/2;
+        # both have irrational preimages under the quadratic branch 1, which
+        # solves its level ascending, so the smaller point is named, where
+        # a walk from the breakpoints meets 17/30 first
         f = PiecewiseContraction(
             IteratedFunctionSystem((
                 Quadratic(F(1, 10), F(1, 5), F(101, 200)),
@@ -1084,9 +1120,12 @@ class TestBackwardWalkAgainstFractionOracles:
         )
         one = {e.point for e in preimage_set(f, 1).entries if e.depth == 1}
         assert one == {F(17, 30), F(23, 45)}
-        want = (InexactPreimageError, "irrational preimage of 17/30")
-        assert _outcome(fraction_preimage_set, f) == want
-        assert _outcome(preimage_set, f) == want
+        assert _outcome(fraction_preimage_set, f) == (
+            InexactPreimageError, "irrational preimage of 17/30"
+        )
+        assert _outcome(preimage_set, f) == (
+            InexactPreimageError, "irrational preimage of 23/45"
+        )
 
     def _fake_closures(self, rng, draw, count, keep=0.5, on_images=False):
         """build_partition against its oracle on ``count`` complete closures

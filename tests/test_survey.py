@@ -26,9 +26,11 @@ from pcdyn import (
     preimage_set,
 )
 from pcdyn import survey
+from pcdyn.cli import main
 from pcdyn.config import ConfigError, RunConfig, parse_config
 from pcdyn.maps import Affine
 from pcdyn.survey import (
+    SampleRecord,
     SurveyReport,
     run_sample,
     run_survey,
@@ -76,7 +78,7 @@ class TestRunSample:
         rec = run_sample(small_cfg(q_depth_cap=0), 0)
         assert (rec.reason, rec.q_status) == ("q-truncated", "truncated")
         assert (rec.q_size, rec.m) == (1, 0)
-        assert not rec.grid_converged and not rec.conclusive
+        assert not rec.conclusive
 
     def test_samples_independent_of_order(self):
         a = [run_sample(small_cfg(), i) for i in range(5)]
@@ -116,7 +118,7 @@ class TestCutCycle:
         )
         rec = run_sample(small_cfg(), 0)
         assert rec.reason == "cut-cycle"
-        assert not rec.grid_converged and not rec.conclusive
+        assert not rec.conclusive
         assert (rec.q_status, rec.m, rec.orbit_count) == ("complete", 2, 1)
         report = SurveyReport(2, (rec,))
         assert report.reason_counts() == {"cut-cycle": 1}
@@ -146,7 +148,7 @@ class TestBoundaryOrbit:
         )
         rec = run_sample(small_cfg(), 0)
         assert rec.reason == "boundary-orbit"
-        assert not rec.grid_converged and not rec.conclusive
+        assert not rec.conclusive
         assert (rec.q_status, rec.m, rec.orbit_count) == ("complete", 3, 0)
         report = SurveyReport(2, (rec,))
         assert report.reason_counts() == {"boundary-orbit": 1}
@@ -203,9 +205,9 @@ class TestRunSurvey:
     def test_zero_samples(self):
         report = run_survey(small_cfg(samples=0))
         assert report.records == ()
-        assert report.periodic_fraction == 0.0
-        csv = survey_csv(report)
-        assert "aggregate" in csv
+        assert survey_csv(report).split("aggregate\n")[1].startswith(
+            "samples,conclusive,inconclusive,periodic_fraction\n0,0,0,0.0\n"
+        )
 
     def test_csv_stable(self):
         a = survey_csv(run_survey(small_cfg()))
@@ -265,6 +267,49 @@ class TestRunSurvey:
         cfg = RunConfig(backend=Backend.exact(), samples=40, seed=0, n=n)
         digest = hashlib.sha256(survey_csv(run_survey(cfg)).encode()).hexdigest()
         assert digest == want
+
+
+def _record(index, **kw):
+    """A hand-built two-branch sample record."""
+    maps = (Affine(F(1, 2), F(1, 4)),) * 2
+    return SampleRecord(index, (F(1, 2),), maps, **kw)
+
+
+class TestBoundViolated:
+    def test_non_generic_samples_are_skipped(self):
+        # a non-generic sample may break the bound: the theorem says nothing
+        recs = (
+            _record(0, violation=True),
+            _record(1, orbit_count=0),
+            _record(2, generic=True, orbit_count=2),
+        )
+        assert not SurveyReport(2, recs).bound_violated()
+
+    def test_a_failed_certificate_breaks_it(self):
+        rec = _record(0, generic=True, orbit_count=1, violation=True)
+        assert SurveyReport(2, (rec,)).bound_violated()
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_an_orbit_count_outside_one_to_n_breaks_it(self, count):
+        ok = _record(0, generic=True, orbit_count=1)
+        rec = _record(1, generic=True, orbit_count=count)
+        assert SurveyReport(2, (ok, rec)).bound_violated()
+        # an inconclusive sample's count is not a count of its orbits
+        rec = _record(0, generic=True, orbit_count=count, reason="cut-cycle")
+        assert not SurveyReport(2, (rec,)).bound_violated()
+
+    def test_survey_exits_one_on_a_broken_bound(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            survey, "run_sample",
+            lambda cfg, i: _record(i, generic=True, orbit_count=cfg.n + 1),
+        )
+        path = tmp_path / "run.cfg"
+        path.write_text("n 2\nsamples 2\njobs 1\n")
+        assert main(["survey", "--config", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[out.index("aggregate") + 2] == "2,2,0,1.0"
 
 
 class TestSamplingBounds:
