@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from .config import ConfigError, RunConfig, descriptor_tokens, parse_config
@@ -174,11 +173,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return CONFIG_ERROR
     rows: list[str] = []
     try:
-        cfg = parse_config(text, args.backend, args.seed)
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError(None, f"jobs {args.jobs} must be >= 1")
-            cfg = replace(cfg, jobs=args.jobs)
+        flags = {"backend": args.backend, "seed": args.seed, "jobs": args.jobs}
+        cfg = parse_config(text, {k: v for k, v in flags.items() if v is not None})
         if args.command in _EXACT_ONLY and not cfg.backend.is_exact:
             raise ConfigError(None, f"{args.command} requires the exact backend")
         code = _COMMANDS[args.command](cfg, rows)

@@ -16,9 +16,9 @@ notation; under the exact backend decimals parse exactly as rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional
 
 from .ifs import IteratedFunctionSystem
 from .maps import (
@@ -29,7 +29,7 @@ from .maps import (
     MapDescriptor,
     Quadratic,
 )
-from .numerics import DEFAULT_EPS_CMP, Backend, Scalar, format_scalar
+from .numerics import DEFAULT_EPS_CMP, EXACT, Backend, Scalar, format_scalar
 from .pcmap import (
     DEFAULT_COMPOSITION_CAP,
     DEFAULT_EPS_ORBIT,
@@ -91,40 +91,34 @@ class RunConfig:
         )
 
 
-def check_sampling(
-    cfg: RunConfig, lines: Sequence[tuple[int, list[str]]] = ()
-) -> None:
+def check_sampling(cfg: RunConfig, where: Mapping[str, Optional[int]] = {}) -> None:
     """Reject survey bounds under which the random draws cannot succeed.
 
     A system needs n >= 2 maps.  ``draw_breakpoints`` fits n - 1 points
     eps_range apart inside (eps_range, 1 - eps_range), which needs
     n*eps_range < 1, and ``draw_affine`` needs 0 <= kappa_max <
     1 - 2*eps_range (so not NaN) to leave room for an intercept.
-    ``lines`` (parsed config lines) locate the key.
+    ``where`` maps a key to the line its value came from.
     """
-
-    def line(key: str) -> Optional[int]:
-        return next((no for no, t in lines if t[0] == key), None)
-
     if cfg.n < 2:
-        raise ConfigError(line("n"), f"n {cfg.n} must be >= 2")
+        raise ConfigError(where.get("n"), f"n {cfg.n} must be >= 2")
     eps = format_scalar(cfg.eps_range)
     if math.isnan(cfg.kappa_max):
         raise ConfigError(
-            line("kappa_max"), f"kappa_max {cfg.kappa_max} is not a number"
+            where.get("kappa_max"), f"kappa_max {cfg.kappa_max} is not a number"
         )
     if cfg.eps_range < 0 or cfg.n * cfg.eps_range >= 1:
         raise ConfigError(
-            line("eps_range"),
+            where.get("eps_range"),
             f"eps_range {eps} must be >= 0 with n*eps_range < 1 (n {cfg.n})",
         )
     if cfg.kappa_max < 0:
         raise ConfigError(
-            line("kappa_max"), f"kappa_max {cfg.kappa_max} must be >= 0"
+            where.get("kappa_max"), f"kappa_max {cfg.kappa_max} must be >= 0"
         )
     if cfg.kappa_max >= 1 - 2 * cfg.eps_range:
         raise ConfigError(
-            line("kappa_max"),
+            where.get("kappa_max"),
             f"kappa_max {cfg.kappa_max} must be below 1 - 2*eps_range = "
             f"{format_scalar(1 - 2 * cfg.eps_range)} (eps_range {eps})",
         )
@@ -199,115 +193,128 @@ _INT_KEYS = {
     "grid": None,
     "jobs": 1,
 }
-_TOLERANCES = {"eps_orbit", "eps_fp"}
-_FLOAT_KEYS = _TOLERANCES | {"kappa_max"}
 
 
-def parse_config(
-    text: str,
-    backend_override: Optional[str] = None,
-    seed_override: Optional[int] = None,
-) -> RunConfig:
+# How each key's value is read: reader(key, value, line, backend), where a
+# list key's value is its tokens and any other key's value its one token.
+def _integer(key, tok, no, backend):
+    value, least = int(tok), _INT_KEYS[key]
+    if least is not None and value < least:
+        raise ConfigError(no, f"{key} {tok} must be >= {least}")
+    return value
+
+
+def _tolerance(key, tok, no, backend):
+    if not 0 < (value := float(tok)) < math.inf:
+        raise ConfigError(no, f"{key} {tok} must be finite and positive")
+    return value
+
+
+def _x0(key, tok, no, backend):
+    if not 0 <= (x0 := backend.number(tok)) < 1:
+        raise ConfigError(no, f"initial condition {tok} is outside [0, 1)")
+    return x0
+
+
+def _choice(message: str, values: dict):
+    def read(key, tok, no, backend):
+        if tok not in values:
+            raise ConfigError(no, message)
+        return values[tok]
+    return read
+
+
+def _map(key, args, no, backend):
+    m = _parse_map(args, backend, no)
+    if args:
+        raise ConfigError(no, f"trailing tokens {args}")
+    return m
+
+
+def _breakpoints(key, args, no, backend):
+    # Breakpoints raises on unordered points and points outside (0, 1)
+    return Breakpoints(tuple(map(backend.number, args))).points
+
+
+def _closures(key, args, no, backend):
+    for flag in args:
+        if flag not in (RIGHT_OPEN, LEFT_OPEN):
+            raise ConfigError(no, f"unknown closure flag {flag!r}")
+    return tuple(args)
+
+
+_LIST_KEYS = {"map": _map, "breakpoints": _breakpoints, "closures": _closures}
+_KEYS = {
+    **dict.fromkeys(_INT_KEYS, _integer),
+    **dict.fromkeys(("eps_orbit", "eps_fp", "eps_cmp"), _tolerance),
+    "kappa_max": lambda key, tok, no, backend: float(tok),
+    "x0": _x0,
+    "eps_range": lambda key, tok, no, backend: Fraction(tok),
+    "backend": _choice(
+        "backend must be 'exact' or 'float'", {"exact": "exact", "float": "float"}
+    ),
+    "fail_on_breakpoint_hit": _choice(
+        "expected true or false", {"true": True, "false": False}
+    ),
+    **_LIST_KEYS,
+}
+
+
+def _read(key: str, args: list[str], no: Optional[int], backend: Backend):
+    if key not in _KEYS:
+        raise ConfigError(no, f"unknown key {key!r}")
+    one = key not in _LIST_KEYS
+    if one and len(args) != 1:
+        raise ConfigError(no, f"{key} takes one value, got {len(args)}")
+    try:
+        return _KEYS[key](key, args[0] if one else args, no, backend)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(no, f"{key}: {exc}") from exc
+
+
+def parse_config(text: str, overrides: Mapping[str, object] = {}) -> RunConfig:
     """Parse and validate a configuration document.
 
-    Overrides replace the document's ``backend``/``seed`` before scalars
-    are interpreted, so a float document can be re-read exactly under the
-    exact backend and vice versa.
+    ``map``, ``breakpoints`` and ``closures`` take lists; every other key
+    takes exactly one value.  ``overrides`` (key to value, such as the CLI
+    flags) are read as lines after the document's, with no line number,
+    and pass the same checks.  ``backend`` and ``eps_cmp`` are read first,
+    since the backend decides how scalars are read.  A repeated key keeps
+    its last value, and an error names that value's line; each ``map``
+    line adds a branch.
     """
-    lines = []
+    entries = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((no, stripped.split()))
+        if toks := raw.split("#", 1)[0].split():
+            entries.append((no, toks[0], toks[1:]))
+    entries += [(None, key, str(v).split()) for key, v in overrides.items()]
 
-    backend_name = backend_override
-    eps_cmp = DEFAULT_EPS_CMP
-    if backend_name is None:
-        for no, toks in lines:
-            if toks[0] == "backend":
-                if len(toks) != 2 or toks[1] not in ("exact", "float"):
-                    raise ConfigError(no, "backend must be 'exact' or 'float'")
-                backend_name = toks[1]
-    for no, toks in lines:
-        if toks[0] == "eps_cmp":
-            try:
-                eps_cmp = float(toks[1])
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(no, "eps_cmp needs a float value") from exc
-            if not 0 < eps_cmp < math.inf:
-                raise ConfigError(
-                    no, f"eps_cmp {toks[1]} must be finite and positive"
-                )
-    if backend_name in (None, "exact"):
-        backend = Backend.exact()
-    else:
-        backend = Backend.floating(eps_cmp)
+    opts = {"backend": "exact", "eps_cmp": DEFAULT_EPS_CMP}
+    for no, key, args in entries:
+        if key in opts:
+            opts[key] = _read(key, args, no, EXACT)
+    backend = EXACT if opts["backend"] == "exact" else Backend.floating(opts["eps_cmp"])
 
-    cfg = RunConfig(backend=backend)
+    values: dict[str, object] = {}
+    where: dict[str, Optional[int]] = {}  # the line each value came from
     maps: list[MapDescriptor] = []
-    closures_line = None
-    for no, toks in lines:
-        key, args = toks[0], toks[1:]
-        try:
-            if key in ("backend", "eps_cmp"):
-                continue
-            elif key == "map":
-                rest = list(args)
-                maps.append(_parse_map(rest, backend, no))
-                if rest:
-                    raise ConfigError(no, f"trailing tokens {rest}")
-            elif key == "breakpoints":
-                pts = tuple(backend.number(t) for t in args)
-                Breakpoints(pts)  # raises on unordered or boundary points
-                cfg = replace(cfg, breakpoints=pts)
-            elif key == "closures":
-                for flag in args:
-                    if flag not in (RIGHT_OPEN, LEFT_OPEN):
-                        raise ConfigError(no, f"unknown closure flag {flag!r}")
-                cfg, closures_line = replace(cfg, closures=tuple(args)), no
-            elif key == "x0":
-                x0 = backend.number(args[0])
-                if not 0 <= x0 < 1:
-                    raise ConfigError(
-                        no, f"initial condition {args[0]} is outside [0, 1)"
-                    )
-                cfg = replace(cfg, x0=x0)
-            elif key == "eps_range":
-                cfg = replace(cfg, eps_range=Fraction(args[0]))
-            elif key == "fail_on_breakpoint_hit":
-                if args[0] not in ("true", "false"):
-                    raise ConfigError(no, "expected true or false")
-                cfg = replace(cfg, fail_on_breakpoint_hit=args[0] == "true")
-            elif key in _INT_KEYS:
-                value, least = int(args[0]), _INT_KEYS[key]
-                if least is not None and value < least:
-                    raise ConfigError(no, f"{key} {args[0]} must be >= {least}")
-                cfg = replace(cfg, **{key: value})
-            elif key in _FLOAT_KEYS:
-                value = float(args[0])
-                if key in _TOLERANCES and not 0 < value < math.inf:
-                    raise ConfigError(
-                        no, f"{key} {args[0]} must be finite and positive"
-                    )
-                cfg = replace(cfg, **{key: value})
-            else:
-                raise ConfigError(no, f"unknown key {key!r}")
-        except ConfigError:
-            raise
-        except (IndexError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(no, f"{key}: {exc}") from exc
-    cfg = replace(cfg, maps=tuple(maps))
-    if seed_override is not None:
-        if seed_override < 0:
-            raise ConfigError(None, f"seed {seed_override} must be >= 0")
-        cfg = replace(cfg, seed=seed_override)
+    for no, key, args in entries:
+        if key in opts:
+            continue
+        value = _read(key, args, no, backend)
+        if key == "map":
+            maps.append(value)
+            where.setdefault(key, no)
+        else:
+            values[key], where[key] = value, no
+    cfg = RunConfig(backend=backend, maps=tuple(maps), **values)
 
     # invariants that span several keys
-    check_sampling(cfg, lines)
+    check_sampling(cfg, where)
     if cfg.maps and cfg.breakpoints:
-        bad_line = next(no for no, t in lines if t[0] == "map")
+        bad_line = where["map"]
         if len(cfg.maps) == len(cfg.breakpoints) + 1:
-            bad_line = closures_line  # only the closure flag count can fail
+            bad_line = where.get("closures")  # only the flag count can fail
         try:
             cfg.pc()
         except ValueError as exc:

@@ -95,10 +95,10 @@ EXACT = Backend.exact()
 # Affine._eval (maps.py), PiecewiseContraction.__call__ (pcmap.py), which
 # holds the only integer path of a clamped affine branch, build_partition
 # (quasipartition.py), which filters the cut points and takes an affine
-# branch's image ends from the interval ends' integers, and _gaps_at_least
-# and _intercept_range (sampling.py).  is_generic (pcmap.py) and
-# preimage_set (quasipartition.py) hold their points as integer pairs and
-# cross to and from Fractions only through _ratio and _raw_fraction.
+# branch's image ends from the interval ends' integers, and _intercept_range
+# (sampling.py).  is_generic (pcmap.py) and preimage_set (quasipartition.py)
+# hold their points as integer pairs and cross to and from Fractions only
+# through _ratio and _raw_fraction.
 
 
 def _raw_fraction(num: int, den: int) -> Fraction:

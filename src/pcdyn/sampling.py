@@ -46,26 +46,22 @@ def draw_breakpoints(
     """Sorted uniforms on (margin, 1 - margin), rejected on small gaps.
 
     Consecutive breakpoints closer than ``margin`` are resampled, so the
-    collar width of a capping plan stays bounded away from zero.
+    collar width of a capping plan stays bounded away from zero.  Each
+    draw is rationalized as an integer over 2**RATIONAL_BITS, and only
+    the accepted draw is built into fractions.
     """
-    lo, hi = float(margin), float(1 - margin)
+    lo, hi, scale = float(margin), float(1 - margin), 1 << RATIONAL_BITS
     while True:
-        pts = tuple(
-            sorted(rationalize(v) for v in rng.uniform(lo, hi, size=n - 1))
-        )
-        if _gaps_at_least(pts, margin):
-            return pts
+        nums = sorted(round(float(v) * scale) for v in rng.uniform(lo, hi, size=n - 1))
+        if _gaps_at_least(nums, margin):
+            return tuple(_raw_fraction(k, scale) for k in nums)
 
 
-def _gaps_at_least(pts: tuple[Fraction, ...], margin: Fraction) -> bool:
-    """Whether b - a >= margin for consecutive a, b of ``pts``,
-    cross-multiplied over the positive denominators."""
-    mn, md = margin.numerator, margin.denominator
-    return all(
-        (b._numerator * a._denominator - a._numerator * b._denominator) * md
-        >= mn * a._denominator * b._denominator
-        for a, b in zip(pts, pts[1:])
-    )
+def _gaps_at_least(nums: list[int], margin: Fraction) -> bool:
+    """Whether b - a >= margin * 2**RATIONAL_BITS for consecutive a, b of
+    ``nums``, the numerators of points over 2**RATIONAL_BITS."""
+    least = margin.numerator << RATIONAL_BITS
+    return all((b - a) * margin.denominator >= least for a, b in zip(nums, nums[1:]))
 
 
 def _intercept_range(a: Fraction, margin: Fraction) -> tuple[float, float]:

@@ -20,6 +20,7 @@ from pcdyn import (
     power_map,
     preimage_set,
 )
+from pcdyn import config
 from pcdyn.cli import main
 from pcdyn.config import ConfigError, RunConfig, descriptor_tokens, parse_config
 from pcdyn.sampling import draw_breakpoints, draw_ifs
@@ -83,6 +84,17 @@ _NAN_ORBIT = (
 )
 
 
+# one line per key that takes one value, each with a second value
+_EXTRA_TOKEN_LINES = [
+    "seed 5 6", "max_iter 10 20", "q_depth_cap 4 5", "q_size_cap 9 9",
+    "composition_cap 1 2", "power_cap 1 2", "generic_depth 3 4", "k 2 3",
+    "k_max 3 4", "samples 2 3", "n 3 4", "grid 8 16", "jobs 1 2",
+    "eps_orbit 1e-10 1e-9", "eps_fp 1e-13 1e-12", "eps_cmp 1e-12 1e-11",
+    "kappa_max 0.3 0.9", "x0 1/2 7", "eps_range 1/64 1/32",
+    "backend exact float", "fail_on_breakpoint_hit true false",
+]
+
+
 class TestParseConfig:
     def test_example_maps(self):
         cfg = parse_config(EX61)
@@ -124,14 +136,16 @@ class TestParseConfig:
             parse_config("x0 1\n")
 
     def test_backend_override_reparses_numbers(self):
-        cfg = parse_config("backend float\nmap affine 0.5 0.25\n", "exact")
+        cfg = parse_config(
+            "backend float\nmap affine 0.5 0.25\n", {"backend": "exact"}
+        )
         assert cfg.maps[0] == Affine(F(1, 2), F(1, 4))
 
     def test_seed_override(self):
-        cfg = parse_config("seed 7\n", None, 99)
+        cfg = parse_config("seed 7\n", {"seed": 99})
         assert cfg.seed == 99
         with pytest.raises(ConfigError, match="^seed -1 must be >= 0$"):
-            parse_config("seed 7\n", None, -1)
+            parse_config("seed 7\n", {"seed": -1})
 
     def test_defaults_are_the_library_defaults(self):
         # each RunConfig default names the library constant that the
@@ -172,6 +186,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="breakpoints"):
             parse_config(
                 "map affine 1/2 1/4\nmap affine 1/2 1/8\n"
+                "breakpoints 1/4 1/2\n"
+            )
+
+    def test_branch_count_error_names_the_first_map_line(self):
+        with pytest.raises(
+            ConfigError, match=r"^line 2: 2 maps need 1 breakpoints, got 2$"
+        ):
+            parse_config(
+                "seed 1\nmap affine 1/2 1/4\nmap affine 1/2 1/8\n"
                 "breakpoints 1/4 1/2\n"
             )
 
@@ -609,6 +632,60 @@ class TestCommands:
         assert capsys.readouterr().err.strip() == (
             "config error: jobs 0 must be >= 1"
         )
+
+    def test_malformed_backend_line_is_read_under_the_flag(
+        self, tmp_path, capsys
+    ):
+        # the flag used to skip the document's backend lines unread
+        text = EX61.replace("backend exact", "backend foo")
+        bad = self.write(tmp_path, text)
+        assert main(["aks", "--config", bad, "--backend", "exact"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "config error: line 1: backend must be 'exact' or 'float'"
+        )
+        # a well-formed line is read, then replaced by the flag
+        good = self.write(tmp_path, text.replace("foo", "float"), "float.cfg")
+        assert main(["aks", "--config", good, "--backend", "exact"]) == 0
+        assert "1,1,1/20,9/10,17/20" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 3\nn 1\n", "line 2: n 1 must be >= 2"),
+            ("n 3\nkappa_max 0.3\nsamples 2\nseed 1\nkappa_max 0.99\n",
+             "line 5: kappa_max 0.99 must be below"),
+            ("eps_range 1/4\nkappa_max 0.3\neps_range -1/64\n",
+             "line 3: eps_range -1/64 must be >= 0"),
+        ],
+    )
+    def test_repeated_key_errors_name_the_line_read(self, text, message):
+        # the line named used to be the key's first, not the one whose
+        # value failed
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("line", _EXTRA_TOKEN_LINES)
+    def test_one_value_keys_reject_extra_tokens(self, tmp_path, capsys, line):
+        # each used to keep its first value and drop the rest unread
+        key, *args = line.split()
+        text = P3.replace("x0 0\n", "") + line + "\n"
+        assert main(["orbit", "--config", self.write(tmp_path, text)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"config error: line 6: {key} takes one value, got {len(args)}"
+        )
+
+    def test_every_one_value_key_has_an_extra_token_case(self):
+        one_value = set(config._KEYS) - set(config._LIST_KEYS)
+        assert {line.split()[0] for line in _EXTRA_TOKEN_LINES} == one_value
+
+    @pytest.mark.parametrize("key", ["x0", "seed", "backend", "eps_cmp"])
+    def test_missing_value_is_config_error(self, key):
+        # x0 used to leak "list index out of range"
+        with pytest.raises(
+            ConfigError, match=f"^line 2: {key} takes one value, got 0$"
+        ):
+            parse_config(f"n 3\n{key}\n")
 
     @pytest.mark.parametrize("value", ["0", "-1e-10", "inf", "-inf"])
     def test_tolerances_must_be_finite_and_positive(self, value):

@@ -1,12 +1,12 @@
 """The README's contracts against the code they describe."""
 
-import inspect
+import dataclasses
 import re
 from pathlib import Path
 
 from pcdyn import InconclusiveError
 from pcdyn import config
-from pcdyn.config import parse_config
+from pcdyn.config import RunConfig, parse_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -17,13 +17,8 @@ def _config_block() -> str:
 
 
 def _parser_keys() -> set[str]:
-    """Every key parse_config accepts: the integer and float tables plus the
-    keys it names in its own comparisons."""
-    src = inspect.getsource(config.parse_config)
-    named = re.findall(r'(?:key|toks\[0\]) == "(\w+)"', src)
-    for group in re.findall(r"key in \(([^)]*)\)", src):
-        named += re.findall(r'"(\w+)"', group)
-    return set(config._INT_KEYS) | config._FLOAT_KEYS | set(named)
+    """Every key parse_config accepts: its key table."""
+    return set(config._KEYS)
 
 
 class TestReadme:
@@ -44,3 +39,11 @@ class TestReadme:
             if line.split("#", 1)[0].strip()
         }
         assert keys == _parser_keys()
+
+    def test_keys_and_run_config_fields_in_step(self):
+        # a field added without a key, or a key without a field, fails here;
+        # map lines fill maps, and backend and eps_cmp build the backend
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert _parser_keys() - {"map", "backend", "eps_cmp"} == (
+            fields - {"backend", "maps"}
+        )

@@ -1,5 +1,6 @@
 """The sampler's integer kernels against the Fraction formulas they replace."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -49,13 +50,16 @@ def test_intercept_range_matches_the_fraction_floats():
 def test_gap_check_matches_the_fraction_test():
     rng = random.Random(11)
     for margin in MARGINS:
+        # gaps of margin * 2**32 rounded either way, or one less, hit the
+        # boundary of the test
+        steps = sorted({math.floor(margin * 2**32), math.ceil(margin * 2**32)})
         for _ in range(400):
-            base = [F(rng.randrange(2**32), 2**32) for _ in range(rng.randint(0, 5))]
-            # exact-margin gaps hit the boundary of the test
+            base = [rng.randrange(2**32) for _ in range(rng.randint(0, 5))]
             if base and rng.random() < 0.5:
-                base.append(base[0] + margin)
-            pts = tuple(sorted(set(base)))
-            assert _gaps_at_least(pts, margin) == fraction_gaps_at_least(
+                base.append(base[0] + rng.choice(steps) + rng.choice((-1, 0)))
+            nums = sorted(set(base))
+            pts = tuple(F(k, 2**32) for k in nums)
+            assert _gaps_at_least(nums, margin) == fraction_gaps_at_least(
                 pts, margin
             ), (pts, margin)
 
