@@ -157,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="config file path")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
-        cmd.add_argument("--backend", choices=("exact", "float"), default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--jobs", type=int, default=None)
+        # read like the document's lines, by the config key table
+        for flag in ("--backend", "--seed", "--jobs"):
+            cmd.add_argument(flag, default=None)
     return parser
 
 

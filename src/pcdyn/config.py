@@ -132,11 +132,7 @@ def _parse_map(tokens: list[str], backend: Backend, line: int) -> MapDescriptor:
     def number() -> Scalar:
         if not tokens:
             raise ConfigError(line, f"{kind}: missing coefficient")
-        tok = tokens.pop(0)
-        try:
-            return backend.number(tok)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(line, f"bad number {tok!r}: {exc}") from exc
+        return backend.number(tokens.pop(0))
 
     if kind == "affine":
         return Affine(number(), number())

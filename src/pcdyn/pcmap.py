@@ -46,8 +46,8 @@ DEFAULT_EPS_ORBIT = 1e-10
 DEFAULT_POWER_CAP = 10_000
 DEFAULT_COMPOSITION_CAP = 100_000
 
-# trigger width for the exact backend's float shadow; detection is only a
-# candidate generator there, correctness comes from exact verification
+# the exact backend's trigger width around the orbit checkpoint's float; it
+# only proposes candidates there, correctness comes from exact verification
 _SHADOW_EPS = 1e-9
 
 
@@ -391,15 +391,17 @@ def orbit(
     """Iterate x0 and detect an eventual cycle.
 
     Exact backend: a repeated exact point closes a cycle at once.  Both
-    backends: each point t of a float shadow picks the earliest earlier
-    point s within the trigger width (eps_orbit, or ``_SHADOW_EPS`` under
-    the exact backend), a candidate of period p = t - s.  At step
-    s + 3p = 3t - 2s it is confirmed when the digit word of s, ..., s+p-1
-    has repeated three times and :func:`_refine_candidate` solves and
-    verifies the word's cycle; the preperiod then backs off to the first
-    step from which the digits repeat with period p.  With
-    ``fail_on_breakpoint_hit`` an orbit point equal to a breakpoint (within
-    ``eps_cmp`` under the float backend) ends the run as "breakpoint-hit".
+    backends: one checkpoint, a step c and its float, proposes candidates
+    (Brent's doubling); it starts at 0 and moves to step t once t >= 2c.
+    A step t within the trigger width (eps_orbit, or ``_SHADOW_EPS`` under
+    the exact backend) of the checkpoint's float is a candidate of period
+    p = t - c.  At step c + 3p = 3t - 2c it is confirmed when the digit
+    word w of c, ..., c+p-1 has repeated three times and
+    :func:`_refine_candidate` verifies the cycle of w's shortest root u
+    (w is u repeated); the preperiod then backs off to the first step from
+    which the digits repeat with period len(u).  ``fail_on_breakpoint_hit``
+    makes an orbit point equal to a breakpoint (within ``eps_cmp`` under
+    the float backend) end the run as "breakpoint-hit".
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -407,10 +409,9 @@ def orbit(
         raise ValueError(f"initial condition {x0} outside [0, 1)")
     eps_trigger = eps_orbit if not backend.is_exact else _SHADOW_EPS
     pts: list[Scalar] = [x0]
-    shadow: list[float] = [float(x0)]
     digits: list[int] = []
     seen: dict[Scalar, int] = {x0: 0} if backend.is_exact else {}
-    buckets: dict[int, list[int]] = {int(shadow[0] // eps_trigger): [0]}
+    c, fc = 0, float(x0)  # the checkpoint: a step and its float
     due: dict[int, list[tuple[int, int]]] = {}  # step -> [(s, p), ...]
     orb, preperiod, failure = None, None, "iteration-cap"
     for t in range(1, max_iter + 1):
@@ -430,21 +431,17 @@ def orbit(
                 orb, preperiod = rotate_to_min(pts[s:t], digits[s:t]), s
                 break
         fx = float(nxt)
-        shadow.append(fx)
-        key = int(fx // eps_trigger)
-        near = [
-            s for k in (key - 1, key, key + 1) for s in buckets.get(k, ())
-            if abs(shadow[s] - fx) <= eps_trigger
-        ]
-        buckets.setdefault(key, []).append(t)
-        if near:
-            s = min(near)
-            due.setdefault(3 * t - 2 * s, []).append((s, t - s))
+        if abs(fx - fc) <= eps_trigger:
+            due.setdefault(3 * t - 2 * c, []).append((c, t - c))
+        if t >= 2 * c:
+            c, fc = t, fx
 
         for s, p in due.pop(t, ()):
             w = digits[s : s + p]
             if digits[s + p :] == w * 2:
-                orb = _refine_candidate(f, w, backend, eps_orbit, eps_fp)
+                # the shortest root: the least rotation that gives w back
+                p = next(q for q in range(1, p + 1) if w[q:] + w[:q] == w)
+                orb = _refine_candidate(f, w[:p], backend, eps_orbit, eps_fp)
                 if orb is not None:
                     break
         if orb is not None:

@@ -328,8 +328,11 @@ def pending_list_orbit(
     """orbit() with every cycle candidate in one pending list that each
     step rescans for the candidates that have matured, each re-checked for
     three periods of digits and for its shadow's closeness, and three
-    exits through one ``finish`` closure.  It looks ``_refine_candidate``
-    up in pcdyn.pcmap at each call, so a patch there sees both loops."""
+    exits through one ``finish`` closure.  Step t's checkpoint is read off
+    t itself, the largest power of two below t (0 at t = 1), and a
+    confirmed word w is cut to its shortest root u, the shortest prefix
+    with w == u * (len(w) // len(u)).  It looks ``_refine_candidate`` up in pcdyn.pcmap
+    at each call, so a patch there sees both loops."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not 0 <= x0 < 1:
@@ -341,7 +344,6 @@ def pending_list_orbit(
     shadow = [float(x0)]
     digits = []
     seen = {x0: 0} if backend.is_exact else {}
-    buckets = {int(shadow[0] // eps_trigger): [0]}
     pending = []  # (s, p, due)
     failure = "iteration-cap"
 
@@ -371,18 +373,10 @@ def pending_list_orbit(
                 return finish(rotate_to_min(pts[s:t1], digits[s:t1]), s, p)
             seen[nxt] = t1
 
-        fx = float(nxt)
-        shadow.append(fx)
-        key = int(fx // eps_trigger)
-        hit = None
-        for k in (key - 1, key, key + 1):
-            for s in buckets.get(k, ()):
-                if abs(shadow[s] - fx) <= eps_trigger:
-                    if hit is None or s < hit:
-                        hit = s
-        buckets.setdefault(key, []).append(t1)
-        if hit is not None and t1 - hit >= 1:
-            pending.append((hit, t1 - hit, hit + 3 * (t1 - hit)))
+        shadow.append(float(nxt))
+        k = 1 << (t1 - 1).bit_length() >> 1  # the checkpoint
+        if abs(shadow[t1] - shadow[k]) <= eps_trigger:
+            pending.append((k, t1 - k, k + 3 * (t1 - k)))
 
         matured = [c for c in pending if c[2] <= t1]
         if matured:
@@ -398,7 +392,13 @@ def pending_list_orbit(
                     continue
                 if abs(shadow[s + p] - shadow[s]) > eps_trigger:
                     continue
-                orb = pcmap._refine_candidate(f, w, backend, eps_orbit, eps_fp)
+                q = next(
+                    q for q in range(1, p + 1)
+                    if p % q == 0 and w == w[:q] * (p // q)
+                )
+                orb = pcmap._refine_candidate(
+                    f, w[:q], backend, eps_orbit, eps_fp
+                )
                 if orb is None:
                     continue
                 # earliest step from which the digits are already periodic

@@ -78,6 +78,17 @@ map quadratic 1e-8 0.99999 7.5e-6
 breakpoints 1/2
 """
 
+# at eps_orbit 0.1 this converges at step 28 with period 4; the earliest
+# near point rule ended it "iteration-cap"
+COARSE = """\
+backend float
+eps_orbit 0.1
+map affine 0.7859375 0.11573955917358399
+map affine 0.871875 0.03208896255493164
+breakpoints 0.5046875
+x0 0
+"""
+
 _NAN_ORBIT = (
     "map quadratic 1/10 1/5 1/4\nmap affine 1/3 1/2\nbreakpoints 1/2\n"
     "x0 1/10\nbackend float\n"
@@ -244,6 +255,26 @@ class TestCommands:
         assert code == 0
         assert out[-1] == "converged,1,3,2/7;11/28;9/28"
 
+    @pytest.mark.parametrize(
+        "second, backend, want",
+        [
+            ("-1/2 3/4", "exact", "converged,0,1,1/2"),
+            ("-1/4 5/8", "float", "converged,0,1,0.5"),
+        ],
+    )
+    def test_orbit_reports_the_primitive_period(
+        self, tmp_path, capsys, second, backend, want
+    ):
+        # the word 2;2 used to be confirmed as it stood, a "period-2" cycle
+        # through the fixed point 1/2 twice
+        text = (
+            f"backend {backend}\nmap affine 1/2 1/8\nmap affine {second}\n"
+            "breakpoints 3/10\nx0 9/10\n"
+        )
+        code = main(["orbit", "--config", self.write(tmp_path, text)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == want
+
     def test_orbit_iteration_cap_exit(self, tmp_path, capsys):
         code = main(
             ["orbit", "--config", self.write(tmp_path, P3 + "max_iter 3\n")]
@@ -255,8 +286,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "text, code, digest",
         [
-            (P3, 0, "4ecf93fcb343122f128b8e80d7a4b16c"
-             "deeb343bc55b7220f824c2bec750f930"),
+            (P3, 0, "8fbc0ab80d9d922d39667cc2da981ca4"
+             "a93d552a808ef57684db3bfc45afbcdc"),
             (P3.replace("x0 0", "x0 2/7"), 0, "df9e0428f211997e9cc7a670b7601eaf"
              "5930955047946cb8625d57855c701a69"),
             (P3.replace("x0 0", "x0 1/10") + "fail_on_breakpoint_hit true\n",
@@ -264,18 +295,23 @@ class TestCommands:
              "d89799f29d33bb914e476350ebff6640"),
             (P3 + "max_iter 3\n", 1, "3a5cfeec48efa2b10ee8ceb10a3fe392"
              "871a54e6b6f207e4de2f485063f67548"),
-            (P3.replace("exact", "float"), 0, "0a70e8a092d1d51c62ff791d6c9d3f76"
-             "4c5d719513b1bf827a8acec5c2b9bf15"),
+            (P3.replace("exact", "float"), 0, "1bc2a02f88c8ea7e7f16f98c92cb29e1"
+             "e80761731ea94932ca705c1a6b5e5961"),
             ("backend float\neps_orbit 0.05\nmap affine -0.1 0.69\n"
              "map affine 0.7 0.07\nbreakpoints 0.3\nx0 0\nmax_iter 2000\n", 0,
-             "97d474113cee75651eedd4a213199970970e90277f7506f6151ce7d73abb7a09"),
+             "94bb91da9b1b9c9e958dc4dd43b00a8be2f14713096dd3a14f469950f0b7d44f"),
+            (COARSE, 0,
+             "44b57070da07744eab57d44b4a737ee425bdd9288a6d2734b1eecf1315b36a8d"),
         ],
         ids=["candidate", "exact-repeat", "breakpoint-hit", "iteration-cap",
-             "float", "float-refine-rejected"],
+             "float", "float-refine-rejected", "coarse-width"],
     )
     def test_orbit_csv_pinned(self, tmp_path, text, code, digest):
-        # pinned from the output of the orbit loop that rescanned a list of
-        # pending candidates at every step
+        # pinned from the orbit loop whose doubling checkpoint proposes the
+        # candidates; against the earliest-near-point rule, candidate, float
+        # and float-refine-rejected gained step rows, and float solves its
+        # word from another rotation (third point 0.3214285714285714, not
+        # 0.32142857142857145)
         out = tmp_path / "orbit.csv"
         path = self.write(tmp_path, text)
         assert main(["orbit", "--config", path, "--out", str(out)]) == code
@@ -632,6 +668,47 @@ class TestCommands:
         assert capsys.readouterr().err.strip() == (
             "config error: jobs 0 must be >= 1"
         )
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "1.5",
+             "seed: invalid literal for int() with base 10: '1.5'"),
+            ("--jobs", "x", "jobs: invalid literal for int() with base 10: 'x'"),
+            ("--backend", "foo", "backend must be 'exact' or 'float'"),
+        ],
+    )
+    def test_malformed_flags_get_the_key_table_message(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # argparse used to reject each with its own usage error
+        cfgp = self.write(tmp_path, "n 3\nsamples 2\n")
+        assert main(["survey", "--config", cfgp, flag, value]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("aks", "map\n", "line 1: missing map descriptor"),
+            ("aks", "map affine 1/2\n", "line 1: affine: missing coefficient"),
+            ("aks", "map composed x affine 1/2 1/4\n",
+             "line 1: composed: bad count 'x'"),
+            ("aks", "map cubic 1 2\n", "line 1: unknown map kind 'cubic'"),
+            ("aks", "map affine 1/2 1/4 9\n", "line 1: trailing tokens ['9']"),
+            # a bad coefficient used to read "bad number 'abc': ...", unlike
+            # a bad value of any other key
+            ("aks", "map affine abc 1\n",
+             "line 1: map: Invalid literal for Fraction: 'abc'"),
+            ("aks", "map affine 1/0 1\n", "line 1: map: Fraction(1, 0)"),
+            ("orbit", "map affine 1/2 1/4\n", "orbit needs an x0 line"),
+        ],
+    )
+    def test_malformed_documents_are_config_errors(
+        self, tmp_path, capsys, command, text, message
+    ):
+        code = main([command, "--config", self.write(tmp_path, text)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
 
     def test_malformed_backend_line_is_read_under_the_flag(
         self, tmp_path, capsys

@@ -434,6 +434,20 @@ class TestOrbit:
         for got, want in zip(sorted(rec.orbit.points), expected):
             assert abs(got - want) < 1e-9
 
+    def test_coarse_width_converges(self):
+        # the earliest near point rule ended "iteration-cap" at 4,000 steps
+        f = _pc(
+            [Affine(0.7859375, 0.11573955917358399),
+             Affine(0.871875, 0.03208896255493164)],
+            (0.5046875,),
+        )
+        rec = orbit(f, 0.0, 100, FLOAT, eps_orbit=0.1)
+        fine = orbit(f, 0.0, 10_000, FLOAT, eps_orbit=1e-10)
+        assert rec.converged and fine.converged
+        assert rec.orbit.period == fine.orbit.period == 4
+        for got, want in zip(rec.orbit.points, fine.orbit.points):
+            assert abs(got - want) <= 1e-9
+
     def test_iteration_cap(self):
         rec = orbit(period3_pc(), F(0), 3)
         assert not rec.converged
@@ -486,6 +500,8 @@ class TestOrbit:
             if isinstance(got, tuple):
                 seen["raised"] += 1
             elif got.converged:
+                # a primitive word: no orbit point repeats
+                assert len(set(got.orbit.points)) == got.orbit.period, args
                 repeat = got.points[-1] in got.points[:-1]
                 seen["exact repeat" if repeat else "candidate"] += 1
                 seen["rejected"] += any(orb is None for _, orb in mine)
