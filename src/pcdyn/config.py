@@ -98,8 +98,18 @@ def check_sampling(cfg: RunConfig, where: Mapping[str, Optional[int]] = {}) -> N
     eps_range apart inside (eps_range, 1 - eps_range), which needs
     n*eps_range < 1, and ``draw_affine`` needs 0 <= kappa_max <
     1 - 2*eps_range (so not NaN) to leave room for an intercept.
-    ``where`` maps a key to the line its value came from.
+    ``where`` maps a key to the line its value came from.  Passing
+    bounds with a Fraction eps_range and a finite float kappa_max are
+    accepted in integers; every other case takes the checks in order.
     """
+    e, kappa = cfg.eps_range, cfg.kappa_max
+    if type(e) is Fraction and type(kappa) is float and 0 <= kappa < math.inf:
+        # n >= 2, 0 <= e, n*e < 1 and kappa < 1 - 2*e (denominators > 0)
+        en, ed = e._numerator, e._denominator
+        kn, kd = kappa.as_integer_ratio()
+        if (cfg.n >= 2 and 0 <= en and cfg.n * en < ed
+                and kn * ed < (ed - 2 * en) * kd):
+            return
     if cfg.n < 2:
         raise ConfigError(where.get("n"), f"n {cfg.n} must be >= 2")
     eps = format_scalar(cfg.eps_range)

@@ -18,6 +18,7 @@ it a whole level at a time.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,11 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 Scalar = Union[Fraction, float, int]
 
 DEFAULT_EPS_CMP = 1e-12
+
+# an integer or p/q with q nonzero, in ASCII digits and signed only in
+# front: Fraction reads such a literal as int(p)/int(q), and so does
+# Backend.number, without its parser; every other literal goes to Fraction
+_INT_RATIO = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,8 @@ class Backend:
         """
         text = text.strip()
         if self.is_exact:
+            if m := _INT_RATIO.fullmatch(text):
+                return _raw_fraction(int(m[1]), int(m[2] or 1))
             return Fraction(text)
         if "/" in text:
             num, den = text.split("/", 1)

@@ -58,10 +58,21 @@ class Breakpoints:
     points: tuple[Scalar, ...]
 
     def __post_init__(self):
-        for p in self.points:
-            if not 0 < p < 1:
+        # Fraction points are compared by integer cross-multiplication
+        # (denominators are positive), skipping Fraction's generic compares
+        pts = self.points
+        exact = all(type(p) is Fraction for p in pts)
+        for p in pts:
+            if not (0 < p._numerator < p._denominator if exact else 0 < p < 1):
                 raise ValueError(f"breakpoint {p} outside (0, 1)")
-        if any(a >= b for a, b in zip(self.points, self.points[1:])):
+        if exact:
+            increasing = all(
+                a._numerator * b._denominator < b._numerator * a._denominator
+                for a, b in zip(pts, pts[1:])
+            )
+        else:
+            increasing = all(a < b for a, b in zip(pts, pts[1:]))
+        if not increasing:
             raise ValueError("breakpoints not strictly increasing")
 
     def __len__(self) -> int:
@@ -398,8 +409,9 @@ def orbit(
     p = t - c.  At step c + 3p = 3t - 2c it is confirmed when the digit
     word w of c, ..., c+p-1 has repeated three times and
     :func:`_refine_candidate` verifies the cycle of w's shortest root u
-    (w is u repeated); the preperiod then backs off to the first step from
-    which the digits repeat with period len(u).  ``fail_on_breakpoint_hit``
+    (w is u repeated; a u it refused is not solved again in the run); the
+    preperiod then backs off to the first step from which the digits
+    repeat with period len(u).  ``fail_on_breakpoint_hit``
     makes an orbit point equal to a breakpoint (within ``eps_cmp`` under
     the float backend) end the run as "breakpoint-hit".
     """
@@ -413,6 +425,7 @@ def orbit(
     seen: dict[Scalar, int] = {x0: 0} if backend.is_exact else {}
     c, fc = 0, float(x0)  # the checkpoint: a step and its float
     due: dict[int, list[tuple[int, int]]] = {}  # step -> [(s, p), ...]
+    rejected: set[tuple[int, ...]] = set()  # roots _refine_candidate refused
     orb, preperiod, failure = None, None, "iteration-cap"
     for t in range(1, max_iter + 1):
         x = pts[-1]
@@ -441,9 +454,13 @@ def orbit(
             if digits[s + p :] == w * 2:
                 # the shortest root: the least rotation that gives w back
                 p = next(q for q in range(1, p + 1) if w[q:] + w[:q] == w)
+                root = tuple(w[:p])
+                if root in rejected:  # the same solve would reject it again
+                    continue
                 orb = _refine_candidate(f, w[:p], backend, eps_orbit, eps_fp)
                 if orb is not None:
                     break
+                rejected.add(root)
         if orb is not None:
             # earliest step from which the digits are already periodic
             while s > 0 and digits[s - 1] == digits[s - 1 + p]:

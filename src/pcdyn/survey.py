@@ -11,7 +11,6 @@ byte-identical reports for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from collections import Counter
@@ -121,6 +120,9 @@ def run_survey(cfg: RunConfig) -> SurveyReport:
     check_sampling(cfg)
     indices = range(cfg.samples)
     if cfg.jobs > 1 and cfg.samples > 1:
+        # the pool's modules load only here, not with pcdyn
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool may start every worker at once: no more than the samples
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.samples)) as pool:
             records = tuple(pool.map(partial(run_sample, cfg), indices))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,6 +26,7 @@ from pcdyn import (
 )
 from pcdyn import pcmap
 from pcdyn.maps import DEFAULT_EPS_FP
+from pcdyn.numerics import format_scalar
 from pcdyn.pcmap import (
     DEFAULT_EPS_ORBIT,
     DEFAULT_MAX_ITER,
@@ -160,6 +162,41 @@ def affine_check_error(a, b):
     for v in (b, a + b):
         if not 0 < v < 1:
             return f"image of [0, 1] leaves (0, 1): endpoint value {v}"
+    return None
+
+
+def breakpoints_check_error(points):
+    """The ValueError message Breakpoints(points) must raise, None when
+    the points are valid: the generic check through the scalars' own
+    operators."""
+    for p in points:
+        if not 0 < p < 1:
+            return f"breakpoint {p} outside (0, 1)"
+    if any(a >= b for a, b in zip(points, points[1:])):
+        return "breakpoints not strictly increasing"
+    return None
+
+
+def sampling_check_error(cfg, where={}):
+    """(line, message) of the ConfigError check_sampling(cfg, where) must
+    raise, None when the bounds pass: every check in order, through the
+    scalars' own operators and with eps_range always formatted."""
+    eps = format_scalar(cfg.eps_range)
+    checks = [
+        (cfg.n < 2, "n", f"n {cfg.n} must be >= 2"),
+        (math.isnan(cfg.kappa_max), "kappa_max",
+         f"kappa_max {cfg.kappa_max} is not a number"),
+        (cfg.eps_range < 0 or cfg.n * cfg.eps_range >= 1, "eps_range",
+         f"eps_range {eps} must be >= 0 with n*eps_range < 1 (n {cfg.n})"),
+        (cfg.kappa_max < 0, "kappa_max",
+         f"kappa_max {cfg.kappa_max} must be >= 0"),
+        (cfg.kappa_max >= 1 - 2 * cfg.eps_range, "kappa_max",
+         f"kappa_max {cfg.kappa_max} must be below 1 - 2*eps_range = "
+         f"{format_scalar(1 - 2 * cfg.eps_range)} (eps_range {eps})"),
+    ]
+    for failed, key, message in checks:
+        if failed:
+            return where.get(key), message
     return None
 
 
@@ -331,8 +368,9 @@ def pending_list_orbit(
     exits through one ``finish`` closure.  Step t's checkpoint is read off
     t itself, the largest power of two below t (0 at t = 1), and a
     confirmed word w is cut to its shortest root u, the shortest prefix
-    with w == u * (len(w) // len(u)).  It looks ``_refine_candidate`` up in pcdyn.pcmap
-    at each call, so a patch there sees both loops."""
+    with w == u * (len(w) // len(u)); a root refused once is found in a
+    list of the refused roots and skipped.  It looks ``_refine_candidate``
+    up in pcdyn.pcmap at each call, so a patch there sees both loops."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not 0 <= x0 < 1:
@@ -345,6 +383,7 @@ def pending_list_orbit(
     digits = []
     seen = {x0: 0} if backend.is_exact else {}
     pending = []  # (s, p, due)
+    rejected = []  # the roots _refine_candidate refused, as lists
     failure = "iteration-cap"
 
     def finish(orb, preperiod, period) -> OrbitRecord:
@@ -396,10 +435,13 @@ def pending_list_orbit(
                     q for q in range(1, p + 1)
                     if p % q == 0 and w == w[:q] * (p // q)
                 )
+                if w[:q] in rejected:
+                    continue
                 orb = pcmap._refine_candidate(
                     f, w[:q], backend, eps_orbit, eps_fp
                 )
                 if orb is None:
+                    rejected.append(w[:q])
                     continue
                 # earliest step from which the digits are already periodic
                 s0 = s

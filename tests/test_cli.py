@@ -1,8 +1,11 @@
 import hashlib
 import inspect
+import math
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -22,9 +25,15 @@ from pcdyn import (
 )
 from pcdyn import config
 from pcdyn.cli import main
-from pcdyn.config import ConfigError, RunConfig, descriptor_tokens, parse_config
+from pcdyn.config import (
+    ConfigError,
+    RunConfig,
+    check_sampling,
+    descriptor_tokens,
+    parse_config,
+)
 from pcdyn.sampling import draw_breakpoints, draw_ifs
-from _support import generic_sequence
+from _support import generic_sequence, sampling_check_error
 
 EX61 = """\
 backend exact
@@ -578,6 +587,73 @@ class TestCommands:
             parse_config("n 3\nkappa_max -0.1\n")
 
     @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("kappa_max inf", "line 1: kappa_max inf must be below "
+             "1 - 2*eps_range = 31/32 (eps_range 1/64)"),
+            ("kappa_max -inf", "line 1: kappa_max -inf must be >= 0"),
+            ("kappa_max nan", "line 1: kappa_max nan is not a number"),
+            ("kappa_max 0.96875", "line 1: kappa_max 0.96875 must be below "
+             "1 - 2*eps_range = 31/32 (eps_range 1/64)"),
+            ("kappa_max 1e308", "line 1: kappa_max 1e+308 must be below "
+             "1 - 2*eps_range = 31/32 (eps_range 1/64)"),
+            ("kappa_max 0.9687499999999999", None),
+            ("kappa_max -0.0", None),
+            ("n 1", "line 1: n 1 must be >= 2"),
+            ("eps_range 1/3", "line 1: eps_range 1/3 must be >= 0 with "
+             "n*eps_range < 1 (n 3)"),
+            ("eps_range -1/64", "line 1: eps_range -1/64 must be >= 0 with "
+             "n*eps_range < 1 (n 3)"),
+        ],
+    )
+    def test_survey_bounds_at_their_edges(self, line, message):
+        if message is None:
+            parse_config(line + "\n")
+        else:
+            with pytest.raises(ConfigError) as exc:
+                parse_config(line + "\n")
+            assert str(exc.value) == message
+
+    def test_check_sampling_matches_the_generic_checks(self):
+        """check_sampling passes or raises the same line and message as
+        every check in order through the scalars' own operators, on
+        Fraction, int and float bounds at and around their edges."""
+        rng = random.Random(2609)
+        kappas = [
+            0.0, -0.0, 0.45, 0.96875, 0.9687499999999999, 1.0, 1e308,
+            -1e-300, -0.5, math.inf, -math.inf, math.nan, 5e-324, 0, 1,
+            F(31, 32), F(1, 3),
+        ]
+        eps = [F(0), F(1, 64), F(1, 3), F(1, 2), F(-1, 64), 0, 0.0, 0.25]
+        where = {"n": 1, "eps_range": 2, "kappa_max": 3}
+        seen = Counter()
+        for _ in range(3000):
+            e = rng.choice(eps) if rng.random() < 0.5 else F(
+                rng.randrange(-3, 2**9), 2**rng.randrange(9, 14)
+            )
+            kappa = rng.choice(kappas) if rng.random() < 0.5 else float(
+                1 - 2 * e
+            ) + rng.choice((-1, 0, 1)) * rng.choice((1e-17, 1e-16, 1e-3))
+            n = rng.choice((0, 1, 2, 3, 3, 7, 7, 64))
+            cfg = RunConfig(Backend.exact(), n=n, eps_range=e, kappa_max=kappa)
+            want = sampling_check_error(cfg, where)
+            try:
+                check_sampling(cfg, where)
+            except ConfigError as exc:
+                assert want == (exc.line, str(exc).split(": ", 1)[1]), cfg
+                msg = want[1]
+                seen[
+                    "n" if msg.startswith("n ")
+                    else "nan" if msg.endswith("number")
+                    else "eps_range" if msg.startswith("eps_range")
+                    else "below" if "below" in msg else "negative"
+                ] += 1
+            else:
+                assert want is None, cfg
+                seen["passed"] += 1
+        assert len(seen) == 6 and min(seen.values()) >= 40, seen
+
+    @pytest.mark.parametrize(
         "command, text, message",
         [
             # NaN passed both kappa_max bounds; numpy then raised
@@ -784,18 +860,20 @@ class TestCommands:
         assert parse_config("kappa_max 0.6\neps_range 1/8\n").kappa_max == 0.6
 
     def test_cli_import_leaves_numpy_out(self):
-        # numpy loads with the first sample stream, not with the CLI
+        # numpy loads with the first sample stream and the process pool
+        # with a survey of --jobs > 1, not with the CLI
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             f"import sys; sys.path.insert(0, {str(src)!r}); import pcdyn.cli; "
-            "print('numpy' in sys.modules)"
+            "print(sorted({'numpy', 'concurrent.futures', 'multiprocessing'}"
+            " & set(sys.modules)))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_module_entry_point(self, tmp_path):
         cfgp = self.write(tmp_path, "samples 3\nn 2\nseed 11\ngrid 4\n")

@@ -168,6 +168,44 @@ def test_float_backend_needs_a_finite_positive_tolerance(eps_cmp):
         Backend.floating(eps_cmp)
 
 
+def _read(parse, text):
+    """parse(text) with its type, or the type and message it raised."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+_NUMBER_EDGES = [
+    "0", "-0", "+0", "007", "-007/010", "0/5", "-0/3", "3/4", "+3/4",
+    "-3/4", " 3/4 ", "3 / 4", "1/0", "0/0", "-5/000", "3/-4", "3/+4",
+    "1_000/3", "3/1_0", "\u00b2/3", "\u0663/4", "3/\u0664", "1.5", "1e-3",
+    ".5", "5.", "1E3", "3/", "/3", "+", "-", "-/3", "", "/", "3//4",
+    "3/4/5", "--3", "+-3", "abc", "0x10", "1" * 5000, "-" + "9" * 4300,
+    "1/" + "2" * 5000, "inf", "nan",
+]
+
+
+def test_exact_number_matches_the_fraction_constructor():
+    """Backend.number under the exact backend gives Fraction(text)'s value
+    as a Fraction, or its exception type and message, on literals in and
+    out of the integer form p/q."""
+    rng = random.Random(2608)
+    # no exponent mark: Fraction("1e" + "2" * 30) would build 10**(2...2)
+    pieces = ["", "+", "-", "0", "00", "7", "12", "2" * 30, "/", ".", "_",
+              "\u0663", " "]
+    texts = list(_NUMBER_EDGES)
+    for _ in range(4000):
+        texts.append("".join(rng.choice(pieces) for _ in range(rng.randint(1, 5))))
+    for _ in range(1000):
+        num, den = rng.randrange(-(2**70), 2**70), rng.randrange(0, 2**40)
+        texts.append(f"{num}/{den}" if rng.random() < 0.8 else str(num))
+    exact = Backend.exact()
+    for text in texts:
+        assert _read(exact.number, text) == _read(F, text.strip()), text
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(F(1, 2), F(1, 4))

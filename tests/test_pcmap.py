@@ -36,6 +36,7 @@ from pcdyn.sampling import (
     rng_for_sample,
 )
 from _support import (
+    breakpoints_check_error,
     float_descriptor,
     fraction_digit_word,
     fraction_cycle_orbit,
@@ -69,6 +70,37 @@ class TestBreakpoints:
             PiecewiseContraction(
                 period3_pc().ifs, Breakpoints((F(1, 4), F(1, 2)))
             )
+
+    def test_matches_the_generic_check(self):
+        """Fraction, int and float points, in order, unordered, repeated
+        and outside (0, 1): the same points kept, or the same message, as
+        the check through the scalars' own operators."""
+        tiny = F(1, 2**70)  # points this close share a float key
+        pool = [
+            F(0), F(1), F(-1, 3), F(4, 3), tiny, 1 - tiny, F(1, 2),
+            F(1, 2) + tiny, F(1, 3), F(2, 3), 0, 1, 2, -1, 0.0, 1.0, 0.5,
+            0.25, -0.5, 1.5, float("nan"), float("inf"),
+        ]
+        rng = random.Random(2606)
+        seen = Counter()
+        for _ in range(3000):
+            pts = tuple(
+                rng.choice(pool) if rng.random() < 0.3
+                else rand_fraction(rng, F(0), F(1), rng.choice((4, 2**32)))
+                for _ in range(rng.randint(0, 5))
+            )
+            if rng.random() < 0.5:
+                pts = tuple(sorted(pts, key=float))
+            want = breakpoints_check_error(pts)
+            try:
+                got = Breakpoints(pts).points
+            except ValueError as exc:
+                assert str(exc) == want, pts
+                seen[want.split()[-1]] += 1
+            else:
+                assert want is None and got == pts, pts
+                seen["valid"] += 1
+        assert min(seen.values()) >= 200 and len(seen) == 3, seen
 
 
 class TestDigit:

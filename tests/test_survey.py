@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 from fractions import Fraction as F
 
@@ -236,7 +237,10 @@ class TestRunSurvey:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+        # run_survey imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", SerialPool
+        )
         report = run_survey(small_cfg(jobs=10**6, samples=3))
         assert sizes == [3]
         assert report == run_survey(small_cfg(jobs=1, samples=3))
