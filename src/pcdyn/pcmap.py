@@ -50,6 +50,8 @@ DEFAULT_COMPOSITION_CAP = 100_000
 # only proposes candidates there, correctness comes from exact verification
 _SHADOW_EPS = 1e-9
 
+_UNIT = Interval(EXACT.zero, EXACT.one)  # [0, 1] under the exact backend
+
 
 @dataclass(frozen=True)
 class Breakpoints:
@@ -527,9 +529,8 @@ def is_generic(
     targets = f.breakpoints.points
     if not (backend.is_exact and _rational(targets) and _rational(f.ifs.maps)):
         return _generic_forward(f, depth, backend, cap)
-    unit = Interval(backend.zero, backend.one)
     branches = [
-        (m, unit, True, True, UNIT_WINDOW if _strict_affine(m) else None)
+        (m, _UNIT, True, True, UNIT_WINDOW if _strict_affine(m) else None)
         for m in f.ifs.maps
     ]
     level = seen = set(map(_ratio, targets))
@@ -550,7 +551,10 @@ def is_generic(
 
 
 def _rational(v) -> bool:
-    """No float among the scalars of v, descriptors searched by field."""
+    """No float among the scalars of v, descriptors searched by field.  An
+    Affine with its integer form has int or Fraction coefficients."""
+    if type(v) is Affine and v._ints is not None:
+        return True
     if isinstance(v, MapDescriptor):
         v = tuple(getattr(v, fl.name) for fl in fields(v))
     if isinstance(v, tuple):

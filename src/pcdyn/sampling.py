@@ -6,10 +6,18 @@ parameter collisions keep probability essentially zero (and remain
 detectable by the genericity test).  Per-sample generators are derived
 from a master seed and the sample index, which makes parallel and serial
 sweeps produce identical streams.
+
+A sample reads its stream in this order, the layout any other source of
+the stream must reproduce: n - 1 doubles per breakpoint try, until a try
+passes the gap test, then 2n doubles, the slope and then the intercept of
+each map in turn.  A double u in [0, 1) becomes lo + (hi - lo) * u in
+floats, as numpy's ``uniform(lo, hi)`` computes it, and is then rounded
+to the nearest multiple of 2^-32.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -23,12 +31,7 @@ if TYPE_CHECKING:  # numpy loads with the first stream, not with pcdyn
 
 RATIONAL_BITS = 32
 DEFAULT_MARGIN = Fraction(1, 64)
-
-
-def rationalize(x: float, bits: int = RATIONAL_BITS) -> Fraction:
-    """Round to the nearest fraction with denominator 2**bits."""
-    scale = 1 << bits
-    return _raw_fraction(round(float(x) * scale), scale)
+_SCALE = 1 << RATIONAL_BITS
 
 
 def rng_for_sample(seed: int, index: int) -> np.random.Generator:
@@ -50,9 +53,11 @@ def draw_breakpoints(
     draw is rationalized as an integer over 2**RATIONAL_BITS, and only
     the accepted draw is built into fractions.
     """
-    lo, hi, scale = float(margin), float(1 - margin), 1 << RATIONAL_BITS
+    mn, md = margin.numerator, margin.denominator
+    lo, hi, scale = mn / md, (md - mn) / md, _SCALE
     while True:
-        nums = sorted(round(float(v) * scale) for v in rng.uniform(lo, hi, size=n - 1))
+        us = rng.uniform(lo, hi, size=n - 1).tolist()
+        nums = sorted([round(u * scale) for u in us])
         if _gaps_at_least(nums, margin):
             return tuple(_raw_fraction(k, scale) for k in nums)
 
@@ -64,16 +69,51 @@ def _gaps_at_least(nums: list[int], margin: Fraction) -> bool:
     return all((b - a) * margin.denominator >= least for a, b in zip(nums, nums[1:]))
 
 
-def _intercept_range(a: Fraction, margin: Fraction) -> tuple[float, float]:
-    """float(margin - min(a, 0)) and float(1 - margin - max(a, 0)), each
-    from one integer true division, which rounds correctly, as
-    float(Fraction) does."""
+def _intercept_range(an: int, ad: int, margin: Fraction) -> tuple[float, float]:
+    """float(margin - min(a, 0)) and float(1 - margin - max(a, 0)) for the
+    slope a = an/ad, ad > 0, each from one integer true division, which
+    rounds correctly, as float(Fraction) does: an/ad need not be reduced."""
     mn, md = margin.numerator, margin.denominator
-    an, ad = a._numerator, a._denominator
     den = md * ad
     lo = (mn * ad - min(an, 0) * md) / den
     hi = ((md - mn) * ad - max(an, 0) * md) / den
     return lo, hi
+
+
+def _span(lo: float, hi: float) -> float:
+    """hi - lo, rejected as numpy's ``uniform(lo, hi)`` rejects it."""
+    span = hi - lo
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if math.copysign(1.0, span) < 0:  # -0.0 too, as numpy tests the sign bit
+        raise ValueError("high - low < 0")
+    return span
+
+
+def _draw_maps(
+    rng: np.random.Generator,
+    n: int,
+    kappa_max: float,
+    margin: Fraction,
+    slope_band: tuple[float, float] | None,
+) -> tuple[Affine, ...]:
+    """n maps from one read of 2n doubles, the slope and then the intercept
+    of each map, each value rounded to an integer over 2**RATIONAL_BITS."""
+    lo, hi = (-kappa_max, kappa_max) if slope_band is None else slope_band
+    lo = float(lo)
+    span, D = _span(lo, float(hi)), _SCALE
+    us = rng.random(2 * n).tolist()
+    maps = []
+    for i in range(0, 2 * n, 2):
+        A = round((lo + span * us[i]) * D)
+        b_lo, b_hi = _intercept_range(A, D, margin)
+        B = round((b_lo + _span(b_lo, b_hi) * us[i + 1]) * D)
+        # Affine's own check over D: |a| < 1, 0 < b < 1 and 0 < a + b < 1
+        if -D < A < D and 0 < B < D and 0 < A + B < D:
+            maps.append(Affine._from_ints(A, B, D))
+        else:  # raises Affine's message
+            maps.append(Affine(_raw_fraction(A, D), _raw_fraction(B, D)))
+    return tuple(maps)
 
 
 def draw_affine(
@@ -89,12 +129,7 @@ def draw_affine(
     sample the strongly overlapping regime, where attractor components
     merge instead of multiplying).
     """
-    if slope_band is None:
-        a = rationalize(rng.uniform(-kappa_max, kappa_max))
-    else:
-        a = rationalize(rng.uniform(*slope_band))
-    b = rationalize(rng.uniform(*_intercept_range(a, margin)))
-    return Affine(a, b)
+    return _draw_maps(rng, 1, kappa_max, margin, slope_band)[0]
 
 
 def draw_ifs(
@@ -104,11 +139,8 @@ def draw_ifs(
     margin: Fraction = DEFAULT_MARGIN,
     slope_band: tuple[float, float] | None = None,
 ) -> IteratedFunctionSystem:
-    return IteratedFunctionSystem(
-        tuple(
-            draw_affine(rng, kappa_max, margin, slope_band) for _ in range(n)
-        )
-    )
+    """n maps drawn as by ``draw_affine``, from one read of the stream."""
+    return IteratedFunctionSystem(_draw_maps(rng, n, kappa_max, margin, slope_band))
 
 
 def draw_pc(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 from pcdyn import (
@@ -18,6 +19,7 @@ from pcdyn import (
     Interval,
     IntervalSet,
     IteratedFunctionSystem,
+    MapDescriptor,
     NonDiscretePreimageError,
     PartitionInvarianceError,
     PiecewiseContraction,
@@ -139,7 +141,8 @@ def fraction_measure(s: IntervalSet):
 
 
 def fraction_rationalize(x: float, bits: int) -> F:
-    """sampling.rationalize through the Fraction constructor."""
+    """x rounded to the nearest multiple of 2**-bits, through the Fraction
+    constructor: the sampler's grid."""
     scale = 1 << bits
     return F(int(round(float(x) * scale)), scale)
 
@@ -453,6 +456,16 @@ def pending_list_orbit(
 
 
 # --- Fraction oracles for the backward walks ------------------------------------
+
+
+def field_rational(v) -> bool:
+    """pcmap._rational by the dataclass field walk alone: no float among
+    the scalars of v, descriptors searched by field."""
+    if isinstance(v, MapDescriptor):
+        v = tuple(getattr(v, fl.name) for fl in fields(v))
+    if isinstance(v, tuple):
+        return all(map(field_rational, v))
+    return not isinstance(v, float)
 
 
 def fraction_is_generic(f: PiecewiseContraction, depth: int, cap: int = 100_000):

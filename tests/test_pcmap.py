@@ -37,6 +37,7 @@ from pcdyn.sampling import (
 )
 from _support import (
     breakpoints_check_error,
+    field_rational,
     float_descriptor,
     fraction_digit_word,
     fraction_cycle_orbit,
@@ -49,6 +50,7 @@ from _support import (
     period3_pc,
     rand_affine,
     rand_clamped,
+    rand_descriptor,
     rand_fraction,
     rand_quadratic,
 )
@@ -757,6 +759,48 @@ class TestGenericBackwardSearch:
         # 0.5 * 1/2 + 0.25 is the float 0.5, which equals the breakpoint
         f = _pc((Affine(0.5, 0.25), Affine(0.5, 0.125)), (F(1, 2),))
         assert not is_generic(f, 1)
+
+    def test_rational_shortcut_matches_the_field_walk(self):
+        rng = random.Random(29)
+        maps = [
+            Affine(0, F(1, 2)),
+            Affine(False, F(1, 2)),
+            Affine(F(-1, 3), F(1, 2)),
+            Affine(0.5, 0.25),
+            Affine(F(1, 4), 0.5),
+            Affine(0.25, F(1, 2)),
+            Clamped(Affine(0.25, F(1, 2)), F(0), F(1)),
+            Composed((Affine(F(1, 4), F(1, 2)), Affine(0.5, F(1, 8)))),
+        ]
+        maps += [rand_descriptor(rng, 2) for _ in range(60)]
+        maps += [float_descriptor(m) for m in maps[-20:]]
+        maps += draw_ifs(rng_for_sample(3, 0), 4, kappa_max=0.45).maps
+        assert {field_rational(m) for m in maps} == {True, False}
+        for m in maps:
+            assert pcmap._rational(m) == field_rational(m), m
+            assert pcmap._rational((m, maps[0])) == field_rational((m, maps[0]))
+
+    def test_drawn_maps_skip_the_field_walk(self, monkeypatch):
+        walks, forward = [], []
+        fields = pcmap.fields
+
+        def counted_fields(v):
+            walks.append(v)
+            return fields(v)
+
+        def spy(*args):
+            forward.append(args[1])
+            return _generic_forward(*args)
+
+        monkeypatch.setattr(pcmap, "fields", counted_fields)
+        monkeypatch.setattr(pcmap, "_generic_forward", spy)
+        f = draw_pc(rng_for_sample(3, 1), 3, kappa_max=0.45)
+        is_generic(f, 3)
+        assert walks == [] and forward == []
+        # float coefficients still take the forward enumeration
+        g = _pc((Affine(0.5, 0.25), Affine(F(1, 2), F(1, 8))), (F(3, 4),))
+        is_generic(g, 2)
+        assert forward == [2]
 
     def test_irrational_preimage_is_dropped(self):
         quad = Quadratic(F(1, 4), F(1, 4), F(1, 8))
