@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -29,7 +30,7 @@ from .maps import (
     MapDescriptor,
     Quadratic,
 )
-from .numerics import DEFAULT_EPS_CMP, EXACT, Backend, Scalar, format_scalar
+from .numerics import DEFAULT_EPS_CMP, EXACT, Backend, Scalar, _ratio, format_scalar
 from .pcmap import (
     DEFAULT_COMPOSITION_CAP,
     DEFAULT_EPS_ORBIT,
@@ -40,7 +41,7 @@ from .pcmap import (
     PiecewiseContraction,
 )
 from .quasipartition import DEFAULT_DEPTH_CAP, DEFAULT_SIZE_CAP
-from .sampling import DEFAULT_MARGIN
+from .sampling import DEFAULT_MARGIN, MIN_DRAW_CHANCE
 
 
 class ConfigError(Exception):
@@ -86,6 +87,10 @@ class RunConfig:
         return IteratedFunctionSystem(self.maps)
 
     def pc(self) -> PiecewiseContraction:
+        return self._pc
+
+    @cached_property
+    def _pc(self) -> PiecewiseContraction:
         return PiecewiseContraction(
             self.ifs(), Breakpoints(self.breakpoints), self.closures
         )
@@ -94,43 +99,43 @@ class RunConfig:
 def check_sampling(cfg: RunConfig, where: Mapping[str, Optional[int]] = {}) -> None:
     """Reject survey bounds under which the random draws cannot succeed.
 
-    A system needs n >= 2 maps.  ``draw_breakpoints`` fits n - 1 points
-    eps_range apart inside (eps_range, 1 - eps_range), which needs
-    n*eps_range < 1, and ``draw_affine`` needs 0 <= kappa_max <
-    1 - 2*eps_range (so not NaN) to leave room for an intercept.
-    ``where`` maps a key to the line its value came from.  Passing
-    bounds with a Fraction eps_range and a finite float kappa_max are
-    accepted in integers; every other case takes the checks in order.
+    ``where`` maps a key to the line its value came from.  The rules, in
+    order, with m = eps_range: m is an int or a Fraction; n >= 2; kappa_max
+    is not NaN; 0 <= m and n*m < 1, so n - 1 points fit m apart inside
+    (m, 1 - m); a breakpoint try passes its gap test with chance
+    ((1 - n*m)/(1 - 2*m))**(n - 1) >= MIN_DRAW_CHANCE (on n's line, else
+    m's); 0 <= kappa_max < 1 - 2*m, leaving room for an intercept.
     """
-    e, kappa = cfg.eps_range, cfg.kappa_max
-    if type(e) is Fraction and type(kappa) is float and 0 <= kappa < math.inf:
-        # n >= 2, 0 <= e, n*e < 1 and kappa < 1 - 2*e (denominators > 0)
-        en, ed = e._numerator, e._denominator
-        kn, kd = kappa.as_integer_ratio()
-        if (cfg.n >= 2 and 0 <= en and cfg.n * en < ed
-                and kn * ed < (ed - 2 * en) * kd):
-            return
-    if cfg.n < 2:
-        raise ConfigError(where.get("n"), f"n {cfg.n} must be >= 2")
-    eps = format_scalar(cfg.eps_range)
-    if math.isnan(cfg.kappa_max):
+    n, e, kappa = cfg.n, cfg.eps_range, cfg.kappa_max
+    if (ratio := _ratio(e)) is None:
         raise ConfigError(
-            where.get("kappa_max"), f"kappa_max {cfg.kappa_max} is not a number"
+            where.get("eps_range"), f"eps_range {e} must be an int or a Fraction"
         )
-    if cfg.eps_range < 0 or cfg.n * cfg.eps_range >= 1:
+    en, ed = ratio
+    if n < 2:
+        raise ConfigError(where.get("n"), f"n {n} must be >= 2")
+    if math.isnan(kappa):
+        raise ConfigError(where.get("kappa_max"), f"kappa_max {kappa} is not a number")
+    if en < 0 or n * en >= ed:
         raise ConfigError(
             where.get("eps_range"),
-            f"eps_range {eps} must be >= 0 with n*eps_range < 1 (n {cfg.n})",
+            f"eps_range {format_scalar(e)} must be >= 0 with n*eps_range < 1 (n {n})",
         )
-    if cfg.kappa_max < 0:
+    if (chance := ((ed - n * en) / (ed - 2 * en)) ** (n - 1)) < MIN_DRAW_CHANCE:
+        tries = 1 / chance if chance else math.inf
         raise ConfigError(
-            where.get("kappa_max"), f"kappa_max {cfg.kappa_max} must be >= 0"
+            where.get("n", where.get("eps_range")),
+            f"n {n} with eps_range {format_scalar(e)} expects {tries:.2g} breakpoint "
+            f"tries a sample (chance {chance:.2g} a try, below {MIN_DRAW_CHANCE:g})",
         )
-    if cfg.kappa_max >= 1 - 2 * cfg.eps_range:
+    if kappa < 0:
+        raise ConfigError(where.get("kappa_max"), f"kappa_max {kappa} must be >= 0")
+    kn, kd = (1, 0) if kappa == math.inf else _ratio(kappa) or kappa.as_integer_ratio()
+    if kn * ed >= (ed - 2 * en) * kd:  # +inf as 1/0
         raise ConfigError(
             where.get("kappa_max"),
-            f"kappa_max {cfg.kappa_max} must be below 1 - 2*eps_range = "
-            f"{format_scalar(1 - 2 * cfg.eps_range)} (eps_range {eps})",
+            f"kappa_max {kappa} must be below 1 - 2*eps_range = "
+            f"{format_scalar(1 - 2 * e)} (eps_range {format_scalar(e)})",
         )
 
 

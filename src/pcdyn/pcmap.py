@@ -168,15 +168,6 @@ class PiecewiseContraction:
             out.append(m._ints + (window,) if rational else None)
         return tuple(out)
 
-    def branch_domain(self, i: int) -> tuple[Scalar, Scalar, bool, bool]:
-        """(lo, hi, lo_included, hi_included) for branch i."""
-        pts = self.breakpoints.points
-        lo = 0 if i == 1 else pts[i - 2]
-        hi = 1 if i == self.n else pts[i - 1]
-        lo_inc = True if i == 1 else self.closures[i - 2] == RIGHT_OPEN
-        hi_inc = False if i == self.n else self.closures[i - 1] == LEFT_OPEN
-        return lo, hi, lo_inc, hi_inc
-
     def preimages(self, y: Scalar) -> list[Scalar]:
         """All x in [0, 1) with f(x) = y, solved branch by branch.
 
@@ -199,15 +190,17 @@ class PiecewiseContraction:
         """(map, closed domain, lo included, hi included, window) for each
         branch; ``window`` is the domain in :func:`affine_preimages`' form
         when :func:`_strict_affine` holds for the map and the domain's ends
-        are rational, else None."""
+        are rational, else None.  A branch includes its lo end under a
+        RIGHT_OPEN flag and its hi end under a LEFT_OPEN one."""
+        ends = (_UNIT.lo, *self.breakpoints.points, _UNIT.hi)
+        flags = (RIGHT_OPEN, *self.closures, RIGHT_OPEN)
         out = []
-        for i, m in enumerate(self.ifs.maps, start=1):
-            lo, hi, lo_inc, hi_inc = self.branch_domain(i)
-            ends = _ratio(lo), _ratio(hi)
-            window = None
-            if _strict_affine(m) and None not in ends:
-                window = ends[0] + ends[1] + (lo_inc, hi_inc)
-            out.append((m, Interval(lo, hi), lo_inc, hi_inc, window))
+        branches = zip(self.ifs.maps, ends, ends[1:], flags, flags[1:])
+        for m, lo, hi, lo_flag, hi_flag in branches:
+            inc = lo_flag == RIGHT_OPEN, hi_flag == LEFT_OPEN
+            rl, rh = _ratio(lo), _ratio(hi)
+            window = rl + rh + inc if _strict_affine(m) and rl and rh else None
+            out.append((m, Interval(lo, hi), *inc, window))
         return tuple(out)
 
 

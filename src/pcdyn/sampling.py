@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # numpy loads with the first stream, not with pcdyn
 
 RATIONAL_BITS = 32
 DEFAULT_MARGIN = Fraction(1, 64)
+MIN_DRAW_CHANCE = 1e-6  # the least chance of a breakpoint try a survey accepts
 _SCALE = 1 << RATIONAL_BITS
 
 

@@ -183,19 +183,30 @@ def breakpoints_check_error(points):
 def sampling_check_error(cfg, where={}):
     """(line, message) of the ConfigError check_sampling(cfg, where) must
     raise, None when the bounds pass: every check in order, through the
-    scalars' own operators and with eps_range always formatted."""
-    eps = format_scalar(cfg.eps_range)
+    scalars' own operators and with eps_range always formatted.  The draw
+    chance is the exact Fraction power, rounded once."""
+    e, n = cfg.eps_range, cfg.n
+    if not isinstance(e, (int, F)):
+        return where.get("eps_range"), f"eps_range {e} must be an int or a Fraction"
+    eps = format_scalar(e)
+    chance = 1.0
+    if n >= 2 and 0 <= e and n * e < 1:
+        chance = float((1 - (n - 2) * e / (1 - 2 * e)) ** (n - 1))
+    tries = 1 / chance if chance else math.inf
     checks = [
-        (cfg.n < 2, "n", f"n {cfg.n} must be >= 2"),
+        (n < 2, "n", f"n {n} must be >= 2"),
         (math.isnan(cfg.kappa_max), "kappa_max",
          f"kappa_max {cfg.kappa_max} is not a number"),
-        (cfg.eps_range < 0 or cfg.n * cfg.eps_range >= 1, "eps_range",
-         f"eps_range {eps} must be >= 0 with n*eps_range < 1 (n {cfg.n})"),
+        (e < 0 or n * e >= 1, "eps_range",
+         f"eps_range {eps} must be >= 0 with n*eps_range < 1 (n {n})"),
+        (chance < 1e-6, "n" if "n" in where else "eps_range",
+         f"n {n} with eps_range {eps} expects {tries:.2g} breakpoint tries a "
+         f"sample (chance {chance:.2g} a try, below 1e-06)"),
         (cfg.kappa_max < 0, "kappa_max",
          f"kappa_max {cfg.kappa_max} must be >= 0"),
-        (cfg.kappa_max >= 1 - 2 * cfg.eps_range, "kappa_max",
+        (cfg.kappa_max >= 1 - 2 * e, "kappa_max",
          f"kappa_max {cfg.kappa_max} must be below 1 - 2*eps_range = "
-         f"{format_scalar(1 - 2 * cfg.eps_range)} (eps_range {eps})"),
+         f"{format_scalar(1 - 2 * e)} (eps_range {eps})"),
     ]
     for failed, key, message in checks:
         if failed:

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import inspect
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -17,6 +20,7 @@ from pcdyn import (
     Backend,
     Clamped,
     Composed,
+    PiecewiseContraction,
     build_partition,
     is_generic,
     orbit,
@@ -217,6 +221,36 @@ class TestParseConfig:
                 "seed 1\nmap affine 1/2 1/4\nmap affine 1/2 1/8\n"
                 "breakpoints 1/4 1/2\n"
             )
+
+    def test_pc_is_the_system_parse_config_checked(self, monkeypatch):
+        built = []
+        post_init = PiecewiseContraction.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PiecewiseContraction, "__post_init__", counted)
+        cfg = parse_config(P3)
+        assert cfg.pc() is cfg.pc()
+        assert len(built) == 1 and built[0] is cfg.pc()
+
+    def test_replace_builds_its_own_system(self):
+        cfg = parse_config(P3)
+        moved = dataclasses.replace(cfg, breakpoints=(F(2, 5),))
+        assert moved.pc().breakpoints.points == (F(2, 5),)
+        same = dataclasses.replace(cfg)
+        assert same.pc() is not cfg.pc() and same.pc() == cfg.pc()
+
+    def test_config_pickles_with_and_without_its_system(self):
+        # the --jobs pool sends configs to its workers by pickle
+        warm = parse_config(P3)
+        cold = dataclasses.replace(warm)
+        for cfg, cached in ((cold, False), (warm, True)):
+            back = pickle.loads(pickle.dumps(cfg))
+            assert back == cfg and ("_pc" in vars(back)) == cached
+            assert back.pc() == cfg.pc()
+            assert back.pc()(F(1, 5)) == cfg.pc()(F(1, 5))
 
 
 class TestCommands:
@@ -652,6 +686,57 @@ class TestCommands:
                 assert want is None, cfg
                 seen["passed"] += 1
         assert len(seen) == 6 and min(seen.values()) >= 40, seen
+
+    def test_check_sampling_matches_the_generic_checks_on_margins_and_draws(self):
+        """The same differential check on float and NaN eps_range, which
+        the draws cannot read, and on n = 20-30 at the default margin,
+        where one breakpoint try passes its gap test with chance 1.5e-3 at
+        n = 20 down to 2.7e-8 at n = 30; without n's line the draw-chance
+        rule names eps_range's."""
+        rng = random.Random(2810)
+        eps = [0.0, 0.02, math.nan, math.inf, 0] + [F(1, 64)] * 5
+        seen = Counter()
+        for _ in range(1000):
+            e, n = rng.choice(eps), rng.randrange(20, 31)
+            kappa = rng.choice((0.45, 0.45, 0.45, -0.5, 0.99, math.nan))
+            where = rng.choice(({"n": 1, "eps_range": 2, "kappa_max": 3},
+                                {"eps_range": 2, "kappa_max": 3}, {}))
+            cfg = RunConfig(Backend.exact(), n=n, eps_range=e, kappa_max=kappa)
+            want = sampling_check_error(cfg, where)
+            try:
+                check_sampling(cfg, where)
+            except ConfigError as exc:
+                assert want is not None, cfg
+                assert (exc.line, str(exc)) == (want[0], str(ConfigError(*want)))
+                seen["floor" if "breakpoint tries" in want[1] else
+                     "unread" if "an int or a Fraction" in want[1] else
+                     "other"] += 1
+            else:
+                assert want is None, cfg
+                seen["passed"] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 40, seen
+
+    def test_survey_past_the_draw_floor_exits_at_once(self, tmp_path):
+        # at n = 30 one try passes with chance 2.7e-8, some 12 minutes of
+        # draws a sample at about 20 us a try; n = 27 expects 6.7e5 tries
+        cfgp = self.write(tmp_path, "n 30\nsamples 1\nseed 0\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pcdyn.cli", "survey", "--config", cfgp],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert time.perf_counter() - start < 2
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.strip() == (
+            "config error: line 1: n 30 with eps_range 1/64 expects 3.7e+07 "
+            "breakpoint tries a sample (chance 2.7e-08 a try, below 1e-06)"
+        )
+        assert parse_config("n 27\n").n == 27
 
     @pytest.mark.parametrize(
         "command, text, message",

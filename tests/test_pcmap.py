@@ -357,9 +357,7 @@ class TestPreimages:
                 except NonDiscretePreimageError:
                     continue
                 want = set()
-                for i, m in enumerate(f.ifs.maps, start=1):
-                    lo, hi, lo_inc, hi_inc = f.branch_domain(i)
-                    dom = Interval(lo, hi)
+                for m, dom, lo_inc, hi_inc, _ in f._domains:
                     want.update(
                         p for p in m.preimages(y, dom)
                         if (p != dom.lo or lo_inc) and (p != dom.hi or hi_inc)

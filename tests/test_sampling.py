@@ -223,6 +223,17 @@ class _Counting:
         return counted
 
 
+def test_mean_tries_match_the_draw_chance():
+    # one try passes the gap test with chance (1 - (n-2)*m/(1-2*m))**(n-1),
+    # the chance check_sampling bounds below: 8/27 at n = 4, m = 1/8
+    n, m, draws = 4, F(1, 8), 2000
+    chance = (1 - (n - 2) * m / (1 - 2 * m)) ** (n - 1)
+    rng = _Counting(np.random.default_rng(28))
+    for _ in range(draws):
+        draw_breakpoints(rng, n, m)
+    assert abs(rng.calls["uniform"] / draws * chance - 1) < 0.05
+
+
 def test_a_sample_reads_its_stream_in_one_call_per_part():
     for n, kappa, margin, band in DRAW_CASES:
         for index in range(20):

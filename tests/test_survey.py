@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -342,6 +343,15 @@ class TestSamplingBounds:
             run_survey(RunConfig(backend=Backend.exact(), **fields))
         assert built.value.line is None
         assert str(parsed.value) == f"line {parsed.value.line}: {built.value}"
+
+    @pytest.mark.parametrize("eps", [0.02, math.nan])
+    def test_an_unreadable_margin_is_a_config_error(self, eps):
+        # only a config built in code can hold one: parse_config reads a
+        # Fraction, and the draw reads the margin's numerator
+        cfg = RunConfig(backend=Backend.exact(), n=3, samples=1, eps_range=eps)
+        with pytest.raises(ConfigError) as built:
+            run_survey(cfg)
+        assert str(built.value) == f"eps_range {eps} must be an int or a Fraction"
 
 
 class TestQuadraticFlows:
