@@ -2,9 +2,11 @@
 """Seeded random sweep: almost every instance settles into few orbits.
 
 Draws random three-branch piecewise contractions on a rational grid, runs
-the whole pipeline on each (genericity test, backward closure, partition,
+the whole pipeline on each (backward closure, connection check, partition,
 periodic orbits, equivalence classes, a certificate of every forward
-limit) and tabulates the outcomes.  The expectation: every conclusive generic sample
+limit) and tabulates the outcomes.  A sample is generic when f sends
+neither 0 nor a breakpoint onto a breakpoint at any depth, as its complete
+closure shows.  The expectation: every conclusive generic sample
 is asymptotically periodic with between 1 and 3 periodic orbits.
 """
 

@@ -64,9 +64,9 @@ class RunConfig:
     max_iter: int = 10_000
     q_depth_cap: int = DEFAULT_DEPTH_CAP
     q_size_cap: int = DEFAULT_SIZE_CAP
-    composition_cap: int = DEFAULT_COMPOSITION_CAP
+    composition_cap: int = DEFAULT_COMPOSITION_CAP  # survey: accepted and ignored
     power_cap: int = DEFAULT_POWER_CAP
-    generic_depth: int = 5
+    generic_depth: int = 5  # survey: accepted and ignored; bench/workloads.py reads it
     maps: tuple[MapDescriptor, ...] = ()
     breakpoints: tuple[Scalar, ...] = ()
     closures: tuple[str, ...] = ()
@@ -114,7 +114,7 @@ def check_sampling(cfg: RunConfig, where: Mapping[str, Optional[int]] = {}) -> N
     en, ed = ratio
     if n < 2:
         raise ConfigError(where.get("n"), f"n {n} must be >= 2")
-    if math.isnan(kappa):
+    if kappa != kappa:  # NaN; math.isnan overflows on a huge int
         raise ConfigError(where.get("kappa_max"), f"kappa_max {kappa} is not a number")
     if en < 0 or n * en >= ed:
         raise ConfigError(

@@ -147,6 +147,33 @@ def preimage_set(
     )
 
 
+def _require_complete(qset: PreimageSet) -> None:
+    if not qset.is_complete:
+        raise TruncatedClosureError(
+            f"the backward closure hit a cap at depth {qset.depth_reached}, "
+            f"point count {len(qset.points)}"
+        )
+
+
+def connections(f: PiecewiseContraction, qset: PreimageSet) -> tuple[Scalar, ...]:
+    """The sources s in {0, x_1, ..., x_{n-1}} that f sends onto a
+    breakpoint: f^d(s) = x_j for some d >= 1 and some j.
+
+    ``qset`` is f's complete backward closure, which holds every point
+    that reaches a breakpoint, so s has a connection exactly when f(s) is
+    a closure point: one evaluation and one exact search per source.  A
+    closure that hit its cap raises TruncatedClosureError.
+    """
+    _require_complete(qset)
+    points = qset.points
+    keys = float_keys(points)
+    return tuple(
+        s
+        for s in (EXACT.zero,) + f.breakpoints.points
+        if find_exact(points, keys, y := f(s), _key(y))[1]
+    )
+
+
 @dataclass(frozen=True)
 class QuasiPartition:
     """Open intervals between the closure points, with the index dynamics.
@@ -257,11 +284,7 @@ def build_partition(
     the closure was truncated or the parameters are degenerate.  A closure
     that hit its cap raises TruncatedClosureError.
     """
-    if not qset.is_complete:
-        raise TruncatedClosureError(
-            f"the backward closure hit a cap at depth {qset.depth_reached}, "
-            f"point count {len(qset.points)}"
-        )
+    _require_complete(qset)
     # closure points are Fractions: compare their integers
     cuts = tuple(p for p in qset.points if 0 < p._numerator < p._denominator)
     keys = float_keys(cuts)

@@ -1,12 +1,14 @@
 """Monte Carlo sweep over random piecewise contractions.
 
 Each sample draws breakpoints and affine maps on the rational grid, runs
-the full pipeline (genericity test, backward closure, partition, periodic
+the full pipeline (backward closure, connection check, partition, periodic
 orbits, equivalence classes, a certificate of every forward limit) and
-records one row.  A stage that cannot decide the sample raises an
-InconclusiveError, and the row records its ``reason``.  Samples are
-independent, keyed by (master seed, index), so a worker pool produces
-byte-identical reports for any worker count.
+records one row.  A sample is ``generic`` when its complete closure shows
+no connection: f sends neither 0 nor a breakpoint onto a breakpoint at
+any depth (:func:`~pcdyn.quasipartition.connections`).  A stage that
+cannot decide the sample raises an InconclusiveError, and the row records
+its ``reason``.  Samples are independent, keyed by (master seed, index),
+so a worker pool produces byte-identical reports for any worker count.
 """
 
 from __future__ import annotations
@@ -18,10 +20,15 @@ from collections import Counter
 from .config import RunConfig, check_sampling, descriptor_tokens
 from .errors import BoundViolationError, InconclusiveError
 from .numerics import format_scalar
-from .pcmap import Breakpoints, PiecewiseContraction, is_generic
+from .pcmap import (
+    Breakpoints,
+    PiecewiseContraction,
+    is_generic,  # unused here: bench/spans.py patches it in this module
+)
 from .quasipartition import (
     build_partition,
     certify_limits,
+    connections,
     equivalence_classes,
     omega_limit,  # unused here: bench/spans.py patches it in this module
     periodic_orbits,
@@ -37,7 +44,7 @@ class SampleRecord:
     index: int
     breakpoints: tuple
     maps: tuple
-    generic: bool = False
+    generic: bool = False  # no connection; False when not decided
     q_status: str = ""
     q_size: int = 0
     m: int = 0
@@ -94,9 +101,9 @@ def run_sample(cfg: RunConfig, index: int) -> SampleRecord:
 
     got: dict = {}  # the record's fields past maps that this sample sets
     try:
-        got["generic"] = is_generic(f, cfg.generic_depth, cap=cfg.composition_cap)
         q = preimage_set(f, cfg.q_depth_cap, cfg.q_size_cap)
         got.update(q_status=q.status, q_size=len(q.points))
+        got["generic"] = not connections(f, q)
         part = build_partition(f, q, cfg.eps_fp)
         got["m"] = part.m
         got["orbit_count"] = len(periodic_orbits(f, part))

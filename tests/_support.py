@@ -83,6 +83,18 @@ def constant_pc() -> PiecewiseContraction:
     )
 
 
+def depth6_connection_pc() -> PiecewiseContraction:
+    """x/2 + 1/4 and x/3 + 1/5 split at 63/128: the first branch walks 0
+    through 1/4, 3/8, ..., 31/64 onto the breakpoint in six steps, a
+    connection that no composition of five maps makes."""
+    return PiecewiseContraction(
+        IteratedFunctionSystem(
+            (Affine(F(1, 2), F(1, 4)), Affine(F(1, 3), F(1, 5)))
+        ),
+        Breakpoints((F(63, 128),)),
+    )
+
+
 def rand_fraction(rng: random.Random, lo: F, hi: F, denom: int = 2**16) -> F:
     span = hi - lo
     return lo + span * F(rng.randrange(denom + 1), denom)
@@ -195,7 +207,7 @@ def sampling_check_error(cfg, where={}):
     tries = 1 / chance if chance else math.inf
     checks = [
         (n < 2, "n", f"n {n} must be >= 2"),
-        (math.isnan(cfg.kappa_max), "kappa_max",
+        (cfg.kappa_max != cfg.kappa_max, "kappa_max",
          f"kappa_max {cfg.kappa_max} is not a number"),
         (e < 0 or n * e >= 1, "eps_range",
          f"eps_range {eps} must be >= 0 with n*eps_range < 1 (n {n})"),
@@ -538,6 +550,29 @@ def fraction_preimage_set(
         frontier = level
     entries.sort(key=lambda e: e.point)
     return preimage_set_of(entries, depth, status)
+
+
+def forward_connections(f: PiecewiseContraction, qset: PreimageSet) -> tuple:
+    """connections by a forward walk: each source s in (0, x_1, ...,
+    x_{n-1}) is iterated, and each f^d(s), d >= 1, compared with the
+    breakpoints by Fraction equality.  A walk stops once its point leaves
+    the complete closure ``qset``, since no later point can reach a
+    breakpoint; a closure point reaches its breakpoint within
+    ``qset.depth_reached`` steps."""
+    closure, targets = qset.points, f.breakpoints.points
+    found = []
+    for s in (F(0),) + targets:
+        x = f(s)
+        for _ in range(qset.depth_reached + 1):
+            if not any(x == q for q in closure):
+                break
+            if any(x == b for b in targets):
+                found.append(s)
+                break
+            x = f(x)
+        else:
+            raise AssertionError(f"{s}'s walk stays in the closure")
+    return tuple(found)
 
 
 def preimage_set_of(entries, depth_reached=1, status=COMPLETE) -> PreimageSet:

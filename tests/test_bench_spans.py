@@ -82,7 +82,9 @@ def test_a_partition_item_computes_its_orbits_once():
 
 def test_a_survey_sample_certifies_from_0_and_the_breakpoints():
     # criterion-6 samples, traced as the benchmark traces survey-n3: the
-    # certificate follows 0 and the n - 1 breakpoints, never a deeper cut
+    # certificate follows 0 and the n - 1 breakpoints, never a deeper cut,
+    # and the generic column comes from the closure, not the genericity
+    # tree, whose name the tracer still patches in pcdyn.survey
     cfg = RunConfig(backend=Backend.exact(), seed=42, samples=20, n=3)
     tracer = spans.Tracer(SimpleNamespace(items=[], open_segment=0))
     checked = deep = 0
@@ -92,11 +94,14 @@ def test_a_survey_sample_certifies_from_0_and_the_breakpoints():
             start = len(tracer.spans)
             rec = pcdyn.survey.run_sample(cfg, i)
             names = [span[0] for span in tracer.spans[start:]]
+            assert "pcmap.is_generic" not in names, i
             if rec.conclusive:
                 assert names.count("quasipartition.omega_limit") == 3, i
                 assert names.count("quasipartition.periodic_orbits") == 1, i
                 checked += 1
                 deep += rec.q_size > cfg.n - 1
+        assert any(attr == "is_generic" and owner is pcdyn.survey
+                   for owner, attr, _ in tracer._undo)
     finally:
         tracer.restore()
     assert checked >= 10 and deep >= 5

@@ -656,7 +656,7 @@ class TestCommands:
         kappas = [
             0.0, -0.0, 0.45, 0.96875, 0.9687499999999999, 1.0, 1e308,
             -1e-300, -0.5, math.inf, -math.inf, math.nan, 5e-324, 0, 1,
-            F(31, 32), F(1, 3),
+            F(31, 32), F(1, 3), 10**400, -10**400,
         ]
         eps = [F(0), F(1, 64), F(1, 3), F(1, 2), F(-1, 64), 0, 0.0, 0.25]
         where = {"n": 1, "eps_range": 2, "kappa_max": 3}

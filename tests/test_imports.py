@@ -8,8 +8,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "pcdyn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
-# bench/spans.py patches survey.omega_limit, so it stays imported there
-ALLOWED = {("survey.py", "omega_limit")}
+# bench/spans.py patches survey.omega_limit and survey.is_generic, so they
+# stay imported there
+ALLOWED = {("survey.py", "omega_limit"), ("survey.py", "is_generic")}
 
 
 def unused_imports(source: str) -> list[str]:

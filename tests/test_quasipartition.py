@@ -39,14 +39,18 @@ from pcdyn.quasipartition import (
     PreimageSet,
     QPoint,
     QuasiPartition,
+    connections,
 )
 from pcdyn.pcmap import LEFT_OPEN, RIGHT_OPEN, _word_map, rotate_to_min
 from pcdyn.sampling import draw_pc, rng_for_sample
 from _support import (
     constant_pc,
+    depth6_connection_pc,
+    forward_connections,
     fraction_build_partition,
     fraction_periodic_orbits,
     fraction_preimage_set,
+    fraction_word_map,
     period3_pc,
     preimage_set_of,
     rand_affine,
@@ -97,6 +101,50 @@ class TestPreimageSet:
         q = preimage_set(period3_pc(), depth_cap=2)
         assert q.status == TRUNCATED
         assert q.depth_reached == 2
+
+
+class TestConnections:
+    def test_random_draws_match_the_forward_walk(self):
+        # random draws have no connection: every verdict is generic
+        for idx in range(60):
+            f = draw_pc(rng_for_sample(29, idx), 2 + idx % 6, kappa_max=0.45)
+            q = preimage_set(f)
+            assert connections(f, q) == forward_connections(f, q) == (), idx
+
+    def test_breakpoints_on_word_maps_match_the_forward_walk(self):
+        # one breakpoint moved onto the fixed point of a word map, or onto
+        # a word map's image of the other breakpoint: a composition sends
+        # a breakpoint onto a breakpoint, which f itself follows only
+        # sometimes
+        rng = random.Random(7)
+        seen = Counter()
+        for idx in range(400):
+            f = draw_pc(rng_for_sample(7, idx), 3, kappa_max=0.45)
+            m = fraction_word_map(
+                f, [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+            )
+            bps, j = list(f.breakpoints.points), rng.randrange(2)
+            kind = ("fixed", "image")[idx % 2]
+            bps[j] = m.b / (1 - m.a) if kind == "fixed" else m.a * bps[1 - j] + m.b
+            if not 0 < bps[0] < bps[1] < 1:
+                continue
+            g = PiecewiseContraction(f.ifs, Breakpoints(tuple(bps)))
+            q = preimage_set(g)
+            got = connections(g, q)
+            assert got == forward_connections(g, q), idx
+            seen[kind, bool(got)] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+    def test_a_connection_past_the_depth_of_the_tree(self):
+        f = depth6_connection_pc()
+        assert is_generic(f, 5) and not is_generic(f, 6)
+        q = preimage_set(f)
+        assert connections(f, q) == forward_connections(f, q) == (F(0),)
+
+    def test_a_truncated_closure_is_not_read(self):
+        f = depth6_connection_pc()
+        with pytest.raises(TruncatedClosureError):
+            connections(f, preimage_set(f, depth_cap=5))
 
 
 class TestBuildPartition:

@@ -38,6 +38,7 @@ from pcdyn.survey import (
     run_survey,
     survey_csv,
 )
+from _support import depth6_connection_pc
 
 
 def small_cfg(**kw):
@@ -81,6 +82,33 @@ class TestRunSample:
         assert (rec.reason, rec.q_status) == ("q-truncated", "truncated")
         assert (rec.q_size, rec.m) == (1, 0)
         assert not rec.conclusive
+        assert not rec.generic  # a truncated closure certifies nothing
+
+    def test_a_closure_that_raised_is_not_generic(self, monkeypatch):
+        def inexact(*args):
+            raise InexactPreimageError("irrational preimage")
+
+        monkeypatch.setattr(survey, "preimage_set", inexact)
+        rec = run_sample(small_cfg(), 0)
+        assert (rec.reason, rec.generic, rec.q_status) == ("inexact-preimage", False, "")
+
+    def test_a_connection_deeper_than_the_tree_is_not_generic(self, monkeypatch):
+        # f sends 0 onto its breakpoint in six steps; a depth-5 tree over
+        # all maps called it generic
+        f = depth6_connection_pc()
+        monkeypatch.setattr(survey, "draw_breakpoints", lambda *a: f.breakpoints.points)
+        monkeypatch.setattr(survey, "draw_ifs", lambda *a: f.ifs)
+        rec = run_sample(small_cfg(), 0)
+        assert (rec.generic, rec.q_status, rec.q_size) == (False, "complete", 13)
+
+    def test_the_tree_no_longer_caps_a_sample(self):
+        # seed 0, n = 20, sample 10: one level of the depth-5 genericity
+        # tree held 101,984 points and raised cap-exceeded; its closure
+        # is complete at 22 points
+        cfg = RunConfig(backend=Backend.exact(), seed=0, samples=40, n=20)
+        rec = run_sample(cfg, 10)
+        assert rec.conclusive and rec.generic
+        assert (rec.q_status, rec.q_size, rec.orbit_count) == ("complete", 22, 1)
 
     def test_samples_independent_of_order(self):
         a = [run_sample(small_cfg(), i) for i in range(5)]
@@ -260,14 +288,17 @@ class TestRunSurvey:
             "ac7686442f7a4493ca57fa6048d81969d580920da0394b09fa15048b850f50f4"
         )
 
-    @pytest.mark.parametrize("n", [6, 10, 12])
+    @pytest.mark.parametrize("n", [6, 10, 12, 16, 20])
     def test_wide_surveys_pinned(self, n):
-        # 40 samples at seed 0, where the genericity tree is most of the
-        # work; digests recorded before the tree moved to integer pairs
+        # 40 samples at seed 0; n = 20 re-pinned when the generic column
+        # moved from the depth-5 tree to the closure, which made sample 10
+        # conclusive
         want = {
             6: "8684ea2680c242e8bb7626c1efdf3c53eceaddedc8fe7dfc49ec48d09a802370",
             10: "524c40600b3ec6cdb25a2ab59ba0fd368e6d3267316c75c2064422f4d3830559",
             12: "e8d9f0b9886208d3e8ddd27edbed4ba6d4452f7a51122ea99c335fffb1eb5bca",
+            16: "60a15d45fc20232979d0ecfc201b987f582e7e99a9bf3437f45af5e6559e13a3",
+            20: "45753e805c76a32dd25df4db3d1a5897008c046216bb9eda23ec19fb39b4063b",
         }[n]
         cfg = RunConfig(backend=Backend.exact(), samples=40, seed=0, n=n)
         digest = hashlib.sha256(survey_csv(run_survey(cfg)).encode()).hexdigest()
@@ -343,6 +374,18 @@ class TestSamplingBounds:
             run_survey(RunConfig(backend=Backend.exact(), **fields))
         assert built.value.line is None
         assert str(parsed.value) == f"line {parsed.value.line}: {built.value}"
+
+    @pytest.mark.parametrize(
+        "sign, rule", [(-1, "must be >= 0"), (1, "must be below 1 - 2*eps_range")]
+    )
+    def test_a_huge_int_kappa_max_is_a_range_error(self, sign, rule):
+        # only a config built in code can hold one; a float test for NaN
+        # would overflow on it
+        kappa = sign * 10**400
+        cfg = RunConfig(backend=Backend.exact(), n=3, samples=1, kappa_max=kappa)
+        with pytest.raises(ConfigError) as built:
+            run_survey(cfg)
+        assert str(built.value).startswith(f"kappa_max {kappa} {rule}")
 
     @pytest.mark.parametrize("eps", [0.02, math.nan])
     def test_an_unreadable_margin_is_a_config_error(self, eps):
