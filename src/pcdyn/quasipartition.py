@@ -45,6 +45,7 @@ from .numerics import (
 )
 from .pcmap import (
     DEFAULT_EPS_ORBIT,
+    RIGHT_OPEN,
     PeriodicOrbit,
     PiecewiseContraction,
     _level_preimages,
@@ -96,6 +97,10 @@ class PreimageSet:
     def is_complete(self) -> bool:
         return self.status == COMPLETE
 
+    @cached_property
+    def _keys(self) -> tuple[float, ...]:  # preimage_set sets it from its sort
+        return float_keys(self.points)
+
 
 def preimage_set(
     f: PiecewiseContraction,
@@ -140,11 +145,11 @@ def preimage_set(
         if len(found) > size_cap:
             status = TRUNCATED
             break
-    pairs = sort_pairs(found)[0]
+    pairs, keys = sort_pairs(found)
     points = tuple(_raw_fraction(*x) for x in pairs)
-    return PreimageSet(
-        points, tuple(map(found.__getitem__, pairs)), depth, status
-    )
+    qset = PreimageSet(points, tuple(map(found.__getitem__, pairs)), depth, status)
+    object.__setattr__(qset, "_keys", tuple(keys))
+    return qset
 
 
 def _require_complete(qset: PreimageSet) -> None:
@@ -155,23 +160,33 @@ def _require_complete(qset: PreimageSet) -> None:
         )
 
 
+def _source_steps(f: PiecewiseContraction, qset: PreimageSet) -> tuple:
+    """Per source s in (0, x_1, ..., x_{n-1}), kept on ``qset`` for its last
+    map: j when f(s), on s's branch, is a closure point of provenance (j, d),
+    else None.  0 is on branch 1, x_j on j + 1 if right-open, else on j."""
+    memo = qset.__dict__.get("_steps", (None,))
+    if memo[0] is not f:
+        _require_complete(qset)
+        maps, flags = f.ifs.maps, (RIGHT_OPEN,) + f.closures
+        ends = enumerate(zip((EXACT.zero,) + f.breakpoints.points, flags))
+        ys = [maps[j - (c != RIGHT_OPEN)]._eval(s) for j, (s, c) in ends]
+        hits = [find_exact(qset.points, qset._keys, y, _key(y)) for y in ys]
+        memo = f, tuple(qset.provenance[i][0] if hit else None for i, hit in hits)
+        object.__setattr__(qset, "_steps", memo)
+    return memo[1]
+
+
 def connections(f: PiecewiseContraction, qset: PreimageSet) -> tuple[Scalar, ...]:
     """The sources s in {0, x_1, ..., x_{n-1}} that f sends onto a
     breakpoint: f^d(s) = x_j for some d >= 1 and some j.
 
     ``qset`` is f's complete backward closure, which holds every point
     that reaches a breakpoint, so s has a connection exactly when f(s) is
-    a closure point: one evaluation and one exact search per source.  A
-    closure that hit its cap raises TruncatedClosureError.
+    a closure point: one step per source, which :func:`certify_limits`
+    reads too.  A closure that hit its cap raises TruncatedClosureError.
     """
-    _require_complete(qset)
-    points = qset.points
-    keys = float_keys(points)
-    return tuple(
-        s
-        for s in (EXACT.zero,) + f.breakpoints.points
-        if find_exact(points, keys, y := f(s), _key(y))[1]
-    )
+    steps = zip((EXACT.zero,) + f.breakpoints.points, _source_steps(f, qset))
+    return tuple(s for s, i in steps if i is not None)
 
 
 @dataclass(frozen=True)
@@ -287,7 +302,7 @@ def build_partition(
     _require_complete(qset)
     # closure points are Fractions: compare their integers
     cuts = tuple(p for p in qset.points if 0 < p._numerator < p._denominator)
-    keys = float_keys(cuts)
+    keys = qset._keys[len(qset.points) - len(cuts):]  # only 0 is left out
     branch: list[int] = []
     for d, (x, fx) in enumerate(zip(f.breakpoints.points, f._bp_keys), start=1):
         num, den = _ratio(x) or x.as_integer_ratio()
@@ -391,15 +406,19 @@ def certify_limits(f: PiecewiseContraction, part: QuasiPartition) -> None:
 
     Each open interval of the partition is in the basin of one of them,
     and every other x is 0 or a cut point q, whose provenance (s, depth)
-    gives f^depth(q) = x_s, the s-th breakpoint, so ω(q) = ω(x_s).  The
-    first limit of 0 or a breakpoint that is a cycle among the cut points
-    and not one of the orbits raises CutCycleError.
+    gives f^depth(q) = x_s, the s-th breakpoint, so ω(q) = ω(x_s).  A
+    source's one step (:func:`connections`) enters an interval or goes on
+    from a breakpoint; a chain that repeats one is a cut-point cycle, and
+    the first whose :func:`omega_limit` is no orbit raises CutCycleError.
     """
     orbits = part._limits[0]
-    for x in (0,) + f.breakpoints.points:
-        lim = omega_limit(f, x, part)
-        if lim.home_cycle is None and lim not in orbits:
-            raise CutCycleError(x, lim)
+    part._own(f)
+    steps = _source_steps(f, part.qset)
+    for k, x in enumerate((0,) + f.breakpoints.points):
+        # a chain of n steps over the n sources has repeated one
+        if all((k := steps[k]) is not None for _ in range(f.n)):
+            if (lim := omega_limit(f, x, part)) not in orbits:
+                raise CutCycleError(x, lim)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -29,6 +30,7 @@ from pcdyn import (
     omega_limit,
     orbit,
     periodic_orbits,
+    power_map,
     preimage_set,
 )
 from pcdyn.maps import DEFAULT_EPS_FP
@@ -103,6 +105,59 @@ class TestPreimageSet:
         assert q.depth_reached == 2
 
 
+def _word_map_draws():
+    """The 400 seed-7 draws at n = 3 with one breakpoint moved onto the
+    fixed point of a random word map, or onto a word map's image of the
+    other breakpoint: (kind, map) for each that stays ordered."""
+    rng = random.Random(7)
+    for idx in range(400):
+        f = draw_pc(rng_for_sample(7, idx), 3, kappa_max=0.45)
+        m = fraction_word_map(
+            f, [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        )
+        bps, j = list(f.breakpoints.points), rng.randrange(2)
+        kind = ("fixed", "image")[idx % 2]
+        bps[j] = m.b / (1 - m.a) if kind == "fixed" else m.a * bps[1 - j] + m.b
+        if 0 < bps[0] < bps[1] < 1:
+            yield kind, PiecewiseContraction(f.ifs, Breakpoints(tuple(bps)))
+
+
+def _walked_certify_limits(f, part):
+    """certify_limits as a walk from each source: omega_limit from 0 and
+    from each breakpoint, in order, each limit checked against the
+    partition's orbits."""
+    orbits = part._limits[0]
+    for x in (0,) + f.breakpoints.points:
+        lim = omega_limit(f, x, part)
+        if lim.home_cycle is None and lim not in orbits:
+            raise CutCycleError(x, lim)
+
+
+def _certificate(certify, f, part):
+    """None when certify passes, else the type, message and orbit (if
+    any) of what it raised."""
+    try:
+        certify(f, part)
+    except (BoundaryOrbitError, CutCycleError) as exc:
+        return type(exc), str(exc), getattr(exc, "orbit", None)
+    return None
+
+
+def _assert_one_step_per_source(f, q):
+    """connections and certify_limits, which share one step per source,
+    against the forward walk and the walk from each source: the same
+    sources, and the same pass or raise with the same orbit and message,
+    whether connections kept the steps first or not.  Returns both."""
+    got = connections(f, q)
+    assert got == forward_connections(f, q)
+    part = build_partition(f, q)
+    want = _certificate(_walked_certify_limits, f, part)
+    assert _certificate(certify_limits, f, part) == want
+    del q.__dict__["_steps"]  # certify_limits steps the sources itself
+    assert _certificate(certify_limits, f, build_partition(f, q)) == want
+    return got, want
+
+
 class TestConnections:
     def test_random_draws_match_the_forward_walk(self):
         # random draws have no connection: every verdict is generic
@@ -112,34 +167,37 @@ class TestConnections:
             assert connections(f, q) == forward_connections(f, q) == (), idx
 
     def test_breakpoints_on_word_maps_match_the_forward_walk(self):
-        # one breakpoint moved onto the fixed point of a word map, or onto
-        # a word map's image of the other breakpoint: a composition sends
-        # a breakpoint onto a breakpoint, which f itself follows only
-        # sometimes
-        rng = random.Random(7)
-        seen = Counter()
-        for idx in range(400):
-            f = draw_pc(rng_for_sample(7, idx), 3, kappa_max=0.45)
-            m = fraction_word_map(
-                f, [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
-            )
-            bps, j = list(f.breakpoints.points), rng.randrange(2)
-            kind = ("fixed", "image")[idx % 2]
-            bps[j] = m.b / (1 - m.a) if kind == "fixed" else m.a * bps[1 - j] + m.b
-            if not 0 < bps[0] < bps[1] < 1:
-                continue
-            g = PiecewiseContraction(f.ifs, Breakpoints(tuple(bps)))
-            q = preimage_set(g)
-            got = connections(g, q)
-            assert got == forward_connections(g, q), idx
+        # a composition sends a breakpoint onto a breakpoint, which f
+        # itself follows only sometimes; the certificate, which shares the
+        # steps, meets cut cycles and boundary orbits here
+        seen, certs = Counter(), Counter()
+        for kind, g in _word_map_draws():
+            got, cert = _assert_one_step_per_source(g, preimage_set(g))
             seen[kind, bool(got)] += 1
+            certs[cert and cert[0].__name__] += 1
         assert len(seen) == 4 and min(seen.values()) >= 10, seen
+        assert certs["CutCycleError"] >= 10 and certs["BoundaryOrbitError"], certs
 
     def test_a_connection_past_the_depth_of_the_tree(self):
         f = depth6_connection_pc()
         assert is_generic(f, 5) and not is_generic(f, 6)
         q = preimage_set(f)
         assert connections(f, q) == forward_connections(f, q) == (F(0),)
+
+    def test_one_closure_read_for_two_maps(self):
+        # 1/2 is the closure of both flags, but f(1/2) is 1/2 on the right
+        # branch and 1/4 on the left: the kept steps are the last map's
+        maps = IteratedFunctionSystem(
+            (Affine(F(1, 4), F(1, 8)), Affine(F(-1, 2), F(3, 4)))
+        )
+        f = PiecewiseContraction(maps, Breakpoints((F(1, 2),)))
+        g = PiecewiseContraction(maps, f.breakpoints, (LEFT_OPEN,))
+        q = preimage_set(f)
+        assert q.points == preimage_set(g).points == (F(1, 2),)
+        for h, want in ((f, (F(1, 2),)), (g, ()), (f, (F(1, 2),))):
+            got, cert = _assert_one_step_per_source(h, q)
+            assert got == want
+            assert (cert and cert[0]) is (CutCycleError if h is f else None)
 
     def test_a_truncated_closure_is_not_read(self):
         f = depth6_connection_pc()
@@ -744,6 +802,7 @@ class TestCutPointCertificate:
             if built is None:
                 continue
             f, part = built
+            _assert_one_step_per_source(f, part.qset)
             special = (F(0),) + part.cut_points
             limits = [omega_limit(f, x, part) for x in special]
             assert limits == [_oracle_omega_limit(f, x, part) for x in special]
@@ -785,6 +844,21 @@ class TestCutPointCertificate:
                 assert omega_limit(f, e.point, part) == omega_limit(f, x, part)
             checked += 1
 
+    def test_power_maps_step_each_source_on_its_own_branch(self):
+        # a power map owns some breakpoints from the left (left-open), and
+        # the step of such a breakpoint takes the left branch's map
+        left, certs = Counter(), Counter()
+        for _, f in _word_map_draws():
+            g = power_map(f, 2)
+            q = preimage_set(g)
+            cert = _assert_one_step_per_source(g, q)[1]
+            steps = pcdyn.quasipartition._source_steps(g, q)
+            for j, c in enumerate(g.closures, start=1):
+                left[c, steps[j] is not None] += c == LEFT_OPEN
+            certs[cert and cert[0].__name__] += 1
+        assert left[LEFT_OPEN, True] >= 5 and left[LEFT_OPEN, False] >= 50, left
+        assert certs["CutCycleError"] and certs["BoundaryOrbitError"], certs
+
     def test_cycle_on_cut_points_found_by_the_partition(self):
         # 1/4 -> 1/2 -> 1/4 runs through cut points, but it is also the
         # orbit of the partition's only cycle, so nothing is missed
@@ -801,6 +875,33 @@ class TestCutPointCertificate:
         # of the partition's own orbits (0 enters an open interval)
         assert lim in periodic_orbits(f, part)
         certify_limits(f, part)
+
+
+class TestPowerMapOrbitsSplit:
+    """A period-p orbit of f splits into gcd(p, k) orbits of f^k, one per
+    residue class of its points.  The pipeline runs on f^k, a map with
+    more branches and some left-open breakpoints, which no survey draws."""
+
+    def test_criterion_6_samples(self):
+        left_open = split = 0
+        for idx in range(50):
+            f = draw_pc(rng_for_sample(42, idx), 3, kappa_max=0.45)
+            orbits = periodic_orbits(f, build_partition(f, preimage_set(f)))
+            for k in (2, 3):
+                g = power_map(f, k)
+                part = build_partition(g, preimage_set(g))
+                got = periodic_orbits(g, part)
+                certify_limits(g, part)
+                splits = {
+                    frozenset(o.points[r::gcd(o.period, k)])
+                    for o in orbits
+                    for r in range(gcd(o.period, k))
+                }
+                assert {o.point_set() for o in got} == splits, (idx, k)
+                assert len(got) == len(splits), (idx, k)
+                left_open += g.closures.count(LEFT_OPEN)
+                split += len(splits) > len(orbits)
+        assert left_open >= 10 and split >= 5, (left_open, split)
 
 
 def _oracle_locate(part, x):
