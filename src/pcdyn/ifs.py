@@ -108,9 +108,11 @@ def _rational_affine_sequence(
     D, map x -> (A*x + B)/D sends p/q to (aL*p + bL*q) / (L*q), where
     aL = A*L/D and bL = B*L/D.  Each map's images form an ascending run
     (read backwards for a negative slope), so the sort merges n runs;
-    touching components merge as in ``IntervalSet.normalize``.  One gcd
-    per step keeps q and the numerators reduced; each A_k keeps its pairs
-    and q, and builds its endpoint Fractions only when they are read.
+    touching components merge as in ``IntervalSet.normalize``.  A_k is
+    held over q = L**k, not in lowest terms: its endpoint Fractions are
+    built, each reduced, only when they are read, and ``measure`` reduces
+    its sum.  A gcd of q and every endpoint per step would save a bit or
+    two of q on average and cost more than the larger integers.
     """
     ints = [m._ints for m in maps]
     den = math.lcm(*(d for _, _, d in ints))
@@ -139,10 +141,6 @@ def _rational_affine_sequence(
                 cur_lo, cur_hi = lo, hi
         runs.append((cur_lo, cur_hi))
         q *= den
-        g = math.gcd(q, *(v for run in runs for v in run))
-        if g > 1:
-            q //= g
-            runs = [(lo // g, hi // g) for lo, hi in runs]
         seq.append(IntervalSet._from_runs(runs, q))
     return seq
 

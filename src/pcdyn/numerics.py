@@ -100,10 +100,11 @@ EXACT = Backend.exact()
 # parsing constructor, _richcmp) cost several times the integer arithmetic
 # behind them, so hot exact loops build, compare and search through these
 # helpers, which read Fraction internals.  The only other readers are
-# Affine._eval (maps.py), PiecewiseContraction.__call__ (pcmap.py), which
-# holds the only integer path of a clamped affine branch, build_partition
+# Affine._eval (maps.py); PiecewiseContraction.__call__ (pcmap.py), which
+# holds the only integer path of a clamped affine branch and builds its
+# result Fraction in place, reduced as _raw_fraction reduces; build_partition
 # (quasipartition.py), which filters the cut points and takes an affine
-# branch's image ends from the interval ends' integers, and _intercept_range
+# branch's image ends from the interval ends' integers; and _intercept_range
 # (sampling.py).  is_generic (pcmap.py) and preimage_set (quasipartition.py)
 # hold their points as integer pairs and cross to and from Fractions only
 # through _ratio and _raw_fraction.
@@ -326,9 +327,10 @@ class IntervalSet:
 
     Construct through :meth:`normalize`; the constructor trusts its input.
     A set from :meth:`_from_runs` holds ascending (lo, hi) integer numerator
-    pairs over one common denominator q instead: it answers ``len``,
-    ``measure`` and ``contains_set`` against another such set in integers,
-    and builds its components once, on their first read.
+    pairs over one common denominator q instead, q > 0 and not necessarily
+    in lowest terms: it answers ``len``, ``measure`` and ``contains_set``
+    against another such set in integers, and builds its components once,
+    on their first read, each endpoint reduced.
     """
 
     _runs: Optional[list[tuple[int, int]]] = None

@@ -17,6 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, NonDiscretePreimageError
@@ -150,7 +151,12 @@ class PiecewiseContraction:
                         return vlo
                     if xn * hd >= hn * xd:
                         return vhi
-                return _raw_fraction(A * xn + B * xd, D * xd)
+                # the Fraction built in place, reduced as _raw_fraction does
+                num, den = A * xn + B * xd, D * xd
+                g = gcd(num, den)
+                y = object.__new__(Fraction)
+                y._numerator, y._denominator = num // g, den // g
+                return y
         return self.ifs.maps[self.digit(x) - 1]._eval(x)
 
     @cached_property
@@ -294,11 +300,33 @@ class OrbitRecord:
 
 
 def _word_map(f: PiecewiseContraction, word: Sequence[int]) -> MapDescriptor:
+    """The map of a digit word, first letter acting first.  A word of two
+    or more rational ``Affine`` letters is folded once in integers
+    (:func:`_affine_fold`); any other word is a ``compose`` chain."""
     maps = f.ifs.maps
+    if len(word) > 1 and (form := _affine_fold(maps, word)) is not None:
+        return Affine._from_ints(*form)
     m = maps[word[0] - 1]
     for d in word[1:]:
         m = compose(maps[d - 1], m)
     return m
+
+
+def _affine_fold(
+    maps: Sequence[MapDescriptor], word: Sequence[int]
+) -> Optional[tuple[int, int, int]]:
+    """The word map's integer form (A, B, D), x -> (A*x + B)/D with the
+    first letter acting first, when every letter is a rational ``Affine``;
+    else None.  The form is not reduced: ``Affine._from_ints`` reduces it
+    to the unique form with gcd(A, B, D) = 1 that ``compose`` gives."""
+    A, B, D = 1, 0, 1
+    for d in word:
+        form = getattr(maps[d - 1], "_ints", None)  # only an Affine has one
+        if form is None:
+            return None
+        a, b, dd = form
+        A, B, D = a * A, a * B + b * D, dd * D
+    return A, B, D
 
 
 def _walk(
@@ -344,8 +372,9 @@ def _refine_candidate(
 
     The orbit of z is walked once (:func:`_walk`) and must follow the word.
     Exact backend, every letter a rational ``Affine``: the integer forms
-    fold into z = B/(D - A), in (0, 1) as each letter maps [0, 1] into
-    (0, 1), and the walk applies the word map exactly, so it closes.
+    fold (:func:`_affine_fold`) into z = B/(D - A), in (0, 1) as each
+    letter maps [0, 1] into (0, 1), and the walk applies the word map
+    exactly, so it closes.
     Otherwise z is the word map's ``fixed_point``, and the last letter must
     send the walk back to z: exactly for a Fraction z under the exact
     backend, within max(eps_orbit, 10*eps_fp) otherwise.  Returns None when
@@ -354,13 +383,9 @@ def _refine_candidate(
     word, with the cycle as ``home_cycle``.
     """
     maps = f.ifs.maps
-    # each letter's (A, B, D), the integer form only a rational Affine has
-    forms = [getattr(maps[d - 1], "_ints", None) for d in word]
-    fold = backend.is_exact and None not in forms
-    if fold:  # the word map (A*x + B)/D, first letter acting first
-        A, B, D = 1, 0, 1
-        for a, b, dd in forms:
-            A, B, D = a * A, a * B + b * D, dd * D
+    form = _affine_fold(maps, word) if backend.is_exact else None
+    if form is not None:
+        A, B, D = form
         z = _raw_fraction(B, D - A)
     else:
         try:
@@ -374,7 +399,7 @@ def _refine_candidate(
     if walked is None:
         return None
     pts, digits = walked
-    if not fold:
+    if form is None:
         y = maps[word[-1] - 1]._eval(pts[-1])
         if backend.is_exact and isinstance(z, Fraction):
             closes = y == z

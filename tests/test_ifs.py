@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -302,6 +303,82 @@ class TestIntegerAttractorPath:
         got = attractor_sequence(ifs, 5, backend)
         assert got == generic_sequence(ifs, 5, backend)
         assert {type(iv.lo) for s in got[1:] for iv in s} == {endpoint_type}
+
+
+# On these systems the attractor path's old per-step gcd, of q = L**k and
+# every endpoint numerator, was above 1 at every step k = 1..14: the
+# endpoints come from the maps with denominators 3, 9 or 27 and never need
+# all of L (the test asserts it).  One component each for the first and
+# last, up to 64 for the negative and zero slopes in between.
+GCD_EVERY_STEP = [
+    ((F(1, 3), F(1, 3)), (F(1, 9), F(4, 9)), (F(1, 27), F(13, 27))),
+    ((F(1, 6), F(19, 27)), (F(3, 4), F(1, 6))),
+    ((F(-1, 2), F(3, 4)), (F(13, 27), F(2, 9))),
+    ((0, F(2, 3)), (F(-1, 2), F(11, 16)), (F(1, 2), F(1, 4))),
+    ((0, F(7, 8)), (F(11, 27), F(1, 2)), (0, F(5, 9))),
+    ((F(8, 9), F(2, 27)), (F(-2, 3), F(5, 6))),
+]
+
+
+def _bounded_generic_sequence(ifs, k_max, cap):
+    """generic_sequence, or None once a set has more than cap components
+    (the oracle's cost grows with them)."""
+    seq = [IntervalSet.unit()]
+    for _ in range(k_max):
+        seq.append(ifs_image(ifs, seq[-1]))
+        if len(seq[-1]) > cap:
+            return None
+    return seq
+
+
+class TestUnreducedDenominator:
+    """A_k from the integer path is held over q = L**k, never reduced; its
+    answers and its reduced endpoints match the generic path to k = 14."""
+
+    K = 14
+
+    def _check(self, ifs, want, prev):
+        got = _integer_backed(ifs, self.K)
+        assert len({s._q for s in got}) == self.K + 1  # a new q each step
+        assert [len(s) for s in got] == [len(w) for w in want]
+        assert [s.measure() for s in got] == [fraction_measure(w) for w in want]
+        for j in range(self.K + 1):
+            for k in range(self.K + 1):
+                assert got[j].contains_set(got[k]) == want[j].contains_set(
+                    want[k]
+                ), (ifs, j, k)
+        if prev is not None:  # another system: another L
+            for s, w, ps, pw in zip(got, want, *prev):
+                assert s.contains_set(ps) == w.contains_set(pw)
+                assert ps.contains_set(s) == pw.contains_set(w)
+        assert all(s._runs is not None for s in got)  # nothing built yet
+        for s, w in zip(got, want):
+            ends = [(e._numerator, e._denominator)
+                    for iv in s for e in (iv.lo, iv.hi)]
+            assert all(math.gcd(n, d) == 1 and d > 0 for n, d in ends)
+            assert ends == [e.as_integer_ratio()
+                            for iv in w for e in (iv.lo, iv.hi)]
+        assert _integer_backed(ifs, self.K) == want
+        return _integer_backed(ifs, self.K), want  # unbuilt, for the next
+
+    def test_systems_the_old_gcd_reduced_at_every_step(self):
+        prev = None
+        for maps in GCD_EVERY_STEP:
+            ifs = IteratedFunctionSystem(tuple(Affine(a, b) for a, b in maps))
+            for s in _integer_backed(ifs, self.K)[1:]:
+                assert math.gcd(s._q, *(v for run in s._runs for v in run)) > 1
+            want = _bounded_generic_sequence(ifs, self.K, 64)
+            prev = self._check(ifs, want, prev)
+
+    def test_seeded_systems(self):
+        # the 178 of 240 whose sets stay within 64 components to k = 14
+        prev, checked = None, Counter()
+        for ifs, _ in _seeded_systems():
+            want = _bounded_generic_sequence(ifs, self.K, 64)
+            if want is not None:
+                prev = self._check(ifs, want, prev)
+                checked[len(ifs)] += 1
+        assert sum(checked.values()) >= 150 and min(checked.values()) >= 30
 
 
 class TestHighlyContractiveBound:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import re
 from bisect import bisect_right
@@ -289,6 +290,33 @@ class TestFusedCall:
         assert calls == []
         assert f(F(3, 10)) == Affine(F(1, 2), F(1, 4))(F(3, 10))  # left-open
         assert calls == [F(3, 10)]
+
+    def test_power_maps_and_their_capped_systems(self):
+        # f^2 and f^3 of the first 50 criterion-6 draws: word maps whose D
+        # reach about 96 bits, refined breakpoints, some of them left-open
+        rng = random.Random(606)
+        tiny = F(1, 2**80)
+        seen = Counter()
+        for idx in range(50):
+            f = draw_pc(rng_for_sample(42, idx), 3, kappa_max=0.45)
+            for k in (2, 3):
+                g = power_map(f, k)
+                capped = cap_ifs(g.ifs, g.breakpoints).capped
+                gcap = PiecewiseContraction(capped, g.breakpoints, g.closures)
+                xs = [F(rng.randrange(1, 2**20), 2**20) for _ in range(10)]
+                for p in g.breakpoints:
+                    xs += [p, p - tiny, p + tiny]
+                for h in (g, gcap):
+                    for x in xs:
+                        _assert_call(h, x)
+                        y = h(x)
+                        want = h.ifs.maps[h.digit(x) - 1]._eval(x)
+                        assert y.as_integer_ratio() == want.as_integer_ratio()
+                seen["left-open"] += g.closures.count(LEFT_OPEN)
+                seen["bits"] = max(
+                    [seen["bits"]] + [m._ints[2].bit_length() for m in g.ifs]
+                )
+        assert seen["left-open"] >= 10 and seen["bits"] >= 90, seen
 
     def test_other_inputs_take_the_generic_path(self):
         f = _mixed_pc(random.Random(8))
@@ -993,6 +1021,56 @@ class TestPowerMap:
                 for _ in range(k):
                     y = f(y)
                 assert g(x) == y
+
+
+def _compose_chain(f: PiecewiseContraction, word):
+    """The word map as the chain of compose() calls, first letter first."""
+    m = f.ifs.maps[word[0] - 1]
+    for d in word[1:]:
+        m = compose(f.ifs.maps[d - 1], m)
+    return m
+
+
+class TestWordMapFold:
+    """_word_map folds an all-affine word once in integers through
+    _affine_fold, the helper _refine_candidate shares; other words keep
+    the compose chain.  compose() and the Fraction-composed map are the
+    oracles."""
+
+    def test_affine_words_are_the_fraction_word_maps(self):
+        rng = random.Random(3131)
+        slopes = set()
+        for idx in range(60):
+            f = _mixed_pc(rng)
+            maps = f.ifs.maps
+            affine = [d for d, m in enumerate(maps, 1) if type(m) is Affine]
+            for _ in range(8 if affine else 0):
+                word = [rng.choice(affine) for _ in range(rng.randint(1, 6))]
+                got, want = pcmap._word_map(f, word), fraction_word_map(f, word)
+                assert type(got) is Affine and got == want, (f, word)
+                assert hash(got) == hash(want)
+                assert got._ints == want._ints == _compose_chain(f, word)._ints
+                assert math.gcd(*got._ints) == 1 and got._ints[2] > 0
+                slopes.update((maps[d - 1].a > 0) - (maps[d - 1].a < 0)
+                              for d in word)
+        assert slopes == {-1, 0, 1}
+
+    def test_other_words_keep_the_compose_chain(self):
+        clamped = Clamped(Affine(F(1, 3), F(1, 3)), F(1, 4), F(3, 4))
+        maps = (
+            Affine(F(1, 2), F(1, 4)),
+            clamped,
+            Affine(0.5, 0.125),
+            rand_quadratic(random.Random(3)),
+        )
+        cuts = Breakpoints((F(1, 4), F(1, 2), F(3, 4)))
+        f = PiecewiseContraction(IteratedFunctionSystem(maps), cuts)
+        for word in [(1, 2), (2, 1, 1), (1, 3), (3, 1, 1), (4, 1), (1, 2, 3, 4)]:
+            assert pcmap._affine_fold(maps, word) is None
+            got, want = pcmap._word_map(f, word), _compose_chain(f, word)
+            assert got == want and type(got) is type(want), word
+        assert type(pcmap._word_map(f, (1, 3))) is Affine  # compose's float fold
+        assert pcmap._word_map(f, (2,)) is clamped
 
 
 def _zero_on_breakpoint_pc() -> PiecewiseContraction:
