@@ -102,12 +102,22 @@ EXACT = Backend.exact()
 # helpers, which read Fraction internals.  The only other readers are
 # Affine._eval (maps.py); PiecewiseContraction.__call__ (pcmap.py), which
 # holds the only integer path of a clamped affine branch and builds its
-# result Fraction in place, reduced as _raw_fraction reduces; build_partition
+# result Fraction in place, in lowest terms; build_partition
 # (quasipartition.py), which filters the cut points and takes an affine
 # branch's image ends from the interval ends' integers; and _intercept_range
 # (sampling.py).  is_generic (pcmap.py) and preimage_set (quasipartition.py)
-# hold their points as integer pairs and cross to and from Fractions only
-# through _ratio and _raw_fraction.
+# hold their points as reduced integer pairs and cross to and from Fractions
+# only through _ratio, _raw_fraction and _lowest_terms.
+#
+# A gcd against a power of two is the numerator's lowest set bit.
+# __call__ alone takes that shortcut, when its denominator D*x_d is a power
+# of two (every grid-drawn map and point): its branch maps [0, 1] into
+# (0, 1) and 0 < x < 1, so 0 < num < den, the low bit is below den, and a
+# shift reduces both.  _raw_fraction and Affine._eval keep math.gcd: their
+# callers also pass zero numerators and integer results, which need the
+# general case, and on the sampler's 32-bit dyadic pairs gcd costs about
+# as much as the bit test, which callers with other denominators would
+# pay for nothing.
 
 
 def _raw_fraction(num: int, den: int) -> Fraction:
@@ -117,6 +127,14 @@ def _raw_fraction(num: int, den: int) -> Fraction:
     f = object.__new__(Fraction)
     f._numerator = num // g
     f._denominator = den // g
+    return f
+
+
+def _lowest_terms(num: int, den: int) -> Fraction:
+    """The Fraction num/den for a pair already in lowest terms, den > 0:
+    :func:`_raw_fraction` without its gcd, which is 1 here."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
     return f
 
 

@@ -151,11 +151,18 @@ class PiecewiseContraction:
                         return vlo
                     if xn * hd >= hn * xd:
                         return vhi
-                # the Fraction built in place, reduced as _raw_fraction does
+                # the Fraction built in place, in lowest terms.  The branch
+                # maps [0, 1] into (0, 1), so 0 < num < den: on a power-of-
+                # two den (dyadic D and x) the gcd is num's lowest set bit
                 num, den = A * xn + B * xd, D * xd
-                g = gcd(num, den)
+                if den & (den - 1):
+                    g = gcd(num, den)
+                    num, den = num // g, den // g
+                else:
+                    s = (num & -num).bit_length() - 1
+                    num, den = num >> s, den >> s
                 y = object.__new__(Fraction)
-                y._numerator, y._denominator = num // g, den // g
+                y._numerator, y._denominator = num, den
                 return y
         return self.ifs.maps[self.digit(x) - 1]._eval(x)
 

@@ -35,8 +35,8 @@ from .numerics import (
     Interval,
     Scalar,
     _key,
+    _lowest_terms,
     _ratio,
-    _raw_fraction,
     find_exact,
     find_pair,
     float_keys,
@@ -135,7 +135,7 @@ def preimage_set(
             break
         ys, xs, inexact = _level_preimages(f._domains, *sort_pairs(frontier))
         if inexact:
-            y = _raw_fraction(*inexact[0])
+            y = _lowest_terms(*inexact[0])
             raise InexactPreimageError(f"irrational preimage of {y}")
         frontier = []
         for y, x in zip(ys, xs):
@@ -146,7 +146,9 @@ def preimage_set(
             status = TRUNCATED
             break
     pairs, keys = sort_pairs(found)
-    points = tuple(_raw_fraction(*x) for x in pairs)
+    # every pair entered found reduced: breakpoints through _ratio,
+    # affine_preimages' solutions by their gcd, other branches' Fractions
+    points = tuple(_lowest_terms(*x) for x in pairs)
     qset = PreimageSet(points, tuple(map(found.__getitem__, pairs)), depth, status)
     object.__setattr__(qset, "_keys", tuple(keys))
     return qset

@@ -223,6 +223,23 @@ def _assert_call(f, x):
         assert hash(got) == hash(want)
 
 
+def _fused_form(f, x):
+    """The unreduced (num, den) that __call__'s integer path forms for x,
+    or None where it takes digit + _eval or returns a clamp's plateau."""
+    if float(x) in f._bp_keys:
+        return None
+    m = f.ifs.maps[f.digit(x) - 1]
+    if type(m) is Clamped:
+        if not m.lo < x < m.hi:
+            return None
+        m = m.inner
+    if type(m) is not Affine or m._ints is None:
+        return None
+    A, B, D = m._ints
+    xn, xd = x.as_integer_ratio()
+    return A * xn + B * xd, D * xd
+
+
 class TestFusedCall:
     """__call__ evaluates rational Affine and Clamped affine branches from
     their integer forms; digit + the generic a*x + b is the oracle."""
@@ -317,6 +334,60 @@ class TestFusedCall:
                     [seen["bits"]] + [m._ints[2].bit_length() for m in g.ifs]
                 )
         assert seen["left-open"] >= 10 and seen["bits"] >= 90, seen
+
+    def test_dyadic_shift_and_gcd_reductions(self, monkeypatch):
+        # on a power-of-two D*x_d the fused path shifts out the low zero
+        # bits; every other denominator takes gcd, counted here
+        gcds = []
+
+        def counted_gcd(a, b):
+            gcds.append((a, b))
+            return math.gcd(a, b)
+
+        monkeypatch.setattr(pcmap, "gcd", counted_gcd)
+        rng = random.Random(3232)
+        systems = []
+        for idx in range(50):
+            f = draw_pc(rng_for_sample(42, idx), 3, kappa_max=0.45)
+            capped = cap_ifs(f.ifs, f.breakpoints).capped
+            systems += [
+                f, PiecewiseContraction(capped, f.breakpoints),
+                power_map(f, 2), power_map(f, 3),
+            ]
+        # one coefficient over 3 or 5: D*x_d is no power of two there
+        for m2, m3 in (
+            (Affine(F(1, 3), F(1, 2)), Affine(F(3, 8), F(1, 5))),
+            (Affine(F(1, 4), F(1, 8)), Affine(F(1, 4), F(1, 3))),
+            (Affine(F(-2, 5), F(3, 4)), Affine(F(1, 2), F(1, 4))),
+        ):
+            maps = (Affine(F(1, 2), F(1, 4)), m2, Clamped(m3, F(5, 8), F(7, 8)))
+            systems.append(PiecewiseContraction(
+                IteratedFunctionSystem(maps), Breakpoints((F(1, 3), F(5, 8)))
+            ))
+        tally = Counter()
+        for h in systems:
+            xs = [F(2 * rng.randrange(2**(e - 1)) + 1, 2**e)
+                  for e in (9, 20, 32) for _ in range(4)]
+            xs += [F(6 * rng.randrange(2**(k - 1)) + 1, 3 * 2**k)
+                   for k in (4, 12, 30) for _ in range(2)]
+            tally["D bits"] = max(
+                [tally["D bits"]]
+                + [m._ints[2].bit_length() for m in h.ifs
+                   if type(m) is Affine]
+            )
+            for x in xs:
+                before = len(gcds)
+                _assert_call(h, x)
+                raw = _fused_form(h, x)
+                if raw is None:
+                    continue
+                num, den = raw
+                dyadic = den & (den - 1) == 0
+                assert gcds[before:] == ([] if dyadic else [raw]), (h, x)
+                tally["gcd" if not dyadic else "shift" if num % 2 == 0
+                      else "odd"] += 1
+        assert tally["D bits"] == 97, tally  # D = 2^96 on f^3 branches
+        assert tally["shift"] >= 100 and tally["odd"] and tally["gcd"], tally
 
     def test_other_inputs_take_the_generic_path(self):
         f = _mixed_pc(random.Random(8))
