@@ -116,9 +116,12 @@ def preimage_set(
     otherwise the first point with an irrational preimage, in branch order
     then ascending, raises InexactPreimageError.  A point has one image,
     so it has one parent and one provenance: the source of the breakpoint
-    its forward orbit reaches first.
+    its forward orbit reaches first.  So a complete closure keeps, for f,
+    each source's step (:func:`_source_steps`): a source met as the
+    preimage of y steps to y's source, and one never met steps off.
     """
     found = {}  # point -> (source, depth)
+    steps = [None] * f.n  # the step of source k, 0 for the point 0
     for i, p in enumerate(f.breakpoints, start=1):
         r = _ratio(p)
         if r is None:
@@ -142,6 +145,8 @@ def preimage_set(
             if x not in found:
                 found[x] = (found[y][0], depth)
                 frontier.append(x)
+            elif found[x][1] == 0:  # breakpoint x steps onto y
+                steps[found[x][0]] = found[y][0]
         if len(found) > size_cap:
             status = TRUNCATED
             break
@@ -151,6 +156,9 @@ def preimage_set(
     points = tuple(_lowest_terms(*x) for x in pairs)
     qset = PreimageSet(points, tuple(map(found.__getitem__, pairs)), depth, status)
     object.__setattr__(qset, "_keys", tuple(keys))
+    if status == COMPLETE:  # 0, met first as a new point, steps with it
+        steps[0] = found.get((0, 1), (None,))[0]
+        object.__setattr__(qset, "_steps", (f, tuple(steps)))
     return qset
 
 
@@ -165,7 +173,8 @@ def _require_complete(qset: PreimageSet) -> None:
 def _source_steps(f: PiecewiseContraction, qset: PreimageSet) -> tuple:
     """Per source s in (0, x_1, ..., x_{n-1}), kept on ``qset`` for its last
     map: j when f(s), on s's branch, is a closure point of provenance (j, d),
-    else None.  0 is on branch 1, x_j on j + 1 if right-open, else on j."""
+    else None.  0 is on branch 1, x_j on j + 1 if right-open, else on j.
+    Another map than :func:`preimage_set`'s evaluates f at each source."""
     memo = qset.__dict__.get("_steps", (None,))
     if memo[0] is not f:
         _require_complete(qset)
@@ -185,7 +194,8 @@ def connections(f: PiecewiseContraction, qset: PreimageSet) -> tuple[Scalar, ...
     ``qset`` is f's complete backward closure, which holds every point
     that reaches a breakpoint, so s has a connection exactly when f(s) is
     a closure point: one step per source, which :func:`certify_limits`
-    reads too.  A closure that hit its cap raises TruncatedClosureError.
+    reads too, and which the closure's own walk met (:func:`preimage_set`).
+    A closure that hit its cap raises TruncatedClosureError.
     """
     steps = zip((EXACT.zero,) + f.breakpoints.points, _source_steps(f, qset))
     return tuple(s for s, i in steps if i is not None)

@@ -10,9 +10,9 @@ sweeps produce identical streams.
 A sample reads its stream in this order, the layout any other source of
 the stream must reproduce: n - 1 doubles per breakpoint try, until a try
 passes the gap test, then 2n doubles, the slope and then the intercept of
-each map in turn.  A double u in [0, 1) becomes lo + (hi - lo) * u in
-floats, as numpy's ``uniform(lo, hi)`` computes it, and is then rounded
-to the nearest multiple of 2^-32.
+each map in turn, all through ``rng.random``.  A double u in [0, 1)
+becomes lo + (hi - lo) * u in floats, as numpy's ``uniform(lo, hi)``
+computes it, and is then rounded to the nearest multiple of 2^-32.
 """
 
 from __future__ import annotations
@@ -50,15 +50,17 @@ def draw_breakpoints(
     """Sorted uniforms on (margin, 1 - margin), rejected on small gaps.
 
     Consecutive breakpoints closer than ``margin`` are resampled, so the
-    collar width of a capping plan stays bounded away from zero.  Each
-    draw is rationalized as an integer over 2**RATIONAL_BITS, and only
-    the accepted draw is built into fractions.
+    collar width of a capping plan stays bounded away from zero.  A try
+    scales n - 1 doubles as ``uniform`` would (:func:`_span`), each
+    rationalized as an integer over 2**RATIONAL_BITS, and only the
+    accepted draw is built into fractions.
     """
     mn, md = margin.numerator, margin.denominator
-    lo, hi, scale = mn / md, (md - mn) / md, _SCALE
+    lo, scale = mn / md, _SCALE
+    span = _span(lo, (md - mn) / md)
     while True:
-        us = rng.uniform(lo, hi, size=n - 1).tolist()
-        nums = sorted([round(u * scale) for u in us])
+        us = rng.random(n - 1).tolist()
+        nums = sorted([round((lo + span * u) * scale) for u in us])
         if _gaps_at_least(nums, margin):
             return tuple(_raw_fraction(k, scale) for k in nums)
 
@@ -82,7 +84,8 @@ def _intercept_range(an: int, ad: int, margin: Fraction) -> tuple[float, float]:
 
 
 def _span(lo: float, hi: float) -> float:
-    """hi - lo, rejected as numpy's ``uniform(lo, hi)`` rejects it."""
+    """hi - lo, rejected as numpy's ``uniform(lo, hi)`` rejects it: every
+    draw reads ``rng.random`` and computes lo + span * u, numpy's formula."""
     span = hi - lo
     if not math.isfinite(span):
         raise OverflowError("high - low range exceeds valid bounds")

@@ -81,8 +81,8 @@ def test_a_partition_item_computes_its_orbits_once():
 
 
 def test_a_survey_sample_certifies_from_0_and_the_breakpoints():
-    # criterion-6 samples, traced as the benchmark traces survey-n3: 0 and
-    # the n - 1 breakpoints are each stepped once, on their own branches
+    # criterion-6 samples, traced as the benchmark traces survey-n3: the
+    # steps of 0 and the n - 1 breakpoints come from the closure's walk
     # (no f call), and the certificate follows their closure provenance,
     # walking no limit with omega_limit; the generic column comes from the
     # closure, not the genericity tree, whose name the tracer still

@@ -24,6 +24,7 @@ from pcdyn import (
     Quadratic,
     TruncatedClosureError,
     build_partition,
+    cap_ifs,
     certify_limits,
     equivalence_classes,
     is_generic,
@@ -203,6 +204,102 @@ class TestConnections:
         f = depth6_connection_pc()
         with pytest.raises(TruncatedClosureError):
             connections(f, preimage_set(f, depth_cap=5))
+
+
+def _assert_walked_steps(f, q):
+    """The steps preimage_set kept on q for f against _source_steps'
+    evaluation, once the kept ones are deleted.  Returns the steps."""
+    kept = q.__dict__["_steps"]
+    assert kept[0] is f
+    del q.__dict__["_steps"]
+    assert pcdyn.quasipartition._source_steps(f, q) == kept[1]
+    return kept[1]
+
+
+class TestWalkedSteps:
+    """preimage_set keeps the step of each source it met as a preimage:
+    the same table _source_steps evaluates f for."""
+
+    @staticmethod
+    def _check_with_powers(fs):
+        """Each map, its f^2 and its f^3 walked and checked; counts the
+        steps that land on the closure and those that leave it."""
+        landed = Counter()
+        for f in fs:
+            for g in (f, power_map(f, 2), power_map(f, 3)):
+                steps = _assert_walked_steps(g, preimage_set(g))
+                landed.update(s is not None for s in steps)
+        return landed
+
+    def test_criterion_6_draws(self):
+        fs = [draw_pc(rng_for_sample(42, idx), 3, kappa_max=0.45) for idx in range(50)]
+        landed = self._check_with_powers(fs)
+        assert landed[False] >= 400, landed
+
+    def test_breakpoints_on_word_maps(self):
+        # left-open flags, cut cycles and boundary orbits
+        landed = self._check_with_powers(g for _, g in _word_map_draws())
+        assert landed[True] >= 80 and landed[False] >= 2000, landed
+
+    def test_zero_met_as_a_new_point(self):
+        # 0 enters the closure as a preimage, never as a breakpoint: here
+        # f(0) = 1/2, and f^6(0) is the breakpoint of depth6_connection_pc
+        f = PiecewiseContraction(
+            IteratedFunctionSystem(
+                (Affine(F(1, 4), F(1, 2)), Affine(F(-1, 2), F(3, 4)))
+            ),
+            Breakpoints((F(1, 2),)),
+        )
+        for g in (f, depth6_connection_pc()):
+            q = preimage_set(g)
+            assert F(0) in q.points
+            assert _assert_walked_steps(g, q)[0] == 1
+            assert connections(g, q)[0] == F(0)
+
+    def test_capped_systems(self):
+        # Clamped branches have no window: the walk solves them point by
+        # point, dropping the ends their flags exclude
+        c6 = [draw_pc(rng_for_sample(42, idx), 3, kappa_max=0.45) for idx in range(50)]
+        landed, checked = Counter(), 0
+        for f in c6 + [g for _, g in _word_map_draws()]:
+            for g in (f, power_map(f, 2)):
+                fc = PiecewiseContraction(
+                    cap_ifs(g.ifs, g.breakpoints).capped, g.breakpoints, g.closures
+                )
+                assert all(window is None for *_, window in fc._domains)
+                try:
+                    q = preimage_set(fc)
+                except NonDiscretePreimageError:
+                    continue
+                if q.is_complete:
+                    landed.update(s is not None for s in _assert_walked_steps(fc, q))
+                    checked += 1
+        assert checked >= 600 and landed[True] >= 50, (checked, landed)
+
+    def test_random_systems(self):
+        # constant, quadratic and clamped branches, random closure flags
+        # and breakpoints a float apart; their sources all step off
+        rng = random.Random(4242)
+        landed, checked = Counter(), 0
+        while checked < 300:
+            f = rng.choice((_steep_pc, _tied_pc, _mixed_pc))(rng)
+            try:
+                q = None if f is None else preimage_set(f, size_cap=400)
+            except (InexactPreimageError, NonDiscretePreimageError):
+                continue
+            if q is None or not q.is_complete:
+                continue
+            landed.update(s is not None for s in _assert_walked_steps(f, q))
+            checked += 1
+        assert landed[False] >= 1000, landed
+
+    def test_a_capped_closure_keeps_no_steps(self):
+        f = depth6_connection_pc()
+        for q in (preimage_set(f, depth_cap=5), preimage_set(f, size_cap=3)):
+            assert q.status == TRUNCATED
+            assert "_steps" not in q.__dict__
+            with pytest.raises(TruncatedClosureError):
+                connections(f, q)
 
 
 class TestBuildPartition:

@@ -195,6 +195,28 @@ def test_a_bad_intercept_range_raises_numpy_error():
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("margin", [F(51, 100), F(3, 5), F(1)])
+def test_a_margin_past_one_half_raises_numpy_error(margin):
+    # (margin, 1 - margin) is empty: the breakpoint try raises before it
+    # reads the stream, as numpy's uniform would
+    kind, message = _numpy_error(float(margin), float(1 - margin))
+    assert (kind, message) == (ValueError, "high - low < 0")
+    for n in (2, 3):
+        rng = _Counting(rng_for_sample(5, 0))
+        with pytest.raises(kind) as caught:
+            draw_breakpoints(rng, n, margin)
+        assert str(caught.value) == message
+        assert not rng.calls
+
+
+def test_a_margin_of_one_half_draws_the_midpoint():
+    # hi - lo is +0.0, which numpy accepts: every try lands on 1/2
+    rng, replay = rng_for_sample(5, 0), rng_for_sample(5, 0)
+    assert draw_breakpoints(rng, 2, F(1, 2)) == (F(1, 2),)
+    assert replay.uniform(0.5, 0.5, size=1).tolist() == [0.5]
+    assert rng.random() == replay.random()
+
+
 def test_an_intercept_rounding_to_zero_raises_affine_error():
     # at margin 0 a zero slope leaves [0, 1] for the intercept, and a
     # double below 2**-33 rounds it to 0 on the grid
@@ -231,7 +253,7 @@ def test_mean_tries_match_the_draw_chance():
     rng = _Counting(np.random.default_rng(28))
     for _ in range(draws):
         draw_breakpoints(rng, n, m)
-    assert abs(rng.calls["uniform"] / draws * chance - 1) < 0.05
+    assert abs(rng.calls["random"] / draws * chance - 1) < 0.05
 
 
 def test_a_sample_reads_its_stream_in_one_call_per_part():
@@ -240,7 +262,7 @@ def test_a_sample_reads_its_stream_in_one_call_per_part():
             rng = _Counting(rng_for_sample(5, index))
             draw_breakpoints(rng, n, margin)
             *_, tries, _ = _fraction_draws(5, index, n, kappa, margin, band)
-            assert rng.calls == {"uniform": tries}
+            assert rng.calls == {"random": tries}
             rng.calls.clear()
             draw_ifs(rng, n, kappa, margin, band)
             assert rng.calls == {"random": 1}

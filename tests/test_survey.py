@@ -110,6 +110,40 @@ class TestRunSample:
         assert rec.conclusive and rec.generic
         assert (rec.q_status, rec.q_size, rec.orbit_count) == ("complete", 22, 1)
 
+    def test_the_sources_are_stepped_by_the_closure_walk(self, monkeypatch):
+        # the first 50 criterion-6 samples: connections and certify_limits
+        # read the steps preimage_set kept, and evaluate no branch; the CSV
+        # would not show steps evaluated again
+        cfg = RunConfig(backend=Backend.exact(), seed=42, samples=200, n=3)
+        inside, evals = [], []
+        real_eval = Affine._eval
+
+        def counted_eval(self, x):
+            if inside:
+                evals.append(x)
+            return real_eval(self, x)
+
+        def marked(stage):
+            def run(*args):
+                inside.append(stage)
+                try:
+                    return stage(*args)
+                finally:
+                    inside.pop()
+
+            return run
+
+        monkeypatch.setattr(Affine, "_eval", counted_eval)
+        for name in ("connections", "certify_limits"):
+            monkeypatch.setattr(survey, name, marked(getattr(survey, name)))
+        assert all(run_sample(cfg, i).conclusive for i in range(50))
+        assert evals == []
+        # the count sees an evaluation: a closure read for another map
+        f = fixed_breakpoint_pc()
+        q = preimage_set(f)
+        survey.connections(PiecewiseContraction(f.ifs, f.breakpoints), q)
+        assert len(evals) == 2
+
     def test_samples_independent_of_order(self):
         a = [run_sample(small_cfg(), i) for i in range(5)]
         b = [run_sample(small_cfg(), i) for i in reversed(range(5))]
