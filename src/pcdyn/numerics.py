@@ -6,13 +6,13 @@ comparison tolerance.  Sets are finite disjoint unions of closed
 subintervals of [0, 1]; touching components are merged so connectivity and
 component counts are meaningful.
 
-The exact kernels below build Fractions from integers, solve rational
-affine equations in integers, and search sorted exact points: one
-function, :func:`find_pair`, bisects the points' floats and compares
-exactly, in integers, only where the floats tie.  The one preimage step,
-:func:`affine_preimages`, solves a rational affine map for a whole level
-of reduced integer pairs, searched the same way: the backward walks pass
-it a whole level at a time.
+The exact kernels below build Fractions from integers, sort reduced
+integer pairs, and search sorted exact points: one function,
+:func:`find_pair`, bisects the points' floats and compares exactly, in
+integers, only where the floats tie.  The backward walks' preimage step
+(``pcmap._level_preimages``) needs no search: it tests each level point
+against a branch's image by the same rule, floats first and integers only
+on a tie.
 """
 
 from __future__ import annotations
@@ -107,7 +107,9 @@ EXACT = Backend.exact()
 # branch's image ends from the interval ends' integers; and _intercept_range
 # (sampling.py).  is_generic (pcmap.py) and preimage_set (quasipartition.py)
 # hold their points as reduced integer pairs and cross to and from Fractions
-# only through _ratio, _raw_fraction and _lowest_terms.
+# only through _ratio, _raw_fraction and _lowest_terms; _level_preimages
+# (pcmap.py) solves their levels unsorted, each point against each affine
+# branch's image ends, which PiecewiseContraction._domains keeps per map.
 #
 # A gcd against a power of two is the numerator's lowest set bit.
 # __call__ alone takes that shortcut, when its denominator D*x_d is a power
@@ -147,11 +149,9 @@ def _ratio(x) -> Optional[tuple[int, int]]:
     return None
 
 
-# --- the backward step on reduced integer pairs ------------------------------
+# --- reduced integer pairs -------------------------------------------------
 # The backward walks hold their points as reduced (num, den) pairs, den > 0:
 # a set of int tuples hashes without Fraction's modular inverse.
-
-UNIT_WINDOW = (0, 1, 1, 1, True, True)  # [0, 1], both ends included
 
 
 def sort_pairs(pairs) -> tuple[list, list]:
@@ -166,44 +166,6 @@ def sort_pairs(pairs) -> tuple[list, list]:
         return [by_key[k] for k in keys], keys
     level = sorted(pairs, key=lambda p: (p[0] / p[1], _raw_fraction(*p)))
     return level, [n / d for n, d in level]
-
-
-def affine_preimages(
-    ints: tuple[int, int, int], window: tuple, level: list, keys: list
-) -> tuple[int, list[tuple[int, int]]]:
-    """``(start, xs)``: ``xs[i]`` is the one x in the window with
-    (A*x + B)/D = y for y = ``level[start + i]``, as a reduced pair.
-
-    ``ints = (A, B, D)`` with A != 0, ``window = (ln, ld, hn, hd, lo_in,
-    hi_in)`` the ends ln/ld <= hn/hd and whether each is included, and
-    ``level, keys`` from :func:`sort_pairs`.  The map is strictly monotone,
-    so x lies in the window exactly when y lies in the window's image
-    (an end included with its preimage): that image is one slice of the
-    level, found by two exact searches, and every y in it is solved.
-    """
-    A, B, D = ints
-    ln, ld, hn, hd, lo_in, hi_in = window
-    un, ud, u_in = A * ln + B * ld, D * ld, lo_in  # the image of the lo end
-    vn, vd, v_in = A * hn + B * hd, D * hd, hi_in
-    if A < 0:  # decreasing: the image runs from v to u, and the negated
-        # integer form keeps the solved denominators positive
-        un, ud, u_in, vn, vd, v_in = vn, vd, v_in, un, ud, u_in
-        A, B, D = -A, -B, -D
-    fu, fv = un / ud, vn / vd
-    start = bisect_left(keys, fu)
-    if start < len(keys) and keys[start] == fu:  # most ends tie no level key
-        start, hit = find_pair(level, keys, un, ud, fu)
-        start += hit and not u_in
-    stop = bisect_left(keys, fv, start)
-    if stop < len(keys) and keys[stop] == fv:
-        stop, hit = find_pair(level, keys, vn, vd, fv)
-        stop += hit and v_in
-    xs = []  # x = (y - B/D) / (A/D) = (yn*D - B*yd) / (A*yd), A*yd > 0
-    for yn, yd in level[start:stop]:
-        num, den = yn * D - B * yd, A * yd
-        g = math.gcd(num, den)
-        xs.append((num // g, den // g))
-    return start, xs
 
 
 def _key(x: Scalar) -> float:

@@ -27,12 +27,10 @@ from .numerics import (
     EXACT,
     Backend,
     Interval,
-    UNIT_WINDOW,
     Scalar,
     _key,
     _ratio,
     _raw_fraction,
-    affine_preimages,
     find_exact,
     float_keys,
     sort_pairs,
@@ -200,20 +198,18 @@ class PiecewiseContraction:
 
     @cached_property
     def _domains(self) -> tuple:
-        """(map, closed domain, lo included, hi included, window) for each
-        branch; ``window`` is the domain in :func:`affine_preimages`' form
-        when :func:`_strict_affine` holds for the map and the domain's ends
-        are rational, else None.  A branch includes its lo end under a
-        RIGHT_OPEN flag and its hi end under a LEFT_OPEN one."""
+        """(map, closed domain, lo included, hi included, image form) for
+        each branch, the image form from :func:`_image_form`.  A branch
+        includes its lo end under a RIGHT_OPEN flag and its hi end under a
+        LEFT_OPEN one."""
         ends = (_UNIT.lo, *self.breakpoints.points, _UNIT.hi)
         flags = (RIGHT_OPEN, *self.closures, RIGHT_OPEN)
         out = []
         branches = zip(self.ifs.maps, ends, ends[1:], flags, flags[1:])
         for m, lo, hi, lo_flag, hi_flag in branches:
-            inc = lo_flag == RIGHT_OPEN, hi_flag == LEFT_OPEN
-            rl, rh = _ratio(lo), _ratio(hi)
-            window = rl + rh + inc if _strict_affine(m) and rl and rh else None
-            out.append((m, Interval(lo, hi), *inc, window))
+            dom = Interval(lo, hi)
+            out.append((m, dom, lo_flag == RIGHT_OPEN, hi_flag == LEFT_OPEN,
+                        _image_form(m, dom)))
         return tuple(out)
 
 
@@ -222,6 +218,20 @@ def _strict_affine(m: MapDescriptor) -> Optional[tuple[int, int, int]]:
     slope, which is continuous and strictly monotone; else None."""
     ints = m._ints if type(m) is Affine else None
     return ints if ints and ints[0] else None
+
+
+def _image_form(m: MapDescriptor, dom: Interval) -> Optional[tuple]:
+    """``(A, B, D, fu, fv)`` when :func:`_strict_affine` holds for m and
+    dom's ends are rational, else None: x -> (A*x + B)/D is m, and fu <= fv
+    are the float keys of the ends of its image of dom.  A decreasing map's
+    (A, B, D) is negated, so A > 0."""
+    ints, lo, hi = _strict_affine(m), _ratio(dom.lo), _ratio(dom.hi)
+    if not (ints and lo and hi):
+        return None
+    A, B, D = ints
+    fu = (A * lo[0] + B * lo[1]) / (D * lo[1])
+    fv = (A * hi[0] + B * hi[1]) / (D * hi[1])
+    return (A, B, D, fu, fv) if A > 0 else (-A, -B, -D, fv, fu)
 
 
 @dataclass(frozen=True)
@@ -499,26 +509,48 @@ def orbit(
     return OrbitRecord(x0, tuple(pts), itin, orb, None if orb else failure)
 
 
-def _level_preimages(branches, level: list, keys: list):
-    """``(ys, xs, inexact)``: the preimages of one sorted level of reduced
+def _level_preimages(branches, level):
+    """``(ys, xs, inexact)``: the preimages of one level of reduced
     (num, den) pairs under every branch, ``xs[i]`` solving ``ys[i]``.
 
-    ``branches`` has the form of ``PiecewiseContraction._domains``.  A
-    branch with a window solves the whole level at once
-    (:func:`affine_preimages`); any other branch solves each y through its
-    map's ``preimages`` on its domain, drops an end its closure flags
-    exclude, and lists in ``inexact`` each y with an irrational root, in
-    branch order then ascending.  A plateau on a y raises that map's
-    NonDiscretePreimageError.
+    ``branches`` has the form of ``PiecewiseContraction._domains``, and
+    the level need not be sorted.  A branch with an image form tests each
+    y where it stands: rounding is monotone, so a key outside [fu, fv] is
+    outside the image and one strictly inside is inside.  The map is
+    strictly monotone, so for a key tied with an end's, y is in the image
+    exactly when its solution x is in the domain, which integers decide
+    with the closure flags.  Each y inside is solved with one gcd.  Any
+    other branch solves the level ascending through its map's
+    ``preimages`` on its domain, drops an end its closure flags exclude,
+    and lists in ``inexact`` each y with an irrational root, in branch
+    order then ascending.  A plateau on a y raises that map's
+    NonDiscretePreimageError, the smallest such y first.
     """
     ys, xs, inexact = [], [], []
-    for m, dom, lo_in, hi_in, window in branches:
-        if window is not None:
-            start, solved = affine_preimages(m._ints, window, level, keys)
-            ys += level[start : start + len(solved)]
-            xs += solved
+    keyed = ascending = None
+    for m, dom, lo_in, hi_in, form in branches:
+        if form is not None:
+            A, B, D, fu, fv = form
+            if keyed is None:
+                keyed = [(y, y[0] / y[1]) for y in level]
+            for y, fy in keyed:
+                if not fu <= fy <= fv:
+                    continue
+                # x = (y - B/D) / (A/D) = (yn*D - B*yd) / (A*yd), A*yd > 0
+                yn, yd = y
+                num, den = yn * D - B * yd, A * yd
+                if fy == fu or fy == fv:  # the signs of x - lo and hi - x
+                    (ln, ld), (hn, hd) = _ratio(dom.lo), _ratio(dom.hi)
+                    c, e = num * ld - ln * den, hn * den - num * hd
+                    if c < 0 or e < 0 or not (c or lo_in) or not (e or hi_in):
+                        continue
+                g = gcd(num, den)
+                ys.append(y)
+                xs.append((num // g, den // g))
             continue
-        for y in level:
+        if ascending is None:
+            ascending = sort_pairs(level)[0]
+        for y in ascending:
             for p in m.preimages(_raw_fraction(*y), dom):
                 if (p == dom.lo and not lo_in) or (p == dom.hi and not hi_in):
                     continue
@@ -555,14 +587,13 @@ def is_generic(
     if not (backend.is_exact and _rational(targets) and _rational(f.ifs.maps)):
         return _generic_forward(f, depth, backend, cap)
     branches = [
-        (m, _UNIT, True, True, UNIT_WINDOW if _strict_affine(m) else None)
-        for m in f.ifs.maps
+        (m, _UNIT, True, True, _image_form(m, _UNIT)) for m in f.ifs.maps
     ]
     level = seen = set(map(_ratio, targets))
     sources = {(0, 1), *seen}
     for _ in range(depth):
         try:
-            nxt = set(_level_preimages(branches, *sort_pairs(level))[1])
+            nxt = set(_level_preimages(branches, level)[1])
         except NonDiscretePreimageError:
             return _generic_forward(f, depth, backend, cap)
         if not nxt.isdisjoint(sources):

@@ -136,7 +136,7 @@ def preimage_set(
             status = TRUNCATED
             depth = depth_cap
             break
-        ys, xs, inexact = _level_preimages(f._domains, *sort_pairs(frontier))
+        ys, xs, inexact = _level_preimages(f._domains, frontier)
         if inexact:
             y = _lowest_terms(*inexact[0])
             raise InexactPreimageError(f"irrational preimage of {y}")
@@ -152,7 +152,7 @@ def preimage_set(
             break
     pairs, keys = sort_pairs(found)
     # every pair entered found reduced: breakpoints through _ratio,
-    # affine_preimages' solutions by their gcd, other branches' Fractions
+    # affine branches' solutions by their gcd, other branches' Fractions
     points = tuple(_lowest_terms(*x) for x in pairs)
     qset = PreimageSet(points, tuple(map(found.__getitem__, pairs)), depth, status)
     object.__setattr__(qset, "_keys", tuple(keys))

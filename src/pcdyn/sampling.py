@@ -53,11 +53,16 @@ def draw_breakpoints(
     collar width of a capping plan stays bounded away from zero.  A try
     scales n - 1 doubles as ``uniform`` would (:func:`_span`), each
     rationalized as an integer over 2**RATIONAL_BITS, and only the
-    accepted draw is built into fractions.
+    accepted draw is built into fractions.  Past n = 2, n * margin >= 1
+    leaves the n - 2 gaps no room inside the open interval (a try could
+    pass only by rounding onto both its ends, with a chance below 2**-53),
+    so it raises ValueError before the stream is read.
     """
     mn, md = margin.numerator, margin.denominator
     lo, scale = mn / md, _SCALE
     span = _span(lo, (md - mn) / md)
+    if n > 2 and n * mn >= md:
+        raise ValueError(f"n * margin = {n * margin} >= 1 leaves no room for gaps")
     while True:
         us = rng.random(n - 1).tolist()
         nums = sorted([round((lo + span * u) * scale) for u in us])

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import pcdyn.pcmap
 import pcdyn.quasipartition
 from pcdyn import (
     Affine,
@@ -44,7 +45,15 @@ from pcdyn.quasipartition import (
     QuasiPartition,
     connections,
 )
-from pcdyn.pcmap import LEFT_OPEN, RIGHT_OPEN, _word_map, rotate_to_min
+from pcdyn.numerics import sort_pairs
+from pcdyn.pcmap import (
+    LEFT_OPEN,
+    RIGHT_OPEN,
+    _image_form,
+    _level_preimages,
+    _word_map,
+    rotate_to_min,
+)
 from pcdyn.sampling import draw_pc, rng_for_sample
 from _support import (
     constant_pc,
@@ -1304,6 +1313,33 @@ class TestBackwardWalkAgainstFractionOracles:
             # on or past the end of its image
             assert {p for p in one if p < F(1, 4)} == {F(0), F(1, 4) - 2 * tiny}
 
+    def test_a_decreasing_image_end_tied_with_level_points(self):
+        # branch 1 is [0, 1/4) or [0, 1/4] under x -> 7/16 - x/4, so its
+        # image [3/8, 7/16] starts at the image of the domain's hi end;
+        # that end 3/8 is flanked 2^-70 away by two more breakpoints of
+        # one float, and it is solved only when branch 1 owns 1/4
+        tiny = F(1, 2**70)
+        maps = (Affine(F(-1, 4), F(7, 16)),) + tuple(
+            Affine(F(1, 3), F(k, 7)) for k in range(1, 5)
+        )
+        cuts = (F(1, 4), F(3, 8) - tiny, F(3, 8), F(3, 8) + tiny)
+        level = [(p.numerator, p.denominator) for p in reversed(cuts)]
+        above = {F(3, 8) + tiny: F(1, 4) - 4 * tiny}
+        for closures, solved in (
+            ((RIGHT_OPEN,) * 4, above),
+            ((LEFT_OPEN,) * 4, {**above, F(3, 8): F(1, 4)}),
+        ):
+            f = PiecewiseContraction(
+                IteratedFunctionSystem(maps), Breakpoints(cuts), closures
+            )
+            self._check(f, 12, 2000)
+            ys, xs, inexact = _level_preimages(f._domains[:1], level)
+            assert {F(*y): F(*x) for y, x in zip(ys, xs)} == solved
+            assert len(ys) == len(solved) and not inexact
+            # under LEFT_OPEN breakpoint 1/4 steps onto the breakpoint 3/8
+            owned = F(3, 8) in solved
+            assert connections(f, preimage_set(f)) == ((F(1, 4),) if owned else ())
+
     def test_mixed_branches_and_their_errors(self):
         # the closure solves a whole level before it names a failing point,
         # where the point-by-point oracle names the first it meets: when
@@ -1517,3 +1553,116 @@ class TestBackwardWalkAgainstFractionOracles:
             PartitionInvarianceError,
             "image of interval 2 straddles closure point 17/32",
         )
+
+
+def _oracle_level(branches, level):
+    """``_level_preimages`` point by point: each branch, each y ascending,
+    through the map's generic ``preimages`` on the branch's domain, an end
+    dropped when its flag excludes it; the (y, x) pairs as a set, the ys
+    with an irrational root as a list."""
+    pairs, inexact = set(), []
+    for m, dom, lo_in, hi_in, _ in branches:
+        for y in sorted(level, key=lambda p: F(*p)):
+            for p in m.preimages(F(*y), dom):
+                if (p == dom.lo and not lo_in) or (p == dom.hi and not hi_in):
+                    continue
+                if isinstance(p, float):
+                    inexact.append(y)
+                else:
+                    pairs.add((y, (p.numerator, p.denominator)))
+    return pairs, inexact
+
+
+def _level_outcome(solve, branches, level):
+    try:
+        return solve(branches, level)
+    except NonDiscretePreimageError as exc:
+        return NonDiscretePreimageError, exc.value
+
+
+class TestLevelPreimages:
+    """The per-point image test on unsorted levels against the per-y
+    oracle, on each system's own branches and on the tree's [0, 1] ones."""
+
+    @staticmethod
+    def _level(rng, f):
+        """Breakpoints, random points, and each branch's image ends, some
+        with points 2^-70 on either side that share the end's float, as a
+        shuffled list of pairs."""
+        tiny = F(1, 2**70)
+        pts = set(f.breakpoints.points)
+        pts.update(rand_fraction(rng, F(1, 50), F(49, 50)) for _ in range(6))
+        for m, dom, *_ in f._domains:
+            for end in (dom.lo, dom.hi):
+                y = m(end)
+                pts.update((y - tiny, y, y + tiny) if rng.random() < 0.5 else (y,))
+        level = [(p.numerator, p.denominator) for p in pts if 0 < p < 1]
+        rng.shuffle(level)
+        return level
+
+    def test_shuffled_levels_against_the_per_point_oracle(self):
+        UNIT = Interval(F(0), F(1))
+        rng = random.Random(3401)
+        seen = Counter()
+        for draw in (_steep_pc, _mixed_pc) * 150:
+            f = draw(rng)
+            if f is None:
+                continue
+            level = self._level(rng, f)
+            keys = {y[0] / y[1] for y in level}
+            unit = [(m, UNIT, True, True, _image_form(m, UNIT)) for m in f.ifs]
+            for branches in (f._domains, unit):
+                got = _level_outcome(_level_preimages, branches, level)
+                want = _level_outcome(_oracle_level, branches, level)
+                if isinstance(want[0], set):
+                    ys, xs, inexact = got
+                    assert len(ys) == len(xs) == len(want[0])
+                    assert set(zip(ys, xs)) == want[0]
+                    assert inexact == want[1]
+                    seen["irrational"] += bool(inexact)
+                else:
+                    assert got == want
+                    seen["plateau"] += 1
+                for *_, form in branches:
+                    if form is not None:
+                        seen["end tie"] += form[-2] in keys or form[-1] in keys
+        # irrational roots, plateaus and float ties with image ends all occur
+        assert seen["irrational"] >= 20 and seen["plateau"] >= 20
+        assert seen["end tie"] >= 500
+
+    def test_two_plateau_values_on_one_level(self):
+        # the decreasing clamp sends [0, 1/4] to 5/8 and [3/4, 9/10) to 3/8:
+        # the level is solved ascending, so 3/8 is named in either order
+        m = Clamped(Affine(F(-1, 2), F(3, 4)), F(1, 4), F(3, 4))
+        f = PiecewiseContraction(
+            IteratedFunctionSystem((m, Affine(F(1, 2), F(1, 4)))),
+            Breakpoints((F(9, 10),)),
+        )
+        for level in ([(5, 8), (1, 2), (3, 8)], [(3, 8), (1, 2), (5, 8)]):
+            with pytest.raises(NonDiscretePreimageError) as info:
+                _level_preimages(f._domains, level)
+            assert info.value.value == F(3, 8)
+            assert (info.value.lo, info.value.hi) == (F(3, 4), F(9, 10))
+
+    def test_no_sort_per_level(self, monkeypatch):
+        # a closure whose branches are all affine with a nonzero slope
+        # sorts its points once, at the end, however deep it goes
+        calls = []
+
+        def counting(pairs):
+            calls.append(len(pairs))
+            return sort_pairs(pairs)
+
+        monkeypatch.setattr(pcdyn.quasipartition, "sort_pairs", counting)
+        monkeypatch.setattr(pcdyn.pcmap, "sort_pairs", counting)
+        rng = random.Random(1663)
+        depths = set()
+        while len(depths) < 6:
+            f = _steep_pc(rng)
+            if f is None or any(b[4] is None for b in f._domains):
+                continue  # a constant branch solves its levels sorted
+            calls.clear()
+            q = preimage_set(f, 64, 400)
+            assert len(calls) == 1
+            depths.add(q.depth_reached)
+        assert max(depths) >= 6

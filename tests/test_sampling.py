@@ -217,6 +217,39 @@ def test_a_margin_of_one_half_draws_the_midpoint():
     assert rng.random() == replay.random()
 
 
+class _Bounded:
+    """A stream of 1/2s that raises after ``limit`` calls, so a draw that
+    never accepts fails instead of hanging."""
+
+    def __init__(self, limit):
+        self.calls, self.limit = 0, limit
+
+    def random(self, size):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise AssertionError(f"the draw read the stream {self.limit} times")
+        return np.full(size, 0.5)
+
+
+@pytest.mark.parametrize("n, margin", [(3, F(2, 5)), (3, F(1, 3)), (4, F(1, 4))])
+def test_an_infeasible_margin_raises_before_the_stream_is_read(n, margin):
+    # n * margin >= 1: the n - 2 gaps of at least margin do not fit inside
+    # (margin, 1 - margin), so no try would pass and a draw would not end
+    rng = _Bounded(1000)
+    with pytest.raises(ValueError, match="leaves no room for gaps"):
+        draw_breakpoints(rng, n, margin)
+    assert rng.calls == 0
+
+
+def test_a_feasible_margin_below_the_bound_still_draws():
+    # just below n * margin = 1 a try can pass, and the stream is read as
+    # before: the Fraction replay draws the same points
+    for index in range(5):
+        rng = rng_for_sample(5, index)
+        got = draw_breakpoints(rng, 3, F(33, 100))
+        assert got == _fraction_draws(5, index, 3, 0.3, F(33, 100))[0]
+
+
 def test_an_intercept_rounding_to_zero_raises_affine_error():
     # at margin 0 a zero slope leaves [0, 1] for the intercept, and a
     # double below 2**-33 rounds it to 0 on the grid
