@@ -230,8 +230,7 @@ def find_pair(
     Rounding to float is monotone, so a point whose key is below fx lies
     below x and one whose key is above lies above; only the points whose
     key equals fx are compared, by integer cross-multiplication: every
-    point is a Fraction, a (num, den) pair with den > 0 (a level from
-    :func:`sort_pairs`), an int or a finite float, and each has an exact
+    point is a Fraction, an int or a finite float, and each has an exact
     integer ratio with a positive denominator.
     """
     lo = bisect_left(keys, fx)
@@ -243,8 +242,6 @@ def find_pair(
         p = points[mid]
         if type(p) is Fraction:
             pn, pd = p._numerator, p._denominator
-        elif type(p) is tuple:
-            pn, pd = p
         else:
             pn, pd = p.as_integer_ratio()
         c = pn * d - n * pd

@@ -199,9 +199,9 @@ class PiecewiseContraction:
     @cached_property
     def _domains(self) -> tuple:
         """(map, closed domain, lo included, hi included, image form) for
-        each branch, the image form from :func:`_image_form`.  A branch
-        includes its lo end under a RIGHT_OPEN flag and its hi end under a
-        LEFT_OPEN one."""
+        each branch, the form from :func:`_image_form`, read by the backward
+        walks and by ``build_partition``.  A branch includes its lo end under
+        a RIGHT_OPEN flag and its hi end under a LEFT_OPEN one."""
         ends = (_UNIT.lo, *self.breakpoints.points, _UNIT.hi)
         flags = (RIGHT_OPEN, *self.closures, RIGHT_OPEN)
         out = []
@@ -213,20 +213,14 @@ class PiecewiseContraction:
         return tuple(out)
 
 
-def _strict_affine(m: MapDescriptor) -> Optional[tuple[int, int, int]]:
-    """The integer form (A, B, D) of a rational affine map with a nonzero
-    slope, which is continuous and strictly monotone; else None."""
-    ints = m._ints if type(m) is Affine else None
-    return ints if ints and ints[0] else None
-
-
 def _image_form(m: MapDescriptor, dom: Interval) -> Optional[tuple]:
-    """``(A, B, D, fu, fv)`` when :func:`_strict_affine` holds for m and
-    dom's ends are rational, else None: x -> (A*x + B)/D is m, and fu <= fv
-    are the float keys of the ends of its image of dom.  A decreasing map's
-    (A, B, D) is negated, so A > 0."""
-    ints, lo, hi = _strict_affine(m), _ratio(dom.lo), _ratio(dom.hi)
-    if not (ints and lo and hi):
+    """``(A, B, D, fu, fv)`` when m is a rational affine map with a nonzero
+    slope, so strictly monotone, and dom's ends are rational, else None:
+    x -> (A*x + B)/D is m, and fu <= fv are the float keys of the ends of
+    its image of dom.  A decreasing map's form is negated: A > 0 > D."""
+    ints = m._ints if type(m) is Affine else None
+    lo, hi = _ratio(dom.lo), _ratio(dom.hi)
+    if not (ints and ints[0] and lo and hi):
         return None
     A, B, D = ints
     fu = (A * lo[0] + B * lo[1]) / (D * lo[1])

@@ -45,12 +45,10 @@ from .numerics import (
 )
 from .pcmap import (
     DEFAULT_EPS_ORBIT,
-    RIGHT_OPEN,
     PeriodicOrbit,
     PiecewiseContraction,
     _level_preimages,
     _refine_candidate,
-    _strict_affine,
     rotate_to_min,
 )
 
@@ -172,15 +170,12 @@ def _require_complete(qset: PreimageSet) -> None:
 
 def _source_steps(f: PiecewiseContraction, qset: PreimageSet) -> tuple:
     """Per source s in (0, x_1, ..., x_{n-1}), kept on ``qset`` for its last
-    map: j when f(s), on s's branch, is a closure point of provenance (j, d),
-    else None.  0 is on branch 1, x_j on j + 1 if right-open, else on j.
+    map: j when f(s) is a closure point of provenance (j, d), else None.
     Another map than :func:`preimage_set`'s evaluates f at each source."""
     memo = qset.__dict__.get("_steps", (None,))
     if memo[0] is not f:
         _require_complete(qset)
-        maps, flags = f.ifs.maps, (RIGHT_OPEN,) + f.closures
-        ends = enumerate(zip((EXACT.zero,) + f.breakpoints.points, flags))
-        ys = [maps[j - (c != RIGHT_OPEN)]._eval(s) for j, (s, c) in ends]
+        ys = [f(s) for s in (EXACT.zero,) + f.breakpoints.points]
         hits = [find_exact(qset.points, qset._keys, y, _key(y)) for y in ys]
         memo = f, tuple(qset.provenance[i][0] if hit else None for i, hit in hits)
         object.__setattr__(qset, "_steps", memo)
@@ -303,11 +298,11 @@ def build_partition(
     monotone (see :mod:`pcdyn.maps`), so a closure point has a preimage
     strictly inside the interval exactly when it lies strictly between the
     image's ends, and the first such point is the first past the lower end.
-    A rational affine branch with a nonzero slope gives its ends as
-    unreduced integer pairs for :func:`find_pair`; any other branch gives
-    ``image`` for :func:`find_exact`, and must have no plateau on an end
-    that is a closure point (lower end, straddle, upper end: the order of
-    the checks).  A straddle or a plateau raises PartitionInvarianceError:
+    A branch with an image form in ``f._domains`` (``pcmap._image_form``)
+    gives its ends as unreduced integer pairs for :func:`find_pair`; any
+    other branch gives ``image`` for :func:`find_exact`, and must have no
+    plateau on an end that is a closure point (lower end, straddle, upper
+    end: the order of the checks).  A straddle or a plateau raises PartitionInvarianceError:
     the closure was truncated or the parameters are degenerate.  A closure
     that hit its cap raises TruncatedClosureError.
     """
@@ -326,17 +321,17 @@ def build_partition(
     bounds = (EXACT.zero,) + cuts + (EXACT.one,)
 
     maps = f.ifs.maps
-    steps = [_strict_affine(m) for m in maps]
+    forms = [b[4] for b in f._domains]
     transition: list[int] = []
     for j, (lo, hi, d) in enumerate(zip(bounds, bounds[1:], branch), start=1):
-        ints = steps[d - 1]
-        if ints:  # the image ends as unreduced integer pairs
-            A, B, D = ints
+        form = forms[d - 1]
+        if form:  # the image ends as unreduced integer pairs
+            A, B, D, _, _ = form
             ld, hd = lo._denominator, hi._denominator
             un, ud = A * lo._numerator + B * ld, D * ld
             vn, vd = A * hi._numerator + B * hd, D * hd
-            if A < 0:
-                un, ud, vn, vd = vn, vd, un, ud
+            if D < 0:  # decreasing: the lower end is f(hi)
+                un, ud, vn, vd = -vn, -vd, -un, -ud
             first, lo_hit = find_pair(cuts, keys, un, ud, un / ud)
             last, hi_hit = find_pair(cuts, keys, vn, vd, vn / vd)
         else:
@@ -351,7 +346,7 @@ def build_partition(
             raise PartitionInvarianceError(
                 f"image of interval {j} straddles closure point {cuts[first]}"
             )
-        if not ints and hi_hit:  # phi is this interval's branch
+        if not form and hi_hit:  # phi is this interval's branch
             _plateau_check(phi, iv, cuts[last], j)
         # no cut lies strictly inside the image: it is in interval first + 1
         transition.append(first + 1)

@@ -3,9 +3,9 @@
 Draws are made with numpy generators and then rationalized to fractions
 with denominator 2^32, so the exact backend stays exact while degenerate
 parameter collisions keep probability essentially zero (and remain
-detectable by the genericity test).  Per-sample generators are derived
-from a master seed and the sample index, which makes parallel and serial
-sweeps produce identical streams.
+detectable: the survey tests each sample's breakpoint connections).
+Per-sample generators are derived from a master seed and the sample
+index, which makes parallel and serial sweeps produce identical streams.
 
 A sample reads its stream in this order, the layout any other source of
 the stream must reproduce: n - 1 doubles per breakpoint try, until a try

@@ -522,3 +522,39 @@ class TestAffineIntegerSolve:
             lo, hi = sorted(F(rng.randrange(2**16 + 1), 2**16) for _ in range(2))
             u, v = sorted((a * lo + b, a * hi + b))
             assert m.image(Interval(lo, hi)) == Interval(u, v)
+
+
+class TestDegenerateShapes:
+    def test_a_flat_quadratic_is_its_affine_map(self):
+        # Quadratic(0, b, c) solves as Affine(b, c), the plateau b = 0 too
+        rng = random.Random(35)
+        plateaus = 0
+        for i in range(200):
+            if i % 4:
+                aff = rand_affine(rng)
+            else:
+                aff = Affine(F(0), rand_fraction(rng, F(1, 100), F(99, 100)))
+            quad = Quadratic(F(0), aff.a, aff.b)
+            assert quad.fixed_point() == aff.fixed_point()
+            lo, hi = sorted(rand_fraction(rng, F(0), F(1)) for _ in range(2))
+            dom = Interval(lo, hi)
+            ys = (aff(lo), aff(hi), aff((lo + hi) / 2), rand_fraction(rng, F(0), F(1)))
+            for y in ys:
+                try:
+                    want = aff.preimages(y, dom)
+                except NonDiscretePreimageError as exc:
+                    plateaus += 1
+                    with pytest.raises(NonDiscretePreimageError) as got:
+                        quad.preimages(y, dom)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert quad.preimages(y, dom) == want
+        assert plateaus >= 100
+
+    def test_clamped_on_a_one_point_domain(self):
+        # a point on a plateau is its own preimage there, with no plateau
+        m = Clamped(Affine(F(2, 5), F(1, 10)), F(1, 4), F(3, 4))
+        for x in (F(0), F(1, 8), F(1, 4), F(1, 2), F(3, 4), F(7, 8), F(1)):
+            dom = Interval(x, x)
+            assert m.preimages(m(x), dom) == [x]
+            assert m.preimages(m(x) + F(1, 1000), dom) == []

@@ -429,7 +429,6 @@ def test_find_pair_on_unreduced_pairs_and_pair_points():
     for _ in range(200):
         pts = _tied_points(rng)
         keys = float_keys(pts)
-        pairs = [(p.numerator, p.denominator) for p in pts]
         for x in _probes(rng, pts):
             if isinstance(x, float):
                 continue
@@ -438,7 +437,6 @@ def test_find_pair_on_unreduced_pairs_and_pair_points():
             k = rng.choice([1, 3, 2**40])
             n, d = x.numerator * k, x.denominator * k
             assert find_pair(pts, keys, n, d, n / d) == want, x
-            assert find_pair(pairs, keys, n, d, n / d) == want, x
 
 
 def test_resolve_tie_on_float_points():

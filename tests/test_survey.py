@@ -381,6 +381,21 @@ class TestBoundViolated:
         out = capsys.readouterr().out.splitlines()
         assert out[out.index("aggregate") + 2] == "2,2,0,1.0"
 
+    def test_a_raised_class_bound_is_a_violation(self, tmp_path, monkeypatch):
+        def violated(*args):
+            raise BoundViolationError("more classes than breakpoints allow")
+
+        monkeypatch.setattr(survey, "equivalence_classes", violated)
+        rec = run_sample(small_cfg(), 0)
+        assert (rec.generic, rec.violation, rec.reason) == (True, True, "")
+        assert rec.orbit_count >= 1 and rec.class_count == 0
+        report = run_survey(small_cfg(samples=2, jobs=1))
+        assert report.bound_violated()
+        assert all(r.violation for r in report.records if r.generic)
+        path = tmp_path / "run.cfg"
+        path.write_text("n 2\nsamples 2\njobs 1\n")
+        assert main(["survey", "--config", str(path)]) == 1
+
 
 class TestSamplingBounds:
     """run_survey checks a RunConfig built in code as parse_config does."""
