@@ -108,15 +108,26 @@ def _rational_affine_sequence(
     D, map x -> (A*x + B)/D sends p/q to (aL*p + bL*q) / (L*q), where
     aL = A*L/D and bL = B*L/D.  Each map's images form an ascending run
     (read backwards for a negative slope), so the sort merges n runs;
-    touching components merge as in ``IntervalSet.normalize``.  A_k is
-    held over q = L**k, not in lowest terms: its endpoint Fractions are
-    built, each reduced, only when they are read, and ``measure`` reduces
-    its sum.  A gcd of q and every endpoint per step would save a bit or
-    two of q on average and cost more than the larger integers.
+    touching components merge as in ``IntervalSet.normalize``.  The maps
+    are separated when every slope is nonzero and, ordered by their images
+    of [0, 1], each image ends strictly before the next begins: then the
+    runs of A_{k+1} are the maps' runs joined in that order, with no sort
+    and no merge, as a nonzero slope keeps the gaps between A_k's runs.
+    A_k is held over q = L**k, not in lowest terms: its endpoint Fractions
+    are built, each reduced, only when they are read, and ``measure``
+    reduces its sum.  A gcd of q and every endpoint per step would save a
+    bit or two of q on average and cost more than the larger integers.
     """
     ints = [m._ints for m in maps]
     den = math.lcm(*(d for _, _, d in ints))
     coeffs = [(a * (den // d), b * (den // d)) for a, b, d in ints]
+    # ordered by image: map (a, b) sends [0, 1] onto [b + min(a, 0),
+    # b + max(a, 0)] over den
+    coeffs.sort(key=lambda c: c[1] + min(c[0], 0))
+    separated = all(a for a, _ in coeffs) and all(
+        b1 + max(a1, 0) < b2 + min(a2, 0)
+        for (a1, b1), (a2, b2) in zip(coeffs, coeffs[1:])
+    )
     runs, q = [(0, 1)], 1
     seq = [IntervalSet._from_runs(runs, q)]
     for _ in range(k_max):
@@ -129,20 +140,26 @@ def _rational_affine_sequence(
                 pieces += [
                     (a * hi + shift, a * lo + shift) for lo, hi in reversed(runs)
                 ]
-        pieces.sort()
-        runs = []
-        cur_lo, cur_hi = pieces[0]
-        for lo, hi in pieces:
-            if lo <= cur_hi:
-                if hi > cur_hi:
-                    cur_hi = hi
-            else:
-                runs.append((cur_lo, cur_hi))
-                cur_lo, cur_hi = lo, hi
-        runs.append((cur_lo, cur_hi))
+        runs = pieces if separated else _merged(pieces)
         q *= den
         seq.append(IntervalSet._from_runs(runs, q))
     return seq
+
+
+def _merged(pieces: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (lo, hi) pairs sorted, with touching ones merged into runs."""
+    pieces.sort()
+    runs = []
+    cur_lo, cur_hi = pieces[0]
+    for lo, hi in pieces:
+        if lo <= cur_hi:
+            if hi > cur_hi:
+                cur_hi = hi
+        else:
+            runs.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = lo, hi
+    runs.append((cur_lo, cur_hi))
+    return runs
 
 
 def highly_contractive_bound(ifs: IteratedFunctionSystem) -> Optional[Scalar]:

@@ -100,22 +100,27 @@ EXACT = Backend.exact()
 # parsing constructor, _richcmp) cost several times the integer arithmetic
 # behind them, so hot exact loops build, compare and search through these
 # helpers, which read Fraction internals.  The only other readers are
-# Affine._eval (maps.py); PiecewiseContraction.__call__ (pcmap.py), which
-# holds the only integer path of a clamped affine branch and builds its
-# result Fraction in place, in lowest terms; build_partition
-# (quasipartition.py), which filters the cut points and takes an affine
-# branch's image ends from the interval ends' integers; and _intercept_range
-# (sampling.py).  is_generic (pcmap.py) and preimage_set (quasipartition.py)
-# hold their points as reduced integer pairs and cross to and from Fractions
-# only through _ratio, _raw_fraction and _lowest_terms; _level_preimages
-# (pcmap.py) solves their levels unsorted, each point against each affine
-# branch's image ends, which PiecewiseContraction._domains keeps per map.
+# Affine._eval (maps.py); pcmap.py's forward steps, PiecewiseContraction.
+# __call__ and _step (for _walk and orbit), which evaluate a branch from
+# the integer form of its map on its own domain, kept per branch in
+# PiecewiseContraction._domains (a rational Affine, a zero slope included,
+# or a clamped one, its inner map where the window holds the domain, its
+# window kept where it cuts it), and build the result Fraction in place,
+# in lowest terms; build_partition (quasipartition.py), which filters the
+# cut points and takes a branch's image ends from the interval ends'
+# integers; and _intercept_range (sampling.py).  is_generic (pcmap.py) and
+# preimage_set (quasipartition.py) hold their points as reduced integer
+# pairs and cross to and from Fractions only through _ratio, _raw_fraction
+# and _lowest_terms; _level_preimages (pcmap.py) solves their levels
+# unsorted, each point against the image ends that _domains keeps for a
+# branch with a nonzero slope and no window.
 #
-# A gcd against a power of two is the numerator's lowest set bit.
-# __call__ alone takes that shortcut, when its denominator D*x_d is a power
-# of two (every grid-drawn map and point): its branch maps [0, 1] into
-# (0, 1) and 0 < x < 1, so 0 < num < den, the low bit is below den, and a
-# shift reduces both.  _raw_fraction and Affine._eval keep math.gcd: their
+# A gcd against a power of two is the numerator's lowest set bit.  The
+# forward steps take that shortcut when D, flagged in the form, and x_d
+# are both powers of two (every grid-drawn map and point), so their
+# product D*x_d is one: the branch maps [0, 1] into (0, 1) and
+# 0 <= x < 1, so 0 < num < den, the low bit is below den, and a shift
+# reduces both.  _raw_fraction and Affine._eval keep math.gcd: their
 # callers also pass zero numerators and integer results, which need the
 # general case, and on the sampler's 32-bit dyadic pairs gcd costs about
 # as much as the bit test, which callers with other denominators would

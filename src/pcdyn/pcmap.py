@@ -135,14 +135,15 @@ class PiecewiseContraction:
 
     def __call__(self, x: Scalar) -> Scalar:
         if type(x) is Fraction and 0 < x._numerator < x._denominator:
-            # off the breakpoint keys, the branch's integer form inline;
-            # ties and every other input take digit + _eval
+            # off the breakpoint keys, the branch's form: _step inline, as
+            # a call to it costs about a tenth of f(x); ties and every
+            # other input take digit + _eval
             xn, xd = x._numerator, x._denominator
             keys, fx = self._bp_keys, xn / xd
             i = bisect_right(keys, fx)
-            form = None if i and keys[i - 1] == fx else self._branch_forms[i]
+            form = None if i and keys[i - 1] == fx else self._domains[i][4]
             if form is not None:
-                A, B, D, window = form
+                A, B, D, _, _, dyadic, window = form
                 if window is not None:
                     ln, ld, hn, hd, vlo, vhi = window
                     if xn * ld <= ln * xd:
@@ -153,31 +154,16 @@ class PiecewiseContraction:
                 # maps [0, 1] into (0, 1), so 0 < num < den: on a power-of-
                 # two den (dyadic D and x) the gcd is num's lowest set bit
                 num, den = A * xn + B * xd, D * xd
-                if den & (den - 1):
-                    g = gcd(num, den)
-                    num, den = num // g, den // g
-                else:
+                if dyadic and not xd & (xd - 1):
                     s = (num & -num).bit_length() - 1
                     num, den = num >> s, den >> s
+                else:
+                    g = gcd(num, den)
+                    num, den = num // g, den // g
                 y = object.__new__(Fraction)
                 y._numerator, y._denominator = num, den
                 return y
         return self.ifs.maps[self.digit(x) - 1]._eval(x)
-
-    @cached_property
-    def _branch_forms(self) -> tuple:
-        """Per branch, (A, B, D, window) for a rational Affine map or a
-        Clamped one (window: the clamp ends' integers and plateau values),
-        else None."""
-        out = []
-        for m in self.ifs.maps:
-            window = None
-            if type(m) is Clamped and _ratio(m.lo) and _ratio(m.hi):
-                window = _ratio(m.lo) + _ratio(m.hi) + (m._vlo, m._vhi)
-                m = m.inner
-            rational = type(m) is Affine and m._ints is not None
-            out.append(m._ints + (window,) if rational else None)
-        return tuple(out)
 
     def preimages(self, y: Scalar) -> list[Scalar]:
         """All x in [0, 1) with f(x) = y, solved branch by branch.
@@ -198,10 +184,11 @@ class PiecewiseContraction:
 
     @cached_property
     def _domains(self) -> tuple:
-        """(map, closed domain, lo included, hi included, image form) for
-        each branch, the form from :func:`_image_form`, read by the backward
-        walks and by ``build_partition``.  A branch includes its lo end under
-        a RIGHT_OPEN flag and its hi end under a LEFT_OPEN one."""
+        """(map, closed domain, lo included, hi included, form) for each
+        branch, the form from :func:`_branch_form`: the one per-branch
+        cache, read by ``__call__``, the forward walks, the cycle fold, the
+        backward walks and ``build_partition``.  A branch includes its lo
+        end under a RIGHT_OPEN flag and its hi end under a LEFT_OPEN one."""
         ends = (_UNIT.lo, *self.breakpoints.points, _UNIT.hi)
         flags = (RIGHT_OPEN, *self.closures, RIGHT_OPEN)
         out = []
@@ -209,23 +196,73 @@ class PiecewiseContraction:
         for m, lo, hi, lo_flag, hi_flag in branches:
             dom = Interval(lo, hi)
             out.append((m, dom, lo_flag == RIGHT_OPEN, hi_flag == LEFT_OPEN,
-                        _image_form(m, dom)))
+                        _branch_form(m, dom)))
         return tuple(out)
 
 
-def _image_form(m: MapDescriptor, dom: Interval) -> Optional[tuple]:
-    """``(A, B, D, fu, fv)`` when m is a rational affine map with a nonzero
-    slope, so strictly monotone, and dom's ends are rational, else None:
-    x -> (A*x + B)/D is m, and fu <= fv are the float keys of the ends of
-    its image of dom.  A decreasing map's form is negated: A > 0 > D."""
+def _branch_form(m: MapDescriptor, dom: Interval) -> Optional[tuple]:
+    """``(A, B, D, fu, fv, dyadic, window)``, the integer form of m on dom
+    with D > 0, when dom's ends are Fractions and m is a rational
+    ``Affine`` (a zero slope included) or a ``Clamped`` one with rational
+    window ends; else None.  x -> (A*x + B)/D is m on dom, or m's inner map
+    when the clamp window holds dom; a window that cuts dom is kept as
+    ``window``, its ends' integers and its plateau values, and is None
+    otherwise.  ``dyadic`` says D is a power of two.  When A != 0 and
+    there is no window, the map is strictly monotone on dom, and
+    fu <= fv are the float keys of the ends of its image of dom; else
+    both are None.  The backward readers use a form only with those keys,
+    and orient a decreasing map (A < 0) themselves."""
+    lo, hi = dom.lo, dom.hi
+    if type(lo) is not Fraction or type(hi) is not Fraction:
+        return None
+    ln, ld = lo._numerator, lo._denominator
+    hn, hd = hi._numerator, hi._denominator
+    window = None
+    if type(m) is Clamped:
+        ends = _ratio(m.lo), _ratio(m.hi)
+        if None in ends:
+            return None
+        (wln, wld), (whn, whd) = ends
+        if wln * ld > ln * wld or hn * whd > whn * hd:  # the window cuts dom
+            window = (wln, wld, whn, whd, m._vlo, m._vhi)
+        m = m.inner
     ints = m._ints if type(m) is Affine else None
-    lo, hi = _ratio(dom.lo), _ratio(dom.hi)
-    if not (ints and ints[0] and lo and hi):
+    if ints is None:
         return None
     A, B, D = ints
-    fu = (A * lo[0] + B * lo[1]) / (D * lo[1])
-    fv = (A * hi[0] + B * hi[1]) / (D * hi[1])
-    return (A, B, D, fu, fv) if A > 0 else (-A, -B, -D, fv, fu)
+    fu = fv = None
+    if A and window is None:
+        fu, fv = (A * ln + B * ld) / (D * ld), (A * hn + B * hd) / (D * hd)
+        if A < 0:
+            fu, fv = fv, fu
+    return A, B, D, fu, fv, not D & (D - 1), window
+
+
+def _step(branch: tuple, x: Scalar) -> Scalar:
+    """The image of x, a point of ``branch``'s domain, under its map (a
+    ``PiecewiseContraction._domains`` entry): from the branch's form for a
+    Fraction x, as ``__call__`` computes it, else the map's ``_eval``."""
+    form = branch[4]
+    if form is None or type(x) is not Fraction:
+        return branch[0]._eval(x)
+    A, B, D, _, _, dyadic, window = form
+    xn, xd = x._numerator, x._denominator
+    if window is not None:
+        ln, ld, hn, hd, vlo, vhi = window
+        if xn * ld <= ln * xd:
+            return vlo
+        if xn * hd >= hn * xd:
+            return vhi
+    num, den = A * xn + B * xd, D * xd
+    if dyadic and not xd & (xd - 1):
+        s = (num & -num).bit_length() - 1
+        num, den = num >> s, den >> s
+    else:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    y = object.__new__(Fraction)
+    y._numerator, y._denominator = num, den
+    return y
 
 
 @dataclass(frozen=True)
@@ -348,13 +385,14 @@ def _walk(
     None as soon as a digit differs from ``word``.  The float bisect of the
     breakpoints' keys picks each digit, as in ``__call__``; ``digit`` runs
     only on a key tie or a key outside (0, 1), and raises its ValueError
-    for a point outside [0, 1).  Each next point is its branch's ``_eval``.
+    for a point outside [0, 1).  Each next point is its branch's
+    :func:`_step`, not ``f(x)``, so no digit is taken twice.
     """
-    keys, maps = f._bp_keys, f.ifs.maps
+    keys, branches = f._bp_keys, f._domains
     points, digits = [], []
     for t in range(k):
         if t:
-            x = maps[i]._eval(x)
+            x = _step(branches[i], x)
         fx = _key(x)
         i = bisect_right(keys, fx)
         if (i and keys[i - 1] == fx) or not 0.0 < fx < 1.0:
@@ -382,10 +420,12 @@ def _refine_candidate(
     """Solve the fixed point z of the composed word map and verify the cycle.
 
     The orbit of z is walked once (:func:`_walk`) and must follow the word.
-    Exact backend, every letter a rational ``Affine``: the integer forms
-    fold (:func:`_affine_fold`) into z = B/(D - A), in (0, 1) as each
-    letter maps [0, 1] into (0, 1), and the walk applies the word map
-    exactly, so it closes.
+    Exact backend, every letter's branch affine on its domain (a form
+    without a window in ``f._domains``, zero slopes included): the forms
+    fold, as in :func:`_affine_fold`, into z = B/(D - A), in (0, 1) as
+    each letter maps [0, 1] into (0, 1), and D - A > 0 as D > |A|.  A
+    walk that follows the word applies each letter on its own domain,
+    where the letter is its form, so the word map exactly, and it closes.
     Otherwise z is the word map's ``fixed_point``, and the last letter must
     send the walk back to z: exactly for a Fraction z under the exact
     backend, within max(eps_orbit, 10*eps_fp) otherwise.  Returns None when
@@ -393,12 +433,20 @@ def _refine_candidate(
     itinerary's repeated word; a quasi-partition passes each index cycle's
     word, with the cycle as ``home_cycle``.
     """
-    maps = f.ifs.maps
-    form = _affine_fold(maps, word) if backend.is_exact else None
-    if form is not None:
-        A, B, D = form
-        z = _raw_fraction(B, D - A)
-    else:
+    folded = False
+    if backend.is_exact:
+        # _affine_fold inline: a list of the branches' forms for it cost
+        # about 1 us per partition-steep item
+        branches, A, B, D = f._domains, 1, 0, 1
+        for d in word:
+            form = branches[d - 1][4]
+            if form is None or form[6] is not None:
+                break
+            a, b, dd = form[0], form[1], form[2]
+            A, B, D = a * A, a * B + b * D, dd * D
+        else:
+            folded, z = True, _raw_fraction(B, D - A)
+    if not folded:
         try:
             z = _word_map(f, word).fixed_point(eps_fp)
         except (ValueError, ArithmeticError):
@@ -410,8 +458,8 @@ def _refine_candidate(
     if walked is None:
         return None
     pts, digits = walked
-    if form is None:
-        y = maps[word[-1] - 1]._eval(pts[-1])
+    if not folded:
+        y = f.ifs.maps[word[-1] - 1]._eval(pts[-1])
         if backend.is_exact and isinstance(z, Fraction):
             closes = y == z
         else:
@@ -444,7 +492,8 @@ def orbit(
     preperiod then backs off to the first step from which the digits
     repeat with period len(u).  ``fail_on_breakpoint_hit``
     makes an orbit point equal to a breakpoint (within ``eps_cmp`` under
-    the float backend) end the run as "breakpoint-hit".
+    the float backend) end the run as "breakpoint-hit".  Each step is its
+    branch's :func:`_step`.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -454,6 +503,7 @@ def orbit(
     pts: list[Scalar] = [x0]
     digits: list[int] = []
     seen: dict[Scalar, int] = {x0: 0} if backend.is_exact else {}
+    branches = f._domains
     c, fc = 0, float(x0)  # the checkpoint: a step and its float
     due: dict[int, list[tuple[int, int]]] = {}  # step -> [(s, p), ...]
     rejected: set[tuple[int, ...]] = set()  # roots _refine_candidate refused
@@ -467,7 +517,7 @@ def orbit(
         ):
             failure = "breakpoint-hit"
             break
-        nxt = f.ifs.maps[d - 1]._eval(x)
+        nxt = _step(branches[d - 1], x)
         pts.append(nxt)
         if backend.is_exact:
             s = seen.setdefault(nxt, t)
@@ -508,13 +558,15 @@ def _level_preimages(branches, level):
     (num, den) pairs under every branch, ``xs[i]`` solving ``ys[i]``.
 
     ``branches`` has the form of ``PiecewiseContraction._domains``, and
-    the level need not be sorted.  A branch with an image form tests each
-    y where it stands: rounding is monotone, so a key outside [fu, fv] is
-    outside the image and one strictly inside is inside.  The map is
-    strictly monotone, so for a key tied with an end's, y is in the image
-    exactly when its solution x is in the domain, which integers decide
-    with the closure flags.  Each y inside is solved with one gcd.  Any
-    other branch solves the level ascending through its map's
+    the level need not be sorted.  A branch whose form has image keys
+    (:func:`_branch_form`: a nonzero slope and no window) tests each y
+    where it stands:
+    rounding is monotone, so a key outside [fu, fv] is outside the image
+    and one strictly inside is inside.  The map is strictly monotone, so
+    for a key tied with an end's, y is in the image exactly when its
+    solution x is in the domain, which integers decide with the closure
+    flags.  Each y inside is solved with one gcd.  Any other branch (a
+    zero slope among them) solves the level ascending through its map's
     ``preimages`` on its domain, drops an end its closure flags exclude,
     and lists in ``inexact`` each y with an irrational root, in branch
     order then ascending.  A plateau on a y raises that map's
@@ -523,16 +575,19 @@ def _level_preimages(branches, level):
     ys, xs, inexact = [], [], []
     keyed = ascending = None
     for m, dom, lo_in, hi_in, form in branches:
-        if form is not None:
-            A, B, D, fu, fv = form
+        if form is not None and form[3] is not None:
+            A, B, D, fu, fv, _, _ = form
             if keyed is None:
                 keyed = [(y, y[0] / y[1]) for y in level]
             for y, fy in keyed:
                 if not fu <= fy <= fv:
                     continue
-                # x = (y - B/D) / (A/D) = (yn*D - B*yd) / (A*yd), A*yd > 0
+                # x = (y - B/D) / (A/D) = (yn*D - B*yd) / (A*yd), oriented
+                # to a positive den for a decreasing branch (A < 0)
                 yn, yd = y
                 num, den = yn * D - B * yd, A * yd
+                if A < 0:
+                    num, den = -num, -den
                 if fy == fu or fy == fv:  # the signs of x - lo and hi - x
                     (ln, ld), (hn, hd) = _ratio(dom.lo), _ratio(dom.hi)
                     c, e = num * ld - ln * den, hn * den - num * hd
@@ -581,7 +636,7 @@ def is_generic(
     if not (backend.is_exact and _rational(targets) and _rational(f.ifs.maps)):
         return _generic_forward(f, depth, backend, cap)
     branches = [
-        (m, _UNIT, True, True, _image_form(m, _UNIT)) for m in f.ifs.maps
+        (m, _UNIT, True, True, _branch_form(m, _UNIT)) for m in f.ifs.maps
     ]
     level = seen = set(map(_ratio, targets))
     sources = {(0, 1), *seen}

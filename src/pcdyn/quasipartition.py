@@ -298,11 +298,12 @@ def build_partition(
     monotone (see :mod:`pcdyn.maps`), so a closure point has a preimage
     strictly inside the interval exactly when it lies strictly between the
     image's ends, and the first such point is the first past the lower end.
-    A branch with an image form in ``f._domains`` (``pcmap._image_form``)
-    gives its ends as unreduced integer pairs for :func:`find_pair`; any
-    other branch gives ``image`` for :func:`find_exact`, and must have no
-    plateau on an end that is a closure point (lower end, straddle, upper
-    end: the order of the checks).  A straddle or a plateau raises PartitionInvarianceError:
+    A branch whose form in ``f._domains`` (``pcmap._branch_form``) has
+    image keys, a nonzero slope and no window, gives its ends as
+    unreduced integer pairs for :func:`find_pair`; any other branch gives
+    ``image`` for :func:`find_exact`, and must have no plateau on an end
+    that is a closure point (lower end, straddle, upper end: the order of
+    the checks).  A straddle or a plateau raises PartitionInvarianceError:
     the closure was truncated or the parameters are degenerate.  A closure
     that hit its cap raises TruncatedClosureError.
     """
@@ -321,17 +322,19 @@ def build_partition(
     bounds = (EXACT.zero,) + cuts + (EXACT.one,)
 
     maps = f.ifs.maps
-    forms = [b[4] for b in f._domains]
+    forms = [
+        b[4] if b[4] and b[4][3] is not None else None for b in f._domains
+    ]
     transition: list[int] = []
     for j, (lo, hi, d) in enumerate(zip(bounds, bounds[1:], branch), start=1):
         form = forms[d - 1]
         if form:  # the image ends as unreduced integer pairs
-            A, B, D, _, _ = form
+            A, B, D, _, _, _, _ = form
             ld, hd = lo._denominator, hi._denominator
             un, ud = A * lo._numerator + B * ld, D * ld
             vn, vd = A * hi._numerator + B * hd, D * hd
-            if D < 0:  # decreasing: the lower end is f(hi)
-                un, ud, vn, vd = -vn, -vd, -un, -ud
+            if A < 0:  # decreasing: the lower end is f(hi)
+                un, ud, vn, vd = vn, vd, un, ud
             first, lo_hit = find_pair(cuts, keys, un, ud, un / ud)
             last, hi_hit = find_pair(cuts, keys, vn, vd, vn / vd)
         else:

@@ -284,18 +284,48 @@ def generic_digit_word(f: PiecewiseContraction, x, k: int) -> tuple:
     return tuple(word)
 
 
+def affine_on_domain(f: PiecewiseContraction, d: int):
+    """Branch d's map as a rational Affine when the branch is affine on
+    its domain: a rational Affine (a zero slope included), or a Clamped
+    one whose rational window holds the domain, which is its inner map
+    there; else None."""
+    ends = (0,) + tuple(f.breakpoints) + (1,)
+    lo, hi = ends[d - 1], ends[d]
+    m = f.ifs.maps[d - 1]
+    exact = (int, F)
+    if isinstance(m, Clamped) and all(isinstance(v, exact) for v in (m.lo, m.hi)):
+        if not m.lo <= lo < hi <= m.hi:
+            return None
+        m = m.inner
+    if not isinstance(m, Affine):
+        return None
+    return m if all(isinstance(v, exact) for v in (m.a, m.b, lo, hi)) else None
+
+
 def generic_cycle_orbit(
     f: PiecewiseContraction, word, backend, eps_orbit, eps_fp, home_cycle=None
 ):
-    """_refine_candidate as a loop: the composed word map's ``fixed_point``
-    z, walked by ``f.digit`` and ``_eval`` (a ValueError means no orbit);
-    the digits must be the word, and the walk must return to z exactly for
-    a Fraction z under the exact backend, within max(eps_orbit, 10*eps_fp)
-    otherwise."""
-    try:
-        z = _word_map(f, word).fixed_point(eps_fp)
-    except (ValueError, ArithmeticError):
-        return None
+    """_refine_candidate as a loop: z is the fixed point b/(1 - a) of the
+    letters' affine maps composed in Fractions, under the exact backend
+    when every letter's branch is affine on its domain
+    (:func:`affine_on_domain`), else the composed word map's
+    ``fixed_point``.  z is walked by ``f.digit`` and ``_eval`` (a
+    ValueError means no orbit); the digits must be the word, and the walk
+    must return to z exactly for a Fraction z under the exact backend,
+    within max(eps_orbit, 10*eps_fp) otherwise."""
+    letters = [None]
+    if backend.is_exact:
+        letters = [affine_on_domain(f, d) for d in word]
+    if None not in letters:
+        a, b = F(1), F(0)
+        for m in letters:
+            a, b = m.a * a, m.a * b + m.b
+        z = b / (1 - a)
+    else:
+        try:
+            z = _word_map(f, word).fixed_point(eps_fp)
+        except (ValueError, ArithmeticError):
+            return None
     if not 0 <= z < 1:
         return None
     pts, digits, cur = [], [], z

@@ -305,6 +305,111 @@ class TestIntegerAttractorPath:
         assert {type(iv.lo) for s in got[1:] for iv in s} == {endpoint_type}
 
 
+def _image_systems(rng, n):
+    """n rational affine maps whose images of [0, 1] are laid left to right
+    with gaps and lengths on a grid, in shuffled order, about half of the
+    slopes negative: separated, unless a drawn gap is 0 (two images touch)
+    or a drawn length is 0 (a constant map)."""
+    den = rng.choice((60, 64, 105))
+    parts = [rng.randrange(1, 6) for _ in range(2 * n + 1)]
+    for i in range(1, 2 * n):  # one gap or length in ten is 0
+        parts[i] *= rng.randrange(10) > 0
+    parts[-1] += den - sum(parts)  # the last gap takes the rest
+    maps, start = [], parts[0]
+    for length, gap in zip(parts[1::2], parts[2::2]):
+        a = F(length, den) * rng.choice((-1, 1))
+        maps.append(Affine(a, F(start, den) - min(a, 0)))
+        start += length + gap
+    rng.shuffle(maps)
+    return IteratedFunctionSystem(tuple(maps))
+
+
+def _separated(ifs) -> bool:
+    """Every slope nonzero and the images of [0, 1], in order, apart."""
+    images = sorted(m.image(Interval(F(0), F(1))) for m in ifs)
+    return all(m.a for m in ifs) and all(
+        u.hi < v.lo for u, v in zip(images, images[1:])
+    )
+
+
+def _merged_runs(ifs, k_max):
+    """The runs of A_0..A_k_max through the sort-and-merge step: every
+    map's image runs sorted, touching ones merged, over q = L**k."""
+    ints = [m._ints for m in ifs]
+    den = math.lcm(*(d for _, _, d in ints))
+    coeffs = [(a * (den // d), b * (den // d)) for a, b, d in ints]
+    runs, q, out = [(0, 1)], 1, [[(0, 1)]]
+    for _ in range(k_max):
+        pieces = sorted(
+            (min(a * lo, a * hi) + b * q, max(a * lo, a * hi) + b * q)
+            for a, b in coeffs for lo, hi in runs
+        )
+        runs = [pieces[0]]
+        for lo, hi in pieces[1:]:
+            if lo <= runs[-1][1]:
+                runs[-1] = (runs[-1][0], max(runs[-1][1], hi))
+            else:
+                runs.append((lo, hi))
+        q *= den
+        out.append(runs)
+    return out
+
+
+class TestSeparatedMaps:
+    """Maps whose images of [0, 1] are apart join their image runs with no
+    sort or merge; the sort-and-merge step and the generic path are the
+    oracles, level by level."""
+
+    def test_runs_match_the_sort_and_merge_step(self, monkeypatch):
+        merges = []
+        real = pcdyn.ifs._merged
+
+        def spy(pieces):
+            merges.append(len(pieces))
+            return real(pieces)
+
+        monkeypatch.setattr(pcdyn.ifs, "_merged", spy)
+        rng = random.Random(3601)
+        seen = Counter()
+        k_for_n = {2: 8, 3: 6, 4: 5, 5: 4}
+        for idx in range(240):
+            n = 2 + idx % 4
+            ifs = _image_systems(rng, n)
+            merges.clear()
+            got = attractor_sequence(ifs, k_for_n[n])
+            separated = _separated(ifs)
+            # separated maps skip the merge at every step, others take it
+            assert len(merges) == (0 if separated else k_for_n[n]), ifs
+            want = _merged_runs(ifs, k_for_n[n])
+            assert [s._runs for s in got] == want, ifs
+            assert got == generic_sequence(ifs, k_for_n[n]), ifs
+            seen["separated", n] += separated
+            if separated:  # every image run of every level stays apart
+                assert len(got[-1]) == n ** k_for_n[n]
+                seen["negative"] += any(m.a < 0 for m in ifs)
+            elif all(m.a for m in ifs):
+                seen["touching"] += len(got[1]) < n
+            else:
+                seen["zero"] += 1
+        assert min(seen["separated", n] for n in k_for_n) >= 20, seen
+        assert min(seen["negative"], seen["touching"], seen["zero"]) >= 20, seen
+
+    def test_touching_and_constant_images_merge(self):
+        # [1/10, 3/10] and the reversed [3/10, 1/2] touch at 3/10; a
+        # constant map's point 7/10 is the last image's left end (at k = 1)
+        for maps, counts in (
+            (((F(1, 5), F(1, 10)), (F(-1, 5), F(1, 2))), [1, 1, 2, 4]),
+            (((F(1, 5), F(1, 10)), (0, F(7, 10)), (F(1, 5), F(7, 10))),
+             [1, 2, 5, 11]),
+        ):
+            ifs = IteratedFunctionSystem(tuple(Affine(a, b) for a, b in maps))
+            assert not _separated(ifs)
+            got = attractor_sequence(ifs, 3)
+            assert [len(s) for s in got] == counts
+            assert [s._runs for s in got] == _merged_runs(ifs, 3)
+            assert got == generic_sequence(ifs, 3)
+
+
 # On these systems the attractor path's old per-step gcd, of q = L**k and
 # every endpoint numerator, was above 1 at every step k = 1..14: the
 # endpoints come from the maps with denominators 3, 9 or 27 and never need
@@ -569,7 +674,8 @@ class TestCapIfs:
             f = PiecewiseContraction(ifs, Breakpoints(bps))
             xs = [F(j, 1024) for j in range(1024)] + list(bps)
             fc = PiecewiseContraction(plan.capped, f.breakpoints)
-            assert all(form[3] for form in fc._branch_forms)
+            # each collar window holds its branch: the branch is its inner map
+            assert all(b[4] and b[4][6] is None for b in fc._domains)
             for x in xs:
                 assert fc(x) == generic_value(fc, x) == f(x)
             for shift in (-2 * plan.delta, 2 * plan.delta):
@@ -577,6 +683,8 @@ class TestCapIfs:
                 if not 0 < moved[0] < moved[-1] < 1:
                     continue
                 fm = PiecewiseContraction(plan.capped, Breakpoints(moved))
+                # a window the move cuts is kept with its plateau values
+                assert any(b[4][6] for b in fm._domains)
                 for x in xs:
                     assert fm(x) == generic_value(fm, x)
                     m = plan.capped[fm.digit(x) - 1]

@@ -38,6 +38,7 @@ from pcdyn.sampling import (
 )
 from _support import (
     breakpoints_check_error,
+    constant_pc,
     field_rational,
     float_descriptor,
     fraction_digit_word,
@@ -402,9 +403,35 @@ class TestFusedCall:
         g = PiecewiseContraction(
             IteratedFunctionSystem(maps), Breakpoints((F(1, 3), F(2, 3)))
         )
-        assert g._branch_forms == (None, None, None)
+        assert [b[4] for b in g._domains] == [None, None, None]
         for x in (F(1, 7), F(1, 2), F(5, 6), F(1, 3), 0.5, 0):
             _assert_call(g, x)
+
+    def test_a_constant_branch_steps_through_its_form(self, monkeypatch):
+        # a zero slope keeps its form: calls, walks, the orbit search and
+        # the cycle fold evaluate no branch map; the backward walk still
+        # raises on the plateau's value
+        f = constant_pc()
+        assert [b[4][:3] for b in f._domains] == [(0, 1, 3), (0, 2, 3)]
+
+        def refuse(self, x):
+            raise AssertionError("branch map evaluated")
+
+        monkeypatch.setattr(Affine, "_eval", refuse)
+        for x in (F(1, 7), F(1, 3), F(5, 8), F(2, 3), F(1, 2**40)):
+            assert f(x) == (F(1, 3) if x < F(1, 2) else F(2, 3))
+        assert pcmap._digit_word(f, F(5, 8), 3) == (2, 2, 2)
+        assert orbit(f, F(1, 7)).orbit.points == (F(1, 3),)
+        for word, z in (((1,), F(1, 3)), ((2,), F(2, 3))):
+            got = pcmap._refine_candidate(f, word, EXACT, 1e-10, 1e-13)
+            assert got.points == (z,) and type(got.points[0]) is F
+        assert pcmap._refine_candidate(f, (1, 2), EXACT, 1e-10, 1e-13) is None
+        monkeypatch.undo()
+        for y in (F(1, 3), F(2, 3)):
+            with pytest.raises(NonDiscretePreimageError):
+                pcmap._level_preimages(f._domains, [(y.numerator, y.denominator)])
+            with pytest.raises(NonDiscretePreimageError):
+                f.preimages(y)
 
     def test_outside_the_unit_interval_raises_the_same(self):
         f = _mixed_pc(random.Random(9))
@@ -1104,9 +1131,9 @@ def _compose_chain(f: PiecewiseContraction, word):
 
 class TestWordMapFold:
     """_word_map folds an all-affine word once in integers through
-    _affine_fold, the helper _refine_candidate shares; other words keep
-    the compose chain.  compose() and the Fraction-composed map are the
-    oracles."""
+    _affine_fold, as the cycle solve folds its branches' forms; other
+    words keep the compose chain.  compose() and the Fraction-composed map
+    are the oracles."""
 
     def test_affine_words_are_the_fraction_word_maps(self):
         rng = random.Random(3131)

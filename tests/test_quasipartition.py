@@ -49,7 +49,7 @@ from pcdyn.numerics import sort_pairs
 from pcdyn.pcmap import (
     LEFT_OPEN,
     RIGHT_OPEN,
-    _image_form,
+    _branch_form,
     _level_preimages,
     _word_map,
     rotate_to_min,
@@ -225,6 +225,22 @@ def _assert_walked_steps(f, q):
     return kept[1]
 
 
+def _cut_windows(g):
+    """g's capped maps, each window cut 2^-80 inside the hi end of its
+    branch where the branch does not own it, else inside the lo end."""
+    tiny = F(1, 2**80)
+    out = []
+    for m, (_, dom, lo_in, hi_in, _) in zip(
+        cap_ifs(g.ifs, g.breakpoints).capped, g._domains
+    ):
+        if not hi_in:
+            m = Clamped(m.inner, m.lo, dom.hi - tiny)
+        elif not lo_in:
+            m = Clamped(m.inner, dom.lo + tiny, m.hi)
+        out.append(m)
+    return tuple(out)
+
+
 class TestWalkedSteps:
     """preimage_set keeps the step of each source it met as a preimage:
     the same table _source_steps evaluates f for."""
@@ -266,16 +282,20 @@ class TestWalkedSteps:
             assert connections(g, q)[0] == F(0)
 
     def test_capped_systems(self):
-        # Clamped branches have no window: the walk solves them point by
-        # point, dropping the ends their flags exclude
+        # each collar window is cut 2^-80 inside an end its branch does not
+        # own, so the branch keeps its window and the walk solves it point
+        # by point, dropping the ends its flags exclude; the sources keep
+        # their values, so connections still land
         c6 = [draw_pc(rng_for_sample(42, idx), 3, kappa_max=0.45) for idx in range(50)]
-        landed, checked = Counter(), 0
+        landed, checked, cut = Counter(), 0, 0
         for f in c6 + [g for _, g in _word_map_draws()]:
             for g in (f, power_map(f, 2)):
                 fc = PiecewiseContraction(
-                    cap_ifs(g.ifs, g.breakpoints).capped, g.breakpoints, g.closures
+                    IteratedFunctionSystem(_cut_windows(g)), g.breakpoints, g.closures
                 )
-                assert all(window is None for *_, window in fc._domains)
+                windows = [form[6] is not None for *_, form in fc._domains]
+                assert windows[-1]  # no branch owns 1
+                cut += sum(windows)
                 try:
                     q = preimage_set(fc)
                 except NonDiscretePreimageError:
@@ -284,6 +304,7 @@ class TestWalkedSteps:
                     landed.update(s is not None for s in _assert_walked_steps(fc, q))
                     checked += 1
         assert checked >= 600 and landed[True] >= 50, (checked, landed)
+        assert cut >= 1500, cut
 
     def test_random_systems(self):
         # constant, quadratic and clamped branches, random closure flags
@@ -1580,6 +1601,67 @@ def _level_outcome(solve, branches, level):
         return NonDiscretePreimageError, exc.value
 
 
+def _run(f):
+    """The closure's points and provenance, the partition's cuts,
+    transition and branches, and the periodic orbits of f; or the type
+    and message of what the pipeline raised."""
+    try:
+        q = preimage_set(f)
+        part = build_partition(f, q)
+        orbits = periodic_orbits(f, part)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return q.points, q.provenance, part.cut_points, part.transition, part.branch, orbits
+
+
+class TestAffineOnTheDomain:
+    """A Clamped branch whose window holds its domain is its inner Affine
+    there: its form in _domains has no window, so the backward walk, the
+    partition and the cycle fold treat it as that Affine.  The affine
+    system's run is the oracle."""
+
+    def test_capped_criterion_6_orbits_are_the_originals(self):
+        # the 200 criterion-6 draws and their left-open twins, capped
+        seen = Counter()
+        for idx in range(200):
+            f = draw_pc(rng_for_sample(42, idx), 3, kappa_max=0.45)
+            capped = cap_ifs(f.ifs, f.breakpoints).capped
+            for closures in (f.closures, (LEFT_OPEN, LEFT_OPEN)):
+                g = PiecewiseContraction(f.ifs, f.breakpoints, closures)
+                gc = PiecewiseContraction(capped, f.breakpoints, closures)
+                assert all(b[4][6] is None for b in gc._domains)
+                want, got = _run(g), _run(gc)
+                assert got == want, (idx, closures)
+                if isinstance(want[0], type):
+                    seen["raised"] += 1
+                    continue
+                orbits = got[-1]
+                assert all(type(x) is F for o in orbits for x in o.points)
+                seen[closures[0]] += len(orbits)
+        assert seen == {RIGHT_OPEN: 254, LEFT_OPEN: 254}, seen
+
+    def test_unit_window_respellings(self):
+        # Clamped(m, 0, 1) is m on [0, 1]: the criterion-6 draws and their
+        # f^2 (left-open flags, 64-bit D) respelled branch by branch
+        seen = Counter()
+        for idx in range(60):
+            f = draw_pc(rng_for_sample(42, idx), 3, kappa_max=0.45)
+            for g in (f, power_map(f, 2)):
+                maps = tuple(Clamped(m, 0, 1) for m in g.ifs)
+                gc = PiecewiseContraction(
+                    IteratedFunctionSystem(maps), g.breakpoints, g.closures
+                )
+                assert [b[4][:3] for b in gc._domains] == [m._ints for m in g.ifs]
+                want, got = _run(g), _run(gc)
+                assert got == want
+                assert all(type(x) is F for o in got[-1] for x in o.points)
+                xs = [F(2 * j + 1, 2**20) for j in range(0, 2**19, 2**13)]
+                assert [gc(x) for x in xs] == [g(x) for x in xs]
+                seen["left-open"] += g.closures.count(LEFT_OPEN)
+                seen["orbits"] += len(got[-1])
+        assert seen["left-open"] >= 10 and seen["orbits"] >= 150, seen
+
+
 class TestLevelPreimages:
     """The per-point image test on unsorted levels against the per-y
     oracle, on each system's own branches and on the tree's [0, 1] ones."""
@@ -1610,7 +1692,7 @@ class TestLevelPreimages:
                 continue
             level = self._level(rng, f)
             keys = {y[0] / y[1] for y in level}
-            unit = [(m, UNIT, True, True, _image_form(m, UNIT)) for m in f.ifs]
+            unit = [(m, UNIT, True, True, _branch_form(m, UNIT)) for m in f.ifs]
             for branches in (f._domains, unit):
                 got = _level_outcome(_level_preimages, branches, level)
                 want = _level_outcome(_oracle_level, branches, level)
@@ -1625,7 +1707,7 @@ class TestLevelPreimages:
                     seen["plateau"] += 1
                 for *_, form in branches:
                     if form is not None:
-                        seen["end tie"] += form[-2] in keys or form[-1] in keys
+                        seen["end tie"] += form[3] in keys or form[4] in keys
         # irrational roots, plateaus and float ties with image ends all occur
         assert seen["irrational"] >= 20 and seen["plateau"] >= 20
         assert seen["end tie"] >= 500
@@ -1659,7 +1741,7 @@ class TestLevelPreimages:
         depths = set()
         while len(depths) < 6:
             f = _steep_pc(rng)
-            if f is None or any(b[4] is None for b in f._domains):
+            if f is None or not all(b[4] and b[4][0] for b in f._domains):
                 continue  # a constant branch solves its levels sorted
             calls.clear()
             q = preimage_set(f, 64, 400)
