@@ -4,9 +4,10 @@ Subcommands: ``aks`` (attractor sets), ``orbit``, ``partition``, ``power``,
 ``cap``, ``survey``.  Each reads a plain-text config (see config.py for the
 schema), writes CSV to --out (default stdout), and exits 0 on success, 1 on
 an inconclusive outcome (the rows written so far, then a reason row), 2 on
-a config error.  Any :class:`~pcdyn.errors.InconclusiveError` gives the row
-``reason,<Type>: <message>``.  ``partition``, ``power`` and ``survey``
-accept only the exact backend.
+a config error, a config file that cannot be read as UTF-8 or an --out
+path that cannot be written.  Any :class:`~pcdyn.errors.InconclusiveError`
+gives the row ``reason,<Type>: <message>``.  ``partition``, ``power`` and
+``survey`` accept only the exact backend.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     rows: list[str] = []
@@ -185,11 +186,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     output = "\n".join(rows) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(output)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(output)
-    else:
-        sys.stdout.write(output)
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
     return code
 
 

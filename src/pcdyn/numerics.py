@@ -104,16 +104,16 @@ EXACT = Backend.exact()
 # __call__ and _step (for _walk and orbit), which evaluate a branch from
 # the integer form of its map on its own domain, kept per branch in
 # PiecewiseContraction._domains (a rational Affine, a zero slope included,
-# or a clamped one, its inner map where the window holds the domain, its
-# window kept where it cuts it), and build the result Fraction in place,
-# in lowest terms; build_partition (quasipartition.py), which filters the
-# cut points and takes a branch's image ends from the interval ends'
-# integers; and _intercept_range (sampling.py).  is_generic (pcmap.py) and
-# preimage_set (quasipartition.py) hold their points as reduced integer
-# pairs and cross to and from Fractions only through _ratio, _raw_fraction
-# and _lowest_terms; _level_preimages (pcmap.py) solves their levels
+# or a clamped one whose window holds the domain, as its inner map), and
+# build the result Fraction in place, in lowest terms; build_partition
+# (quasipartition.py), which filters the cut points and takes a branch's
+# image ends from the interval ends' integers; and _intercept_range
+# (sampling.py).  is_generic (pcmap.py) and preimage_set
+# (quasipartition.py) hold their points as reduced integer pairs and cross
+# to and from Fractions only through _ratio, _raw_fraction and
+# _lowest_terms; _level_preimages (pcmap.py) solves their levels
 # unsorted, each point against the image ends that _domains keeps for a
-# branch with a nonzero slope and no window.
+# branch with a nonzero slope.
 #
 # A gcd against a power of two is the numerator's lowest set bit.  The
 # forward steps take that shortcut when D, flagged in the form, and x_d
@@ -385,23 +385,11 @@ class IntervalSet:
         return not len(self)
 
     def measure(self) -> Scalar:
-        """Lebesgue measure of the union.
-
-        With rational endpoints the lengths are summed in integers over the
-        least common denominator of the endpoints.
-        """
+        """Lebesgue measure of the union: integer runs are summed over
+        their common denominator, components by their lengths."""
         if self._runs is not None:
             return _raw_fraction(sum(hi - lo for lo, hi in self._runs), self._q)
-        ends = [e for iv in self.components for e in (iv.lo, iv.hi)]
-        if not ends or any(type(e) is not Fraction for e in ends):
-            return sum(iv.length for iv in self.components)
-        den = math.lcm(*(e._denominator for e in ends))
-        num = sum(
-            iv.hi._numerator * (den // iv.hi._denominator)
-            - iv.lo._numerator * (den // iv.lo._denominator)
-            for iv in self.components
-        )
-        return _raw_fraction(num, den)
+        return sum(iv.length for iv in self.components)
 
     @cached_property
     def _los(self) -> tuple[Scalar, ...]:

@@ -143,13 +143,7 @@ class PiecewiseContraction:
             i = bisect_right(keys, fx)
             form = None if i and keys[i - 1] == fx else self._domains[i][4]
             if form is not None:
-                A, B, D, _, _, dyadic, window = form
-                if window is not None:
-                    ln, ld, hn, hd, vlo, vhi = window
-                    if xn * ld <= ln * xd:
-                        return vlo
-                    if xn * hd >= hn * xd:
-                        return vhi
+                A, B, D, _, _, dyadic = form
                 # the Fraction built in place, in lowest terms.  The branch
                 # maps [0, 1] into (0, 1), so 0 < num < den: on a power-of-
                 # two den (dyadic D and x) the gcd is num's lowest set bit
@@ -201,41 +195,38 @@ class PiecewiseContraction:
 
 
 def _branch_form(m: MapDescriptor, dom: Interval) -> Optional[tuple]:
-    """``(A, B, D, fu, fv, dyadic, window)``, the integer form of m on dom
-    with D > 0, when dom's ends are Fractions and m is a rational
-    ``Affine`` (a zero slope included) or a ``Clamped`` one with rational
-    window ends; else None.  x -> (A*x + B)/D is m on dom, or m's inner map
-    when the clamp window holds dom; a window that cuts dom is kept as
-    ``window``, its ends' integers and its plateau values, and is None
-    otherwise.  ``dyadic`` says D is a power of two.  When A != 0 and
-    there is no window, the map is strictly monotone on dom, and
-    fu <= fv are the float keys of the ends of its image of dom; else
-    both are None.  The backward readers use a form only with those keys,
-    and orient a decreasing map (A < 0) themselves."""
+    """``(A, B, D, fu, fv, dyadic)``, the integer form of m on dom with
+    D > 0, when dom's ends are Fractions and m is a rational ``Affine`` (a
+    zero slope included) or a ``Clamped`` one whose rational window holds
+    dom, which is its inner map there; else None.  x -> (A*x + B)/D is m
+    on dom, and ``dyadic`` says D is a power of two.  When A != 0 the map
+    is strictly monotone on dom, and fu <= fv are the float keys of the
+    ends of its image of dom; else both are None.  The backward readers
+    use a form only with those keys, and orient a decreasing map (A < 0)
+    themselves."""
     lo, hi = dom.lo, dom.hi
     if type(lo) is not Fraction or type(hi) is not Fraction:
         return None
     ln, ld = lo._numerator, lo._denominator
     hn, hd = hi._numerator, hi._denominator
-    window = None
     if type(m) is Clamped:
         ends = _ratio(m.lo), _ratio(m.hi)
         if None in ends:
             return None
         (wln, wld), (whn, whd) = ends
         if wln * ld > ln * wld or hn * whd > whn * hd:  # the window cuts dom
-            window = (wln, wld, whn, whd, m._vlo, m._vhi)
+            return None
         m = m.inner
     ints = m._ints if type(m) is Affine else None
     if ints is None:
         return None
     A, B, D = ints
     fu = fv = None
-    if A and window is None:
+    if A:
         fu, fv = (A * ln + B * ld) / (D * ld), (A * hn + B * hd) / (D * hd)
         if A < 0:
             fu, fv = fv, fu
-    return A, B, D, fu, fv, not D & (D - 1), window
+    return A, B, D, fu, fv, not D & (D - 1)
 
 
 def _step(branch: tuple, x: Scalar) -> Scalar:
@@ -245,14 +236,8 @@ def _step(branch: tuple, x: Scalar) -> Scalar:
     form = branch[4]
     if form is None or type(x) is not Fraction:
         return branch[0]._eval(x)
-    A, B, D, _, _, dyadic, window = form
+    A, B, D, _, _, dyadic = form
     xn, xd = x._numerator, x._denominator
-    if window is not None:
-        ln, ld, hn, hd, vlo, vhi = window
-        if xn * ld <= ln * xd:
-            return vlo
-        if xn * hd >= hn * xd:
-            return vhi
     num, den = A * xn + B * xd, D * xd
     if dyadic and not xd & (xd - 1):
         s = (num & -num).bit_length() - 1
@@ -420,10 +405,10 @@ def _refine_candidate(
     """Solve the fixed point z of the composed word map and verify the cycle.
 
     The orbit of z is walked once (:func:`_walk`) and must follow the word.
-    Exact backend, every letter's branch affine on its domain (a form
-    without a window in ``f._domains``, zero slopes included): the forms
-    fold, as in :func:`_affine_fold`, into z = B/(D - A), in (0, 1) as
-    each letter maps [0, 1] into (0, 1), and D - A > 0 as D > |A|.  A
+    Exact backend, every letter's branch affine on its domain (a form in
+    ``f._domains``, zero slopes included): the forms fold, as in
+    :func:`_affine_fold`, into z = B/(D - A), in (0, 1) as each letter
+    maps [0, 1] into (0, 1), and D - A > 0 as D > |A|.  A
     walk that follows the word applies each letter on its own domain,
     where the letter is its form, so the word map exactly, and it closes.
     Otherwise z is the word map's ``fixed_point``, and the last letter must
@@ -440,7 +425,7 @@ def _refine_candidate(
         branches, A, B, D = f._domains, 1, 0, 1
         for d in word:
             form = branches[d - 1][4]
-            if form is None or form[6] is not None:
+            if form is None:
                 break
             a, b, dd = form[0], form[1], form[2]
             A, B, D = a * A, a * B + b * D, dd * D
@@ -559,8 +544,7 @@ def _level_preimages(branches, level):
 
     ``branches`` has the form of ``PiecewiseContraction._domains``, and
     the level need not be sorted.  A branch whose form has image keys
-    (:func:`_branch_form`: a nonzero slope and no window) tests each y
-    where it stands:
+    (:func:`_branch_form`: a nonzero slope) tests each y where it stands:
     rounding is monotone, so a key outside [fu, fv] is outside the image
     and one strictly inside is inside.  The map is strictly monotone, so
     for a key tied with an end's, y is in the image exactly when its
@@ -576,7 +560,7 @@ def _level_preimages(branches, level):
     keyed = ascending = None
     for m, dom, lo_in, hi_in, form in branches:
         if form is not None and form[3] is not None:
-            A, B, D, fu, fv, _, _ = form
+            A, B, D, fu, fv, _ = form
             if keyed is None:
                 keyed = [(y, y[0] / y[1]) for y in level]
             for y, fy in keyed:

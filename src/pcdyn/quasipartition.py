@@ -299,9 +299,9 @@ def build_partition(
     strictly inside the interval exactly when it lies strictly between the
     image's ends, and the first such point is the first past the lower end.
     A branch whose form in ``f._domains`` (``pcmap._branch_form``) has
-    image keys, a nonzero slope and no window, gives its ends as
-    unreduced integer pairs for :func:`find_pair`; any other branch gives
-    ``image`` for :func:`find_exact`, and must have no plateau on an end
+    image keys, a nonzero slope, gives its ends as unreduced integer pairs
+    for :func:`find_pair`; any other branch gives ``image`` for
+    :func:`find_exact`, and must have no plateau on an end
     that is a closure point (lower end, straddle, upper end: the order of
     the checks).  A straddle or a plateau raises PartitionInvarianceError:
     the closure was truncated or the parameters are degenerate.  A closure
@@ -329,7 +329,7 @@ def build_partition(
     for j, (lo, hi, d) in enumerate(zip(bounds, bounds[1:], branch), start=1):
         form = forms[d - 1]
         if form:  # the image ends as unreduced integer pairs
-            A, B, D, _, _, _, _ = form
+            A, B, D, _, _, _ = form
             ld, hd = lo._denominator, hi._denominator
             un, ud = A * lo._numerator + B * ld, D * ld
             vn, vd = A * hi._numerator + B * hd, D * hd

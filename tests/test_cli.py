@@ -565,6 +565,25 @@ class TestCommands:
     def test_missing_file(self, capsys):
         assert main(["aks", "--config", "/nonexistent/x.cfg"]) == 2
 
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "a.cfg"
+        path.write_bytes(b"\xff\xfemap affine 1/2 1/4\n")
+        assert main(["aks", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(
+            ["aks", "--config", self.write(tmp_path, EX61), "--out", str(out)]
+        )
+        assert code == 2 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"config error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+
     def test_out_flag_writes_file(self, tmp_path):
         out = tmp_path / "a.csv"
         code = main(

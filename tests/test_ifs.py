@@ -675,7 +675,7 @@ class TestCapIfs:
             xs = [F(j, 1024) for j in range(1024)] + list(bps)
             fc = PiecewiseContraction(plan.capped, f.breakpoints)
             # each collar window holds its branch: the branch is its inner map
-            assert all(b[4] and b[4][6] is None for b in fc._domains)
+            assert [b[4][:3] for b in fc._domains] == [m._ints for m in ifs]
             for x in xs:
                 assert fc(x) == generic_value(fc, x) == f(x)
             for shift in (-2 * plan.delta, 2 * plan.delta):
@@ -683,8 +683,8 @@ class TestCapIfs:
                 if not 0 < moved[0] < moved[-1] < 1:
                     continue
                 fm = PiecewiseContraction(plan.capped, Breakpoints(moved))
-                # a window the move cuts is kept with its plateau values
-                assert any(b[4][6] for b in fm._domains)
+                # a branch the move cuts has no form
+                assert any(b[4] is None for b in fm._domains)
                 for x in xs:
                     assert fm(x) == generic_value(fm, x)
                     m = plan.capped[fm.digit(x) - 1]

@@ -293,8 +293,9 @@ def _assert_find_exact(pts, keys, x):
     assert i + hit == bisect_right(pts, x), x
 
 
-def test_bisect_exact_matches_bisect_on_tied_fractions():
-    rng = random.Random(5)
+@pytest.mark.parametrize("seed", [5, 12])
+def test_find_exact_matches_bisect_on_tied_fractions(seed):
+    rng = random.Random(seed)
     tied = 0
     for _ in range(300):
         pts = _tied_points(rng)
@@ -305,7 +306,7 @@ def test_bisect_exact_matches_bisect_on_tied_fractions():
     assert tied >= 250
 
 
-def test_bisect_exact_beyond_the_float_range():
+def test_find_exact_beyond_the_float_range():
     pts = [F(1, 3), F(1, 2)]
     for x in (F(10**400), -(10**400), F(1, 10**400)):
         _assert_find_exact(pts, float_keys(pts), x)
@@ -344,7 +345,7 @@ def test_find_exact_float_x_on_tied_points():
             _assert_find_exact(pts, keys, probe)
 
 
-def test_bisect_exact_on_float_points():
+def test_find_exact_on_float_points():
     rng = random.Random(8)
     pts = sorted(rng.random() for _ in range(50))
     for x in pts + [F(1, 3), 0, 1, 0.5]:
@@ -415,16 +416,7 @@ def test_contains_matches_a_linear_scan_on_tied_endpoints():
             )
 
 
-def test_resolve_tie_matches_bisect_and_membership():
-    rng = random.Random(12)
-    for _ in range(300):
-        pts = _tied_points(rng)
-        keys = float_keys(pts)
-        for x in _probes(rng, pts):
-            _assert_find_exact(pts, keys, x)
-
-
-def test_find_pair_on_unreduced_pairs_and_pair_points():
+def test_find_pair_on_unreduced_pairs():
     rng = random.Random(13)
     for _ in range(200):
         pts = _tied_points(rng)
@@ -439,7 +431,7 @@ def test_find_pair_on_unreduced_pairs_and_pair_points():
             assert find_pair(pts, keys, n, d, n / d) == want, x
 
 
-def test_resolve_tie_on_float_points():
+def test_find_exact_decides_key_ties_on_float_points():
     pts = [0.25, 0.5, 0.75]
     keys = float_keys(pts)
     assert find_exact(pts, keys, 0.5, 0.5) == (1, True)

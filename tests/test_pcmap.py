@@ -226,12 +226,14 @@ def _assert_call(f, x):
 
 def _fused_form(f, x):
     """The unreduced (num, den) that __call__'s integer path forms for x,
-    or None where it takes digit + _eval or returns a clamp's plateau."""
+    or None where it takes digit + _eval: on a breakpoint's key, or on a
+    branch that is no rational Affine on its domain, such as a clamp whose
+    window cuts the domain."""
     if float(x) in f._bp_keys:
         return None
-    m = f.ifs.maps[f.digit(x) - 1]
+    m, dom = f._domains[f.digit(x) - 1][:2]
     if type(m) is Clamped:
-        if not m.lo < x < m.hi:
+        if not m.lo <= dom.lo < dom.hi <= m.hi:
             return None
         m = m.inner
     if type(m) is not Affine or m._ints is None:
@@ -242,8 +244,9 @@ def _fused_form(f, x):
 
 
 class TestFusedCall:
-    """__call__ evaluates rational Affine and Clamped affine branches from
-    their integer forms; digit + the generic a*x + b is the oracle."""
+    """__call__ evaluates rational Affine branches, and Clamped affine ones
+    whose window holds the domain, from their integer forms; digit + the
+    generic a*x + b is the oracle."""
 
     def test_seeded_mixed_systems(self):
         rng = random.Random(4242)
@@ -286,15 +289,21 @@ class TestFusedCall:
                 _assert_call(f, x)
 
     def test_fused_path_skips_digit_and_ties_take_it(self, monkeypatch):
-        f = PiecewiseContraction(
-            IteratedFunctionSystem(
-                (Affine(F(1, 2), F(1, 4)),
-                 Clamped(Affine(F(1, 2), F(1, 8)), F(1, 2), F(3, 4)))
-            ),
-            Breakpoints((F(3, 10),)),
-            (LEFT_OPEN,),
+        # a clamp whose window holds its branch (3/10, 1) is fused; one
+        # whose window cuts it has no form and takes digit + _eval
+        inner = Affine(F(1, 2), F(1, 8))
+        f, cut = (
+            PiecewiseContraction(
+                IteratedFunctionSystem(
+                    (Affine(F(1, 2), F(1, 4)), Clamped(inner, lo, F(1)))
+                ),
+                Breakpoints((F(3, 10),)),
+                (LEFT_OPEN,),
+            )
+            for lo in (F(1, 4), F(1, 2))
         )
         want = {x: generic_value(f, x) for x in (F(1, 10), F(3, 5), F(7, 8))}
+        plateau = generic_value(cut, F(2, 5))
         calls = []
         digit = PiecewiseContraction.digit
 
@@ -308,6 +317,8 @@ class TestFusedCall:
         assert calls == []
         assert f(F(3, 10)) == Affine(F(1, 2), F(1, 4))(F(3, 10))  # left-open
         assert calls == [F(3, 10)]
+        assert cut(F(2, 5)) == plateau == inner(F(1, 2))
+        assert calls == [F(3, 10), F(2, 5)]
 
     def test_power_maps_and_their_capped_systems(self):
         # f^2 and f^3 of the first 50 criterion-6 draws: word maps whose D

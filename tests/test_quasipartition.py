@@ -283,8 +283,8 @@ class TestWalkedSteps:
 
     def test_capped_systems(self):
         # each collar window is cut 2^-80 inside an end its branch does not
-        # own, so the branch keeps its window and the walk solves it point
-        # by point, dropping the ends its flags exclude; the sources keep
+        # own, so the branch has no form and the walk solves it point by
+        # point, dropping the ends its flags exclude; the sources keep
         # their values, so connections still land
         c6 = [draw_pc(rng_for_sample(42, idx), 3, kappa_max=0.45) for idx in range(50)]
         landed, checked, cut = Counter(), 0, 0
@@ -293,9 +293,9 @@ class TestWalkedSteps:
                 fc = PiecewiseContraction(
                     IteratedFunctionSystem(_cut_windows(g)), g.breakpoints, g.closures
                 )
-                windows = [form[6] is not None for *_, form in fc._domains]
-                assert windows[-1]  # no branch owns 1
-                cut += sum(windows)
+                formless = [form is None for *_, form in fc._domains]
+                assert formless[-1]  # no branch owns 1
+                cut += sum(formless)
                 try:
                     q = preimage_set(fc)
                 except NonDiscretePreimageError:
@@ -1616,7 +1616,7 @@ def _run(f):
 
 class TestAffineOnTheDomain:
     """A Clamped branch whose window holds its domain is its inner Affine
-    there: its form in _domains has no window, so the backward walk, the
+    there: its form in _domains is that Affine's, so the backward walk, the
     partition and the cycle fold treat it as that Affine.  The affine
     system's run is the oracle."""
 
@@ -1629,7 +1629,7 @@ class TestAffineOnTheDomain:
             for closures in (f.closures, (LEFT_OPEN, LEFT_OPEN)):
                 g = PiecewiseContraction(f.ifs, f.breakpoints, closures)
                 gc = PiecewiseContraction(capped, f.breakpoints, closures)
-                assert all(b[4][6] is None for b in gc._domains)
+                assert [b[4][:3] for b in gc._domains] == [m._ints for m in f.ifs]
                 want, got = _run(g), _run(gc)
                 assert got == want, (idx, closures)
                 if isinstance(want[0], type):
